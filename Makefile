@@ -61,11 +61,13 @@ profile-smoke:
 
 # Tier-2 soak: the optimizing-retranslation gates under the race detector —
 # the deopt/quarantine policy tests, the deferred-commit reconstruction
-# wall (the FuzzTier2Lockstep seed corpus replays as unit cases), and the
-# tier-2 golden equivalence + determinism suite. Byte-identical output
-# against the tier-1 goldens is the bar.
+# wall (the FuzzTier2Lockstep seed corpus replays as unit cases), the
+# promotion profiler's scratch-view rollback (FuzzScratchRollback's seed
+# corpus), and the tier-2 golden equivalence + determinism suite.
+# Byte-identical output against the tier-1 goldens is the bar.
 tier2-soak:
 	$(GO) test -race ./internal/vmm -run 'TestTier2|FuzzTier2Lockstep'
+	$(GO) test -race ./internal/mem -run 'Scratch'
 	$(GO) test -race ./internal/golden -run 'Tier2'
 
 # AOT soak: whole-binary pre-translation equivalence under the race

@@ -72,6 +72,19 @@ type Memory struct {
 
 	trackWrites bool
 	dirtyUnits  map[uint32]struct{}
+
+	undo *undoLog // non-nil only on a Scratch view
+}
+
+// undoLog records the bytes each store through a Scratch view overwrote,
+// oldest first: recs[i] covers the next recs[i].n bytes of old.
+type undoLog struct {
+	recs []undoRec
+	old  []byte
+}
+
+type undoRec struct {
+	addr, n uint32
 }
 
 // New allocates size bytes of zeroed physical memory. size is rounded up to
@@ -96,6 +109,52 @@ func (m *Memory) Clone() *Memory {
 		ro:   append([]bool(nil), m.ro...),
 	}
 	return n
+}
+
+// Scratch returns a throwaway view of the memory image for interpreting
+// ahead: it behaves as Clone does (no OnProtectedStore, no FaultHook, no
+// injected faults, no write tracking, and SetReadOnly on the view leaves
+// m's read-only bits alone), but it shares m's bytes instead of copying
+// them. Every store through the view logs the bytes it overwrites, and
+// Rollback restores them, so the cost is proportional to the stores made
+// rather than to the size of the image.
+//
+// Until Rollback, m's bytes include the view's stores. The caller must
+// therefore ensure nothing else reads m (or stores into it) while the view
+// is live, and should defer Rollback so a panic also restores the image.
+func (m *Memory) Scratch() *Memory {
+	return &Memory{
+		data: m.data,
+		ro:   append([]bool(nil), m.ro...),
+		undo: &undoLog{},
+	}
+}
+
+// Rollback undoes every store made through a Scratch view since it was
+// created (or since the last Rollback), newest first, leaving the shared
+// image byte-identical to what the view started from. The view stays
+// usable. It panics if m is not a Scratch view.
+func (m *Memory) Rollback() {
+	u := m.undo
+	if u == nil {
+		panic("mem: Rollback on a memory that is not a Scratch view")
+	}
+	end := len(u.old)
+	for i := len(u.recs) - 1; i >= 0; i-- {
+		r := u.recs[i]
+		end -= int(r.n)
+		copy(m.data[r.addr:r.addr+r.n], u.old[end:])
+	}
+	u.recs = u.recs[:0]
+	u.old = u.old[:0]
+}
+
+// logUndo saves the n bytes at addr before a store through a Scratch view
+// overwrites them. The range has already been bounds-checked.
+func (m *Memory) logUndo(addr, n uint32) {
+	u := m.undo
+	u.recs = append(u.recs, undoRec{addr, n})
+	u.old = append(u.old, m.data[addr:addr+n]...)
 }
 
 // EqualData reports whether the two memory images hold identical bytes.
@@ -258,6 +317,9 @@ func (m *Memory) Write8(addr uint32, v uint32) error {
 	if err := m.check(addr, 1, true); err != nil {
 		return err
 	}
+	if m.undo != nil {
+		m.logUndo(addr, 1)
+	}
 	m.data[addr] = byte(v)
 	m.noteStore(addr, 1)
 	return nil
@@ -267,6 +329,9 @@ func (m *Memory) Write8(addr uint32, v uint32) error {
 func (m *Memory) Write16(addr uint32, v uint32) error {
 	if err := m.check(addr, 2, true); err != nil {
 		return err
+	}
+	if m.undo != nil {
+		m.logUndo(addr, 2)
 	}
 	binary.BigEndian.PutUint16(m.data[addr:], uint16(v))
 	m.noteStore(addr, 2)
@@ -278,6 +343,9 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 	if err := m.check(addr, 4, true); err != nil {
 		return err
 	}
+	if m.undo != nil {
+		m.logUndo(addr, 4)
+	}
 	binary.BigEndian.PutUint32(m.data[addr:], v)
 	m.noteStore(addr, 4)
 	return nil
@@ -288,6 +356,9 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 func (m *Memory) LoadImage(addr uint32, b []byte) error {
 	if uint64(addr)+uint64(len(b)) > uint64(len(m.data)) {
 		return &Fault{Addr: addr, Write: true, Kind: FaultOutOfBounds}
+	}
+	if m.undo != nil {
+		m.logUndo(addr, uint32(len(b)))
 	}
 	copy(m.data[addr:], b)
 	return nil

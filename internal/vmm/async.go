@@ -402,11 +402,17 @@ func (m *Machine) enqueue(base, entry uint32) {
 // promotion-time branch profile (both deterministic), and the snapshot
 // pins the bytes the tier-2 schedule is valid for. Queue-full is the same
 // backpressure as tier-1: the page keeps running its tier-1 translation
-// and a later dispatch retries (the promotion gates are already met).
+// and a later dispatch retries (the promotion gates are already met). It
+// is checked first, so a full queue costs neither a profile nor a plan
+// draw that would only be thrown away.
 func (m *Machine) enqueueTier2(base, entry uint32, st *t2State) {
 	if _, ok := m.pipe.inflight[base]; ok {
 		// One attempt at a time: the promotion gates stay met, so every
 		// dispatch while a job is in flight would otherwise re-enqueue it.
+		return
+	}
+	if len(m.pipe.jobs) == cap(m.pipe.jobs) {
+		m.Stats.AsyncQueueFull++
 		return
 	}
 	src := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
@@ -432,15 +438,13 @@ func (m *Machine) enqueueTier2(base, entry uint32, st *t2State) {
 		noSpec:     m.inhibit[base],
 		enqueuedNs: time.Now().UnixNano(),
 	}
-	select {
-	case m.pipe.jobs <- job:
-		m.pipe.inflight[base] = inflightJob{
-			seq:        job.seq,
-			deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
-			tier2:      true,
-		}
-	default:
-		m.Stats.AsyncQueueFull++
+	// Cannot block: the queue had room, and the machine goroutine is its
+	// only sender.
+	m.pipe.jobs <- job
+	m.pipe.inflight[base] = inflightJob{
+		seq:        job.seq,
+		deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
+		tier2:      true,
 	}
 }
 

@@ -687,19 +687,27 @@ func (m *Machine) flushCacheStores() {
 	m.cachePending = nil
 }
 
-// recordTrace interprets ahead from entry on throwaway copies of memory
-// and the I/O environment, recording the direction of every conditional
-// branch (Chapter 6: "since we are decoding the base architecture
-// instructions, interpreting them at that point adds only a small
-// overhead"). It returns a guide the translator consumes in order.
+// recordTrace interprets ahead from entry on a scratch view of memory and
+// a copy of the I/O environment, recording the direction of every
+// conditional branch (Chapter 6: "since we are decoding the base
+// architecture instructions, interpreting them at that point adds only a
+// small overhead"). It returns a guide the translator consumes in order.
+//
+// The view stores into the live image and rolls its stores back on
+// return, so the cost is the stores made, not a copy of guest memory. That
+// is sound because interpreting ahead runs only on the machine goroutine
+// and no other goroutine reads the live image: async workers and
+// Precompile translate from private page snapshots (translateSnapshot).
+// The view has no hooks, so its stores raise no code-modification
+// interrupt, mark no page dirty and hit no injected fault.
 func (m *Machine) recordTrace(entry uint32) func(pc uint32) (bool, bool) {
 	type rec struct {
 		pc    uint32
 		taken bool
 	}
-	mc := m.Mem.Clone()
-	env := m.Env.Clone()
-	ip := interp.New(mc, env, entry)
+	scratch := m.Mem.Scratch()
+	defer scratch.Rollback()
+	ip := interp.New(scratch, m.Env.Clone(), entry)
 	m.Exec.RF.ToState(&ip.St)
 	ip.St.PC = entry
 	var recs []rec

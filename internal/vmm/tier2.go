@@ -27,6 +27,8 @@ package vmm
 // deopt, and demote identically.
 
 import (
+	"sort"
+
 	"daisy/internal/core"
 	"daisy/internal/interp"
 	"daisy/internal/vliw"
@@ -187,15 +189,16 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// tier2Profile interprets ahead from entry on throwaway copies of memory
-// and the I/O environment (the recordTrace pattern of Chapter 6), counting
-// the direction of every conditional branch. The counts become the
-// ProfileProb feedback that steers tier-2 superblock formation down the
-// measured hot path.
+// tier2Profile interprets ahead from entry on a scratch view of memory and
+// a copy of the I/O environment (the recordTrace pattern of Chapter 6),
+// counting the direction of every conditional branch. The counts become
+// the ProfileProb feedback that steers tier-2 superblock formation down the
+// measured hot path. The view's stores are rolled back before it returns
+// (see recordTrace for why the live image may be borrowed).
 func (m *Machine) tier2Profile(entry uint32) map[uint32][2]uint64 {
-	mc := m.Mem.Clone()
-	env := m.Env.Clone()
-	ip := interp.New(mc, env, entry)
+	scratch := m.Mem.Scratch()
+	defer scratch.Rollback()
+	ip := interp.New(scratch, m.Env.Clone(), entry)
 	m.Exec.RF.ToState(&ip.St)
 	ip.St.PC = entry
 	counts := make(map[uint32][2]uint64)
@@ -358,10 +361,6 @@ func (m *Machine) Tier2Pages() []uint32 {
 	for b := range m.tier2 {
 		out = append(out, b)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
