@@ -55,9 +55,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=ExecutorThroughput -benchtime=1x .
 
 # End-to-end profiler gate: run a workload with every dispatch attributed,
-# export the pprof payload, and structurally validate it round-trips.
+# export the pprof payload (daisy-run fails unless it re-reads and
+# validates), and print the top screen, flat report and hottest page's
+# annotated disassembly.
 profile-smoke:
-	$(GO) run ./cmd/daisy-profile -workload c_sieve -o /tmp/daisy-profile-smoke.pb -top 5 -check
+	$(GO) run ./cmd/daisy-run -workload c_sieve -sample 1 -profile $${TMPDIR:-/tmp}/daisy-profile-smoke.pb -top -annotate 1
 
 # Tier-2 soak: the optimizing-retranslation gates under the race detector —
 # the deopt/quarantine policy tests, the deferred-commit reconstruction
@@ -97,19 +99,21 @@ ci: vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soa
 # Run the full benchmark suite BENCH_COUNT times and archive the parsed
 # metrics as a dated JSON snapshot — the repository's perf trajectory.
 # The snapshot carries a provenance manifest and the raw per-benchmark
-# sample distributions; compare two snapshots with
+# sample distributions; list every delta between two snapshots with
 # `make benchcmp A=BENCH_old.json B=BENCH_new.json` or gate with
 # `go run ./cmd/daisy-trend check OLD NEW`.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem . | \
-		$(GO) run ./cmd/daisy-bench -json -benchtime=1x -count=$(BENCH_COUNT) > BENCH_$(DATE).json
+		$(GO) run ./cmd/daisy-bench -benchtime=1x -count=$(BENCH_COUNT) > BENCH_$(DATE).json
 	@echo "wrote BENCH_$(DATE).json"
 
 benchcmp:
-	$(GO) run ./cmd/daisy-bench -diff $(A) $(B)
+	$(GO) run ./cmd/daisy-trend check -all $(A) $(B)
 
+# The experiment grid alone: every table printed to stdout, the run folder
+# under $TMPDIR, no chaos matrix or profiler smoke.
 experiments:
-	$(GO) run ./cmd/daisy-experiments
+	$(GO) run ./cmd/daisy-paper -scale 2 -chaos-seeds 0 -no-profile -out $${TMPDIR:-/tmp}/daisy-experiments
 
 # One-command paper reproduction: the full experiment grid, chaos matrix,
 # profiler smoke and output cross-check into a timestamped runs/<stamp>/
@@ -137,6 +141,6 @@ trend:
 # re-running with ACK="Benchmark/metric" (see EXPERIMENTS.md).
 trend-check:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=2 -benchmem . | \
-		$(GO) run ./cmd/daisy-bench -json -benchtime=1x -count=2 > $${TMPDIR:-/tmp}/daisy-trend-now.json
+		$(GO) run ./cmd/daisy-bench -benchtime=1x -count=2 > $${TMPDIR:-/tmp}/daisy-trend-now.json
 	$(GO) run ./cmd/daisy-trend check $(if $(ACK),-ack "$(ACK)") \
 		$(lastword $(sort $(wildcard BENCH_*.json))) $${TMPDIR:-/tmp}/daisy-trend-now.json

@@ -1,19 +1,16 @@
-// daisy-bench parses `go test -bench` output into a stable JSON form and
-// diffs two such files, seeding the repository's performance trajectory:
-// every `make bench` writes a dated BENCH_<date>.json snapshot and
-// `make benchcmp A=old B=new` reports the deltas.
+// daisy-bench parses `go test -bench` output on stdin into a schema-1
+// BENCH_*.json snapshot on stdout, seeding the repository's performance
+// trajectory: every `make bench` writes a dated BENCH_<date>.json, and
+// `daisy-trend check` compares two of them.
 //
-// Since schema 1 a snapshot carries a provenance manifest (git SHA, go
-// version, CPU model, GOMAXPROCS, benchtime, count) and, when the suite
-// ran with -count N, the full per-metric sample distributions alongside
-// the min summary — the raw material daisy-trend's significance test
-// needs. Both -diff and daisy-trend still accept the original headerless
-// []Result files, so the committed history stays readable forever.
+// A snapshot carries a provenance manifest (git SHA, go version, CPU
+// model, GOMAXPROCS, benchtime, count) and, when the suite ran with
+// -count N, the full per-metric sample distributions alongside the min
+// summary — the raw material daisy-trend's significance test needs.
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -count=4 -benchmem | daisy-bench -json -benchtime=1x -count=4
-//	daisy-bench -diff BENCH_2026-08-01.json BENCH_2026-08-05.json
+//	go test -bench=. -benchtime=1x -count=4 -benchmem | daisy-bench -benchtime=1x -count=4
 package main
 
 import (
@@ -21,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -30,33 +26,18 @@ import (
 
 func main() {
 	var (
-		asJSON    = flag.Bool("json", false, "parse benchmark output on stdin to a schema-1 snapshot on stdout")
-		diff      = flag.Bool("diff", false, "diff two BENCH_*.json files (args: old new)")
 		benchtime = flag.String("benchtime", "", "benchtime the suite ran with, recorded in the manifest")
 		count     = flag.Int("count", 1, "count the suite ran with, recorded in the manifest")
 	)
 	flag.Parse()
-	switch {
-	case *asJSON:
-		if err := parseToJSON(*benchtime, *count); err != nil {
-			fatal(err)
-		}
-	case *diff:
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-diff needs exactly two files, got %d", flag.NArg()))
-		}
-		if err := diffFiles(flag.Arg(0), flag.Arg(1)); err != nil {
-			fatal(err)
-		}
-	default:
+	if flag.NArg() != 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "daisy-bench:", err)
-	os.Exit(1)
+	if err := parseToJSON(*benchtime, *count); err != nil {
+		fmt.Fprintln(os.Stderr, "daisy-bench:", err)
+		os.Exit(1)
+	}
 }
 
 // parseToJSON reads `go test -bench` output and emits a schema-1
@@ -153,49 +134,4 @@ func parseLine(line string) (name string, iters int64, metrics map[string]float6
 		metrics[f[i+1]] = v
 	}
 	return name, iters, metrics, len(metrics) > 0
-}
-
-// diffFiles prints, for every benchmark and metric present in both files,
-// old, new and the percent change (negative is an improvement for cost
-// metrics like ns/op and allocs/op). Accepts both snapshot forms.
-func diffFiles(oldPath, newPath string) error {
-	oldS, err := perfwall.ReadSnapshot(oldPath)
-	if err != nil {
-		return err
-	}
-	newS, err := perfwall.ReadSnapshot(newPath)
-	if err != nil {
-		return err
-	}
-	var names []string
-	for _, r := range oldS.Results {
-		if newS.Result(r.Name) != nil {
-			names = append(names, r.Name)
-		}
-	}
-	sort.Strings(names)
-	fmt.Printf("%-44s %-16s %14s %14s %9s\n", "benchmark", "metric", "old", "new", "delta%")
-	for _, n := range names {
-		o, nw := oldS.Result(n), newS.Result(n)
-		var metrics []string
-		for m := range o.Metrics {
-			if _, ok := nw.Metrics[m]; ok {
-				metrics = append(metrics, m)
-			}
-		}
-		sort.Strings(metrics)
-		for _, m := range metrics {
-			ov, nv := o.Metrics[m], nw.Metrics[m]
-			var delta string
-			if ov != 0 {
-				delta = fmt.Sprintf("%+.1f%%", (nv-ov)/ov*100)
-			} else if nv == 0 {
-				delta = "0.0%"
-			} else {
-				delta = "new"
-			}
-			fmt.Printf("%-44s %-16s %14.4g %14.4g %9s\n", n, m, ov, nv, delta)
-		}
-	}
-	return nil
 }

@@ -8,12 +8,17 @@
 // cross-check against the reference interpreter (and the committed
 // goldens at scale 1), so one perf run doubles as a correctness run.
 //
+// Each grid table is also printed to stdout as "[id]" followed by the
+// table, so the grid reads like the paper's Chapter 5; progress lines go
+// to stderr.
+//
 // Usage:
 //
 //	daisy-paper                       # full grid at scale 1 into runs/<stamp>/
 //	daisy-paper -scale 3 -out /tmp/r  # bigger inputs, explicit folder
 //	daisy-paper -only t51,pipeline    # a slice of the grid
 //	daisy-paper -plot                 # also render per-series SVG sparklines
+//	daisy-paper -chaos-seeds 0 -no-profile -out /tmp/r  # the grid tables only
 //
 // The process exits nonzero if any experiment fails, any output digest
 // diverges, the chaos matrix reports a divergence, the profiler payload
@@ -109,9 +114,10 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 	}
 
 	// The experiment grid. Full-grid runs warm the memo cache across all
-	// cores first, exactly like daisy-experiments, so table generation
-	// replays cached measurements and the per-experiment wall times mostly
-	// charge the wall-clock studies (pipeline, aot, tier2).
+	// cores first; table generation then replays the cached measurements in
+	// order, so the tables are bit-identical to a serial run and the
+	// per-experiment wall times mostly charge the wall-clock studies
+	// (pipeline, aot, tier2).
 	if len(sel) == 0 {
 		if err := r.MeasureAll(experiments.SuiteRequests()); err != nil {
 			return err
@@ -131,6 +137,7 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 		if err := rf.AddTable(e.ID, t, wallMS); err != nil {
 			return err
 		}
+		fmt.Printf("[%s]\n%s\n", e.ID, t)
 		fmt.Fprintf(os.Stderr, "[daisy-paper] %-8s %8.1f ms  %s\n", e.ID, wallMS, t.Title)
 	}
 

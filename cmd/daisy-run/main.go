@@ -11,7 +11,13 @@
 // executed — the fleet warm-up pass.
 //
 // Flags select the machine configuration, translation page size, input,
-// and whether to cross-check against the interpreter.
+// and whether to cross-check against the interpreter. The observability
+// flags attach telemetry: -top prints the top screen, -profile writes
+// and validates a guest pprof profile, and -annotate N adds the annotated
+// disassembly of the N hottest pages:
+//
+//	daisy-run -workload c_sieve -sample 1 -profile p.pb -top -annotate 1
+//	daisy-run -workload wc -top -snapshot-every 250ms   # live top screen
 package main
 
 import (
@@ -45,6 +51,7 @@ func main() {
 		tier2      = flag.Bool("tier2", false, "retranslate hot stable pages at tier-2 (optimizing) effort")
 		tier2Thr   = flag.Int("tier2-threshold", 0, "dispatches before a page is tier-2 eligible (0: default 8)")
 		tier2Stab  = flag.Uint64("tier2-stability", 0, "instructions a page must stay unmodified before tier-2 (0: default)")
+		annotate   = flag.Int("annotate", 0, "print the annotated disassembly of the N hottest pages to stderr (needs -profile)")
 	)
 	ob := obs.Register()
 	flag.Parse()
@@ -58,7 +65,7 @@ func main() {
 	}
 	t2 := tier2Opts{on: *tier2, threshold: *tier2Thr, stability: *tier2Stab}
 	if err := run(*configName, uint32(*pageSize), *wl, *scale, *inputFile,
-		*useInterp, *check, *dump, uint32(*memMB)<<20, *maxInsts, *async, *cacheDir, *precompile, t2, ob, flag.Args()); err != nil {
+		*useInterp, *check, *dump, uint32(*memMB)<<20, *maxInsts, *async, *cacheDir, *precompile, t2, *annotate, ob, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "daisy-run:", err)
 		os.Exit(1)
 	}
@@ -73,11 +80,14 @@ type tier2Opts struct {
 
 func run(configName string, pageSize uint32, wl string, scale int, inputFile string,
 	useInterp, check, dump bool, memSize uint32, maxInsts uint64,
-	async bool, cacheDir string, precompile bool, t2 tier2Opts, ob *obs.Flags, args []string) error {
+	async bool, cacheDir string, precompile bool, t2 tier2Opts, annotate int, ob *obs.Flags, args []string) error {
 
 	cfg, err := vliw.ConfigByName(configName)
 	if err != nil {
 		return err
+	}
+	if annotate > 0 && ob.ProfileFile == "" {
+		return errors.New("-annotate needs -profile FILE")
 	}
 
 	var prog *daisy.Program
@@ -203,6 +213,15 @@ func run(configName string, pageSize uint32, wl string, scale int, inputFile str
 		return runErr
 	}
 	os.Stdout.Write(env.Out)
+	if annotate > 0 { // -profile is set, so tel carries a profile
+		prof := tel.Profile()
+		for i, ps := range prof.Pages() {
+			if i >= annotate {
+				break
+			}
+			fmt.Fprint(os.Stderr, ma.AnnotatedDisassembly(prof, ps.Base))
+		}
+	}
 
 	s := &ma.Stats
 	fmt.Fprintf(os.Stderr, "[daisy] %d base instructions in %d VLIWs (ILP %.2f)\n",

@@ -14,10 +14,8 @@
 // from the same host (manifest CPU/GOOS/GOARCH match); deterministic
 // counters gate everywhere. An intentional regression is acknowledged
 // with -ack "Benchmark/metric", which records the trade-off in the CI
-// invocation instead of silently raising thresholds.
-//
-// Both commands accept the original headerless []Result files and the
-// schema-1 manifest-bearing form interchangeably.
+// invocation instead of silently raising thresholds. `check -all` also
+// lists every non-gated benchmark/metric delta.
 package main
 
 import (

@@ -1,12 +1,15 @@
 // Package obs is the shared observability flag plumbing for the daisy
 // command-line tools: one -telemetry switch plus exporter/profiling flags,
-// so daisy-run, daisy-chaos, daisy-experiments and daisy-top expose the
-// same surface.
+// so daisy-run and daisy-chaos expose the same surface. -top prints the
+// top screen (and, with -profile, the guest profile's flat report) at
+// exit, or redraws it every -snapshot-every interval; -profile re-reads
+// and validates the pprof payload it wrote.
 package obs
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -41,10 +44,10 @@ func Register() *Flags {
 	flag.StringVar(&f.ChromeFile, "trace-chrome", "", "telemetry: write a Chrome trace_event file to FILE at exit")
 	flag.StringVar(&f.ProfileFile, "profile", "", "telemetry: write a guest pprof profile (base-PC attribution) to FILE at exit")
 	flag.BoolVar(&f.Spans, "spans", false, "telemetry: trace page-lifecycle spans (begin/end events + latency histograms)")
-	flag.BoolVar(&f.Top, "top", false, "telemetry: print a daisy-top screen to stderr at exit")
+	flag.BoolVar(&f.Top, "top", false, "telemetry: print a daisy-top screen (plus the -profile flat report) to stderr at exit; with -snapshot-every, redraw it every interval")
 	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to FILE")
 	flag.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to FILE at exit")
-	flag.DurationVar(&f.SnapshotEvery, "snapshot-every", 0, "telemetry: print a snapshot line to stderr every interval")
+	flag.DurationVar(&f.SnapshotEvery, "snapshot-every", 0, "telemetry: print a snapshot line (with -top: the top screen) to stderr every interval")
 	return f
 }
 
@@ -75,7 +78,15 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 			Spans:       f.Spans,
 		})
 		if f.SnapshotEvery > 0 {
-			stops = append(stops, telemetry.PeriodicSnapshots(tel, os.Stderr, f.SnapshotEvery))
+			render := func(elapsed time.Duration) string {
+				return fmt.Sprintf("[%8.3fs] %s\n", elapsed.Seconds(), tel.Snapshot().JSON())
+			}
+			if f.Top {
+				render = func(elapsed time.Duration) string {
+					return "\x1b[2J\x1b[H" + telemetry.RenderTop(tel.Snapshot(), elapsed, telemetry.TopOptions{})
+				}
+			}
+			stops = append(stops, telemetry.Periodic(os.Stderr, f.SnapshotEvery, render))
 		}
 	}
 	start := time.Now()
@@ -91,8 +102,12 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 		if tel == nil {
 			return nil
 		}
+		prof := tel.Profile()
 		if f.Top {
 			fmt.Fprint(os.Stderr, telemetry.RenderTop(tel.Snapshot(), time.Since(start), telemetry.TopOptions{}))
+			if prof != nil {
+				fmt.Fprint(os.Stderr, prof.RenderTop(10))
+			}
 		}
 		if f.PromFile != "" {
 			if err := writeFile(f.PromFile, func(w *os.File) error {
@@ -101,13 +116,14 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 				return err
 			}
 		}
-		if f.ProfileFile != "" {
-			if prof := tel.Profile(); prof != nil {
-				if err := writeFile(f.ProfileFile, func(w *os.File) error {
-					return prof.WritePprof(w)
-				}); err != nil {
-					return err
-				}
+		if prof != nil {
+			if err := writeFile(f.ProfileFile, func(w *os.File) error {
+				return writePprof(prof, w)
+			}); err != nil {
+				return err
+			}
+			if err := validatePprof(f.ProfileFile); err != nil {
+				return err
 			}
 		}
 		tr := tel.Tracer()
@@ -124,6 +140,24 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 		return nil
 	}
 	return tel, finish, nil
+}
+
+// writePprof is the profile encoder; a test swaps it to plant a damaged
+// payload.
+var writePprof = func(p *telemetry.Profile, w io.Writer) error { return p.WritePprof(w) }
+
+// validatePprof re-reads a written pprof payload and fails unless it
+// parses, so a run never leaves a profile go tool pprof cannot open.
+func validatePprof(path string) error {
+	r, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if _, err := telemetry.ValidatePprof(r); err != nil {
+		return fmt.Errorf("%s: pprof payload invalid: %w", path, err)
+	}
+	return nil
 }
 
 func writeFile(path string, fn func(*os.File) error) error {

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Chapter 5 plus the Chapter 6 oracle measurements). The same
-// entry points drive cmd/daisy-experiments and the benchmark harness in
+// entry points drive cmd/daisy-paper and the benchmark harness in
 // the repository root; EXPERIMENTS.md records their output next to the
 // paper's numbers.
 package experiments

@@ -1,10 +1,9 @@
 package experiments
 
 // The experiment registry: the one list of everything the paper's
-// evaluation contains, shared by cmd/daisy-experiments (prints to
-// stdout) and cmd/daisy-paper (archives a full run folder). Adding an
-// experiment here is all it takes for both front-ends and the paper
-// harness's manifest to pick it up.
+// evaluation contains, read by cmd/daisy-paper, which prints each table
+// to stdout and archives it in a run folder. Adding an experiment here is
+// all it takes for the paper harness and its manifest to pick it up.
 
 import "daisy/internal/stats"
 

@@ -94,12 +94,12 @@ func TestImprovementNeverFails(t *testing.T) {
 }
 
 // TestCrossHostTimeMetricsNeverGate: wall-clock metrics between
-// different hosts (or manifest-less legacy snapshots) are informational.
+// different hosts (or manifest-less snapshots) are informational.
 func TestCrossHostTimeMetricsNeverGate(t *testing.T) {
 	cases := []struct{ hostA, hostB string }{
 		{"cpuA", "cpuB"}, // different hosts
-		{"", "cpuB"},     // legacy old snapshot, no manifest
-		{"", ""},         // both legacy
+		{"", "cpuB"},     // old snapshot has no manifest
+		{"", ""},         // neither has one
 	}
 	for _, c := range cases {
 		old := snap(c.hostA, "B", "ns/op", 1000)

@@ -51,7 +51,7 @@ func CollectManifest(tool string) *Manifest {
 
 // SameHost reports whether two manifests describe comparable hosts for
 // wall-clock purposes: same CPU model, architecture and OS. A nil or
-// CPU-less manifest never matches — the legacy headerless snapshots have
+// CPU-less manifest never matches — the oldest committed snapshots have
 // no manifest, so time metrics across them are informational only.
 func SameHost(a, b *Manifest) bool {
 	if a == nil || b == nil || a.CPU == "" || b.CPU == "" {

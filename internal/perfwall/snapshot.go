@@ -4,10 +4,6 @@
 // min-of-N comparison with a significance test, the trend wall that lines
 // the whole snapshot history up per metric, and the run-folder writer the
 // paper harness (cmd/daisy-paper) archives experiment grids into.
-//
-// The repository's six seed snapshots predate the schema and are bare
-// JSON arrays of results; every reader here accepts both forms, so the
-// history stays one unbroken trajectory.
 package perfwall
 
 import (
@@ -18,9 +14,8 @@ import (
 	"sort"
 )
 
-// SchemaVersion identifies the snapshot file format. Version 0 is the
-// implied version of the legacy headerless files (a bare JSON array of
-// results); version 1 added the manifest header and per-rep samples.
+// SchemaVersion identifies the snapshot file format: an object holding an
+// optional manifest header and the results, with per-rep samples.
 const SchemaVersion = 1
 
 // Result is one benchmark's parsed measurements: the standard ns/op,
@@ -48,7 +43,8 @@ func (r *Result) SampleValues(metric string) []float64 {
 }
 
 // Snapshot is one BENCH_*.json file: an optional provenance manifest and
-// the sorted benchmark results.
+// the sorted benchmark results. The oldest committed snapshots carry no
+// manifest: their provenance is unknown.
 type Snapshot struct {
 	Manifest *Manifest `json:"manifest,omitempty"`
 	Results  []Result  `json:"results"`
@@ -69,23 +65,13 @@ func (s *Snapshot) Sort() {
 	sort.Slice(s.Results, func(i, j int) bool { return s.Results[i].Name < s.Results[j].Name })
 }
 
-// Decode parses snapshot bytes in either form: the schema-1 object with
-// a manifest header, or the legacy headerless array the seed history is
-// written in (Manifest stays nil for those).
+// Decode parses schema-1 snapshot bytes.
 func Decode(b []byte) (*Snapshot, error) {
-	trimmed := bytes.TrimLeft(b, " \t\r\n")
-	if len(trimmed) == 0 {
+	if len(bytes.TrimSpace(b)) == 0 {
 		return nil, fmt.Errorf("perfwall: empty snapshot")
 	}
-	if trimmed[0] == '[' {
-		var rs []Result
-		if err := json.Unmarshal(trimmed, &rs); err != nil {
-			return nil, err
-		}
-		return &Snapshot{Results: rs}, nil
-	}
 	var s Snapshot
-	if err := json.Unmarshal(trimmed, &s); err != nil {
+	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, err
 	}
 	if s.Manifest != nil && s.Manifest.Schema > SchemaVersion {
@@ -95,7 +81,7 @@ func Decode(b []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// ReadSnapshot loads one snapshot file (either form).
+// ReadSnapshot loads one snapshot file.
 func ReadSnapshot(path string) (*Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

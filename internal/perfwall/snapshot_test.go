@@ -9,26 +9,15 @@ import (
 	"daisy/internal/stats"
 )
 
-// TestDecodeLegacyHeaderless: the six seed BENCH_*.json files are bare
-// arrays; they must parse with a nil manifest.
-func TestDecodeLegacyHeaderless(t *testing.T) {
-	legacy := `[
+// TestDecodeRejectsBareArray: a headerless JSON array of results is not a
+// snapshot; it must fail with an error, not decode to an empty one.
+func TestDecodeRejectsBareArray(t *testing.T) {
+	bare := `[
   {"name": "BenchmarkExecutorThroughput", "iters": 1,
    "metrics": {"B/op": 9233080, "allocs/op": 782, "ns/op": 3348965}}
 ]`
-	s, err := Decode([]byte(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Manifest != nil {
-		t.Fatal("legacy snapshot must have nil manifest")
-	}
-	r := s.Result("BenchmarkExecutorThroughput")
-	if r == nil || r.Metrics["allocs/op"] != 782 || r.Iters != 1 {
-		t.Fatalf("legacy parse: %+v", r)
-	}
-	if got := r.SampleValues("ns/op"); len(got) != 1 || got[0] != 3348965 {
-		t.Fatalf("legacy SampleValues: %v", got)
+	if s, err := Decode([]byte(bare)); err == nil {
+		t.Fatalf("bare array accepted: %+v", s)
 	}
 }
 

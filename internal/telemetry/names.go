@@ -1,7 +1,7 @@
 package telemetry
 
-// Canonical metric names. The VMM probe registers these; daisy-top and the
-// docs refer to them by name, so they live in one place.
+// Canonical metric names. The VMM probe registers these; the top screen
+// and the docs refer to them by name, so they live in one place.
 const (
 	// Counters mirroring the machine's deterministic progress.
 	MBaseInsts   = "daisy_base_insts"
@@ -38,11 +38,11 @@ const (
 	GAsyncInflight  = "daisy_async_inflight"    // gauge: pages being translated by workers
 
 	// Async-pipeline fault tolerance (worker watchdog; see vmm/async.go).
-	MAsyncRetries          = "daisy_async_retries"            // failed translations rescheduled with backoff
-	MAsyncRetriesExhausted = "daisy_async_retries_exhausted"  // retry budget spent; page quarantined
-	MAsyncAbandons         = "daisy_async_abandons"           // in-flight jobs abandoned past the deadline
-	MAsyncLateDrops        = "daisy_async_late_drops"         // abandoned results that arrived late, dropped
-	MAsyncRespawns         = "daisy_async_respawns"           // worker goroutines respawned by the watchdog
+	MAsyncRetries          = "daisy_async_retries"           // failed translations rescheduled with backoff
+	MAsyncRetriesExhausted = "daisy_async_retries_exhausted" // retry budget spent; page quarantined
+	MAsyncAbandons         = "daisy_async_abandons"          // in-flight jobs abandoned past the deadline
+	MAsyncLateDrops        = "daisy_async_late_drops"        // abandoned results that arrived late, dropped
+	MAsyncRespawns         = "daisy_async_respawns"          // worker goroutines respawned by the watchdog
 
 	// Optimizing retranslation tier (vmm/tier2.go).
 	MTier2Promotions     = "daisy_tier2_promotions"      // pages retranslated at tier-2 effort
@@ -70,11 +70,11 @@ const (
 	MCacheMissOptions = "daisy_txcache_miss_options"
 
 	// Histograms.
-	HILPPerGroup       = "daisy_ilp_per_group"        // base insts / VLIWs per sampled group run
-	HVLIWsPerGroup     = "daisy_vliws_per_group"      // VLIWs executed per sampled group run
-	HTransNsPerInst    = "daisy_translate_ns_per_inst" // host clock; zeroed by Canonical
-	HChainRunLen       = "daisy_chain_run_len"         // groups chained per dispatch without VMM round-trip
-	HQuarantineDwell   = "daisy_quarantine_dwell"      // base insts a page spent quarantined
+	HILPPerGroup     = "daisy_ilp_per_group"         // base insts / VLIWs per sampled group run
+	HVLIWsPerGroup   = "daisy_vliws_per_group"       // VLIWs executed per sampled group run
+	HTransNsPerInst  = "daisy_translate_ns_per_inst" // host clock; zeroed by Canonical
+	HChainRunLen     = "daisy_chain_run_len"         // groups chained per dispatch without VMM round-trip
+	HQuarantineDwell = "daisy_quarantine_dwell"      // base insts a page spent quarantined
 
 	// Per-stage async-pipeline latency histograms (host clock; zeroed by
 	// Canonical). Registered only when Options.Spans is on, so span-free

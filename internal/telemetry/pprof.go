@@ -101,8 +101,8 @@ const (
 
 // strTab interns strings for the profile string table (index 0 must be "").
 type strTab struct {
-	idx  map[string]uint64
-	tab  []string
+	idx map[string]uint64
+	tab []string
 }
 
 func newStrTab() *strTab {
@@ -201,7 +201,7 @@ func (p *Profile) WritePprof(w io.Writer) error {
 	return gz.Close()
 }
 
-// ---- payload validation (make profile-smoke, daisy-profile -check) ----
+// ---- payload validation (make profile-smoke, daisy-run -profile) ----
 
 // pprofSummary is what ValidatePprof extracts from a payload.
 type pprofSummary struct {

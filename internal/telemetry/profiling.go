@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -38,12 +37,14 @@ func WriteHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// PeriodicSnapshots writes a canonical-ordered snapshot line to w every
-// interval until the returned stop function is called. Lines are prefixed
-// with the elapsed duration. Used by the cmd tools' -snapshot-every flag.
-func PeriodicSnapshots(t *Telemetry, w io.Writer, interval time.Duration) (stop func()) {
-	done := make(chan struct{})
+// Periodic writes render(elapsed) to w every interval until the returned
+// stop function is called; stop returns once the writer has exited, so no
+// redraw lands after it. Used by the cmd tools' -snapshot-every flag: a
+// snapshot line per tick, or a redrawn top screen.
+func Periodic(w io.Writer, interval time.Duration, render func(elapsed time.Duration) string) (stop func()) {
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		start := time.Now()
@@ -52,9 +53,12 @@ func PeriodicSnapshots(t *Telemetry, w io.Writer, interval time.Duration) (stop 
 			case <-done:
 				return
 			case <-tick.C:
-				fmt.Fprintf(w, "[%8.3fs] %s\n", time.Since(start).Seconds(), t.Snapshot().JSON())
+				io.WriteString(w, render(time.Since(start))) // diagnostics stream; a failed write only loses a frame
 			}
 		}
 	}()
-	return func() { close(done) }
+	return func() {
+		close(done)
+		<-exited
+	}
 }

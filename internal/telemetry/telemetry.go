@@ -19,6 +19,12 @@
 //     so traces golden-compare across runs; host-clock quantities (the
 //     translation-nanos metrics) are flagged time-based and zeroed by
 //     Snapshot.Canonical for golden tests.
+//
+// The command-line front end is the shared observability flag set in
+// cmd/internal/obs, on daisy-run and daisy-chaos: -telemetry, the
+// exporters, -top (RenderTop, live with -snapshot-every) and -profile
+// (the guest attribution profile, validated by ValidatePprof after it is
+// written).
 package telemetry
 
 import (
@@ -240,7 +246,7 @@ func (t *Telemetry) histogram(name string, bounds []float64, timeBase bool) *His
 }
 
 // NotePage charges one sampled dispatch to the page at base (hot-page
-// accounting for daisy-top).
+// accounting for the top screen).
 func (t *Telemetry) NotePage(base uint32) {
 	t.hotMu.Lock()
 	t.hotPages[base]++

@@ -291,3 +291,23 @@ func TestConcurrentAccess(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestPeriodicStopWaits: stop returns only after the writer goroutine has
+// exited, so the caller may read (or print after) the stream at once;
+// under -race a frame written after stop would be reported.
+func TestPeriodicStopWaits(t *testing.T) {
+	var b strings.Builder
+	drawn := make(chan struct{}, 1)
+	stop := Periodic(&b, time.Millisecond, func(elapsed time.Duration) string {
+		select {
+		case drawn <- struct{}{}:
+		default:
+		}
+		return "frame\n"
+	})
+	<-drawn
+	stop()
+	if !strings.HasPrefix(b.String(), "frame\n") {
+		t.Fatalf("no frame written: %q", b.String())
+	}
+}

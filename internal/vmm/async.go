@@ -359,93 +359,76 @@ func (m *Machine) groupAsync(addr uint32) (*vliw.Group, error) {
 	return nil, nil
 }
 
-// enqueue snapshots the page and offers it to the worker pool. A full
-// queue is backpressure, not an error: the page stays interpretive and a
-// later dispatch retries (hot count is already past threshold).
+// enqueue offers the tier-1 translation of a hot, untranslated page to
+// the worker pool. Fault plans are drawn here, on the machine goroutine,
+// so a seeded injector's random draws happen in deterministic order
+// regardless of worker scheduling.
 func (m *Machine) enqueue(base, entry uint32) {
-	src := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
-	if src == nil {
-		// Page extends past physical memory; nothing translatable.
+	if !m.submit(base, entry, func(job *txJob) { job.plan = m.plantedFault(base) }) {
 		return
 	}
-	m.pipe.nextSeq++
-	job := txJob{
-		base:   base,
-		entry:  entry,
-		epoch:  m.epoch[base],
-		seq:    m.pipe.nextSeq,
-		digest: sha256.Sum256(src),
-		snap:   append([]byte(nil), src...),
-		// Fault plans are drawn here, on the machine goroutine, so a
-		// seeded injector's random draws happen in deterministic order
-		// regardless of worker scheduling.
-		plan:       m.plantedFault(base),
-		enqueuedNs: time.Now().UnixNano(),
-	}
-	select {
-	case m.pipe.jobs <- job:
-		m.pipe.inflight[base] = inflightJob{
-			seq:        job.seq,
-			deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
-		}
-		m.Stats.AsyncEnqueues++
-		if m.tp != nil {
-			m.tp.asyncEnqueue(m, base)
-		}
-	default:
-		m.Stats.AsyncQueueFull++
+	m.Stats.AsyncEnqueues++
+	if m.tp != nil {
+		m.tp.asyncEnqueue(m, base)
 	}
 }
 
 // enqueueTier2 offers an optimizing retranslation of a live page to the
 // worker pool: the machine goroutine draws the chaos plan and measures the
 // promotion-time branch profile (both deterministic), and the snapshot
-// pins the bytes the tier-2 schedule is valid for. Queue-full is the same
-// backpressure as tier-1: the page keeps running its tier-1 translation
-// and a later dispatch retries (the promotion gates are already met). It
-// is checked first, so a full queue costs neither a profile nor a plan
-// draw that would only be thrown away.
+// pins the bytes the tier-2 schedule is valid for. On a full queue the
+// page keeps running its tier-1 translation and a later dispatch retries
+// (the promotion gates are already met).
 func (m *Machine) enqueueTier2(base, entry uint32, st *t2State) {
 	if _, ok := m.pipe.inflight[base]; ok {
 		// One attempt at a time: the promotion gates stay met, so every
 		// dispatch while a job is in flight would otherwise re-enqueue it.
 		return
 	}
+	m.submit(base, entry, func(job *txJob) {
+		job.plan = m.plantedFault(base)
+		job.profile = m.tier2Profile(entry)
+		if job.plan != nil {
+			m.applyTier2Plan(job.plan, job.profile, st)
+		}
+		job.tier2 = true
+		job.noSpec = m.inhibit[base]
+	})
+}
+
+// submit is the one way a job reaches the worker pool. A full queue is
+// backpressure, not an error: it counts AsyncQueueFull and the page
+// retries at a later dispatch. It is checked first, so a full queue costs
+// no snapshot, hash, chaos-plan draw or profile that would only be thrown
+// away. Otherwise fill adds the job's plan (and tier-2 profile), the page
+// is snapshotted and the job sent. Reports whether the job was sent.
+func (m *Machine) submit(base, entry uint32, fill func(*txJob)) bool {
 	if len(m.pipe.jobs) == cap(m.pipe.jobs) {
 		m.Stats.AsyncQueueFull++
-		return
+		return false
 	}
 	src := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
 	if src == nil {
-		return
+		// Page extends past physical memory; nothing translatable.
+		return false
 	}
-	plan := m.plantedFault(base)
-	profile := m.tier2Profile(entry)
-	if plan != nil {
-		m.applyTier2Plan(plan, profile, st)
-	}
+	job := txJob{base: base, entry: entry}
+	fill(&job)
 	m.pipe.nextSeq++
-	job := txJob{
-		base:       base,
-		entry:      entry,
-		epoch:      m.epoch[base],
-		seq:        m.pipe.nextSeq,
-		digest:     sha256.Sum256(src),
-		snap:       append([]byte(nil), src...),
-		plan:       plan,
-		tier2:      true,
-		profile:    profile,
-		noSpec:     m.inhibit[base],
-		enqueuedNs: time.Now().UnixNano(),
-	}
+	job.epoch = m.epoch[base]
+	job.seq = m.pipe.nextSeq
+	job.digest = sha256.Sum256(src)
+	job.snap = append([]byte(nil), src...)
+	job.enqueuedNs = time.Now().UnixNano()
 	// Cannot block: the queue had room, and the machine goroutine is its
 	// only sender.
 	m.pipe.jobs <- job
 	m.pipe.inflight[base] = inflightJob{
 		seq:        job.seq,
 		deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
-		tier2:      true,
+		tier2:      job.tier2,
 	}
+	return true
 }
 
 // publishTier2 installs one finished optimizing retranslation, unless the

@@ -260,6 +260,73 @@ func TestAsyncBackpressure(t *testing.T) {
 	}
 }
 
+// TestAsyncQueueFullSkipsPlan pins the order in enqueue: with the worker
+// held and the queue full, a hot page must be pushed back on every
+// dispatch before it is snapshotted or a chaos plan is drawn for it, and
+// must still be enqueued, plan and all, once the queue drains.
+func TestAsyncQueueFullSkipsPlan(t *testing.T) {
+	prog, err := asm.Assemble("_start:\taddi r1, r1, 1\n\tb _start\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(1 << 16)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.AsyncTranslate = true
+	opt.AsyncWorkers = 1
+	opt.AsyncQueueDepth = 1
+	opt.HotThreshold = 1
+	m := New(mm, &interp.Env{}, opt)
+	defer m.Close()
+	m.pipe.testHold = make(chan struct{}, 16)
+
+	// Fill the pipeline: the worker takes one job and waits on testHold,
+	// the second sits in the depth-1 queue.
+	m.enqueue(0x8000, 0x8000)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(m.pipe.jobs) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never picked up the first filler job")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	m.enqueue(0x9000, 0x9000)
+	if len(m.pipe.jobs) != cap(m.pipe.jobs) {
+		t.Fatalf("queue not full: %d of %d", len(m.pipe.jobs), cap(m.pipe.jobs))
+	}
+
+	draws := 0
+	m.FaultTranslation = func(uint32) *TranslationFault { draws++; return nil }
+	seq := m.pipe.nextSeq
+	m.Start(prog.Entry(), 0)
+	for i := 0; i < 20; i++ {
+		if _, err := m.StepGroup(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Stats.AsyncQueueFull < 20 {
+		t.Fatalf("only %d of 20 dispatches were pushed back", m.Stats.AsyncQueueFull)
+	}
+	if draws != 0 {
+		t.Fatalf("a full queue still drew %d chaos plans", draws)
+	}
+	if m.pipe.nextSeq != seq {
+		t.Fatalf("a full queue still built %d jobs", m.pipe.nextSeq-seq)
+	}
+
+	for i := 0; i < 16; i++ {
+		m.pipe.testHold <- struct{}{}
+	}
+	stepUntil(t, m, "loop page enqueued after the queue drained", func() bool {
+		return m.Stats.AsyncEnqueues == 3
+	})
+	if draws != 1 {
+		t.Fatalf("the loop page's enqueue drew %d chaos plans, want 1", draws)
+	}
+}
+
 // TestAsyncOffByDefault pins the determinism guard: the default machine —
 // the one the golden and lockstep walls run — has no pipeline.
 func TestAsyncOffByDefault(t *testing.T) {

@@ -574,19 +574,6 @@ func (m *Machine) invalidate(base uint32) {
 	m.Mem.SetReadOnly(base, false)
 }
 
-// chainingEnabled reports whether exit edges may be patched with (and
-// followed through) direct group links. Any observation hook — the
-// lockstep validator's OnGroupStart/OnBoundary, or a chaos injector's
-// executor hooks — disables chaining entirely, so PR 1's differential
-// validation still sees every dispatch the unchained machine would make.
-func (m *Machine) chainingEnabled() bool {
-	// Tier-2 mode also disables chaining: every dispatch must funnel
-	// through tier2Dispatch so the tiering policy can count it and prefer
-	// the optimizing translation — a chained tier-1 hop would bypass both.
-	return m.OnGroupStart == nil && m.OnBoundary == nil &&
-		m.Exec.FaultHook == nil && m.Exec.AliasHook == nil && !m.Opt.Tier2
-}
-
 // InvalidatePage destroys the translation of the page containing addr, if
 // any (exported for the chaos harness's cast-out churn injector; a real
 // VMM would do this on a TLB or page-table invalidation from the guest).
@@ -808,7 +795,6 @@ func (m *Machine) runGroupLoop() (bool, error) {
 	m.Exec.ResetPath()
 	m.checkpoint(g.Entry)
 	v := g.VLIWs[0]
-	chainOK := m.chainingEnabled()
 	runStart := m.Exec.Stats.BaseInsts // virtual-clock origin of this dispatch run
 
 	for {
@@ -882,7 +868,7 @@ func (m *Machine) runGroupLoop() (bool, error) {
 			// it without touching the dispatch maps. (Skipping the LRU
 			// touch is benign — the hop is intra-page, so no other page's
 			// recency can interleave before the next real dispatch.)
-			if exit.Chain != nil && chainOK {
+			if exit.Chain != nil {
 				m.Stats.ChainFollows++
 				m.profFlushGroup() // attribute the group we are leaving
 				m.curGroup = exit.Chain
@@ -906,15 +892,13 @@ func (m *Machine) runGroupLoop() (bool, error) {
 			// the dispatch above. The leaf — the last node the executor
 			// visited, whose Exit is the one Exec just returned — is
 			// recovered from the last step's recorded directions.
-			if chainOK {
-				if steps := m.Exec.Steps; len(steps) > 0 {
-					leaf := vliw.StepLeaf(m.curGroup, steps[len(steps)-1])
-					if leaf != nil && leaf.Exit.Kind == vliw.ExitEntry && leaf.Exit.Chain == nil {
-						leaf.Exit.Chain = ng
-						m.Stats.ChainPatches++
-						if m.tp != nil {
-							m.tp.chainPatched(m, ng.Entry)
-						}
+			if steps := m.Exec.Steps; len(steps) > 0 {
+				leaf := vliw.StepLeaf(m.curGroup, steps[len(steps)-1])
+				if leaf != nil && leaf.Exit.Kind == vliw.ExitEntry && leaf.Exit.Chain == nil {
+					leaf.Exit.Chain = ng
+					m.Stats.ChainPatches++
+					if m.tp != nil {
+						m.tp.chainPatched(m, ng.Entry)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"daisy/internal/asm"
@@ -397,36 +398,70 @@ func TestChainTeardownQuarantine(t *testing.T) {
 	}
 }
 
-// TestChainingDisabledWithHooks checks the mutual exclusion that keeps
-// PR 1's lockstep validation sound: any boundary/group observation hook
-// suppresses both patching and following, while the program still runs
-// to the right answer.
-func TestChainingDisabledWithHooks(t *testing.T) {
-	prog, err := asm.Assemble(chainLoopSrc)
+// chainHookSrc is chainLoopSrc with a store and a load in the loop body,
+// so an executor fault hook is consulted on every iteration.
+const chainHookSrc = `
+_start:	li r1, 0
+	li r2, 200
+	lis r4, 8
+loop:	addi r1, r1, 1
+	stw r1, 0(r4)
+	lwz r3, 0(r4)
+	subi r2, r2, 1
+	cmpwi r2, 0
+	bgt loop
+	li r0, 0
+	sc
+`
+
+// TestChainingWithHooks: installing an observation hook leaves chaining
+// on and changes nothing the machine does. Each hook must see calls, and
+// the run must end with the Stats (chain patches and follows included)
+// and the architected state of a run with no hook.
+func TestChainingWithHooks(t *testing.T) {
+	prog, err := asm.Assemble(chainHookSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(install func(*Machine)) *Machine {
+		mm := mem.New(1 << 20)
+		if err := prog.Load(mm); err != nil {
+			t.Fatal(err)
+		}
+		ma := New(mm, &interp.Env{}, DefaultOptions())
+		install(ma)
+		if err := ma.Run(prog.Entry(), 0); err != nil {
+			t.Fatal(err)
+		}
+		return ma
+	}
+	bare := run(func(*Machine) {})
+	if bare.Stats.ChainFollows == 0 || bare.St.GPR[3] != 200 {
+		t.Fatalf("unhooked run: follows=%d r3=%d, want follows > 0 and r3 = 200",
+			bare.Stats.ChainFollows, bare.St.GPR[3])
+	}
+	calls := 0
 	hooks := []struct {
 		name    string
 		install func(*Machine)
 	}{
-		{"OnBoundary", func(m *Machine) { m.OnBoundary = func(uint64) {} }},
-		{"OnGroupStart", func(m *Machine) { m.OnGroupStart = func(uint32) {} }},
+		{"OnBoundary", func(m *Machine) { m.OnBoundary = func(uint64) { calls++ } }},
+		{"OnGroupStart", func(m *Machine) { m.OnGroupStart = func(uint32) { calls++ } }},
+		{"FaultHook", func(m *Machine) {
+			m.Exec.FaultHook = func(pc, addr uint32, size int, write bool) *mem.Fault { calls++; return nil }
+		}},
 	}
 	for _, h := range hooks {
-		mm := mem.New(1 << 20)
-		_ = prog.Load(mm)
-		ma := New(mm, &interp.Env{}, DefaultOptions())
-		h.install(ma)
-		if err := ma.Run(prog.Entry(), 0); err != nil {
-			t.Fatalf("%s: vmm: %v", h.name, err)
+		calls = 0
+		ma := run(h.install)
+		if calls == 0 {
+			t.Errorf("%s: hook never called", h.name)
 		}
-		if ma.St.GPR[1] != 200 {
-			t.Fatalf("%s: r1 = %d, want 200", h.name, ma.St.GPR[1])
+		if !reflect.DeepEqual(ma.Stats, bare.Stats) {
+			t.Errorf("%s: stats differ from the unhooked run\nhooked   %+v\nunhooked %+v", h.name, ma.Stats, bare.Stats)
 		}
-		if ma.Stats.ChainPatches != 0 || ma.Stats.ChainFollows != 0 {
-			t.Fatalf("%s: chaining engaged with hook installed (patches=%d follows=%d)",
-				h.name, ma.Stats.ChainPatches, ma.Stats.ChainFollows)
+		if !reflect.DeepEqual(ma.St, bare.St) {
+			t.Errorf("%s: final state differs from the unhooked run", h.name)
 		}
 	}
 }

@@ -4,12 +4,13 @@ package vmm
 // instrumentation site in the hot path is a single `m.tp != nil` check, so
 // an unattached machine pays one predictable branch and zero allocations.
 //
-// The probe deliberately does NOT use the OnGroupStart/OnBoundary/FaultHook
-// /AliasHook observation seams: installing any of those disables group
-// chaining (chainingEnabled), and telemetry must observe the machine
-// without changing what it does. Rare events (translation, exceptions, SMC,
-// cast-out, quarantine) are recorded unconditionally; per-dispatch and
-// per-boundary instrumentation is sampled 1-in-N.
+// The probe is its own seam, separate from the OnGroupStart/OnBoundary/
+// FaultHook/AliasHook hooks that the lockstep validator and the chaos
+// injectors install. Like them it runs on the chained fast path, and
+// telemetry must observe the machine without changing what it does. Rare
+// events (translation, exceptions, SMC, cast-out, quarantine) are recorded
+// unconditionally; per-dispatch and per-boundary instrumentation is
+// sampled 1-in-N.
 
 import (
 	"sort"
