@@ -5,7 +5,7 @@ DATE := $(shell date +%Y-%m-%d)
 # daisy-trend's rank-sum test replaces the wide single-sample thresholds.
 BENCH_COUNT ?= 4
 
-.PHONY: all build test vet race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke profile-smoke cover cover-update ci bench benchcmp experiments paper paper-smoke trend trend-check
+.PHONY: all build test vet race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke cover cover-update ci bench benchcmp experiments paper paper-smoke trend trend-check
 
 all: build
 
@@ -54,6 +54,13 @@ chaos-soak:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=ExecutorThroughput -benchtime=1x .
 
+# The end-to-end benchmark's own tests. bench/ is a separate module (it
+# replaces daisy with ../), so `go test ./...` at the root does not reach
+# it; this target keeps its use of vmm.Stats, vmm.Options and the
+# telemetry API compiling and passing.
+bench-test:
+	cd bench && $(GO) test .
+
 # End-to-end profiler gate: run a workload with every dispatch attributed,
 # export the pprof payload (daisy-run fails unless it re-reads and
 # validates), and print the top screen, flat report and hottest page's
@@ -94,7 +101,7 @@ cover-update:
 	$(GO) run ./cmd/daisy-cover -profile cover.out -update
 	@echo "commit COVERAGE.txt to ratchet the floor"
 
-ci: vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke profile-smoke paper-smoke trend-check cover
+ci: vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke paper-smoke trend-check cover
 
 # Run the full benchmark suite BENCH_COUNT times and archive the parsed
 # metrics as a dated JSON snapshot — the repository's perf trajectory.

@@ -48,9 +48,8 @@ func main() {
 		async      = flag.Bool("async", false, "translate asynchronously on a worker pool (hot pages only)")
 		cacheDir   = flag.String("txcache", "", "persistent translation cache directory (created if missing)")
 		precompile = flag.Bool("precompile", false, "pre-translate the whole binary into -txcache, then exit without running")
-		tier2      = flag.Bool("tier2", false, "retranslate hot stable pages at tier-2 (optimizing) effort")
+		tier2      = flag.Bool("tier2", false, "retranslate hot pages at tier-2 (optimizing) effort")
 		tier2Thr   = flag.Int("tier2-threshold", 0, "dispatches before a page is tier-2 eligible (0: default 8)")
-		tier2Stab  = flag.Uint64("tier2-stability", 0, "instructions a page must stay unmodified before tier-2 (0: default)")
 		annotate   = flag.Int("annotate", 0, "print the annotated disassembly of the N hottest pages to stderr (needs -profile)")
 	)
 	ob := obs.Register()
@@ -63,7 +62,7 @@ func main() {
 		}
 		return
 	}
-	t2 := tier2Opts{on: *tier2, threshold: *tier2Thr, stability: *tier2Stab}
+	t2 := tier2Opts{on: *tier2, threshold: *tier2Thr}
 	if err := run(*configName, uint32(*pageSize), *wl, *scale, *inputFile,
 		*useInterp, *check, *dump, uint32(*memMB)<<20, *maxInsts, *async, *cacheDir, *precompile, t2, *annotate, ob, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "daisy-run:", err)
@@ -75,7 +74,6 @@ func main() {
 type tier2Opts struct {
 	on        bool
 	threshold int
-	stability uint64
 }
 
 func run(configName string, pageSize uint32, wl string, scale int, inputFile string,
@@ -125,7 +123,6 @@ func run(configName string, pageSize uint32, wl string, scale int, inputFile str
 	opt.AsyncTranslate = async
 	opt.Tier2 = t2.on
 	opt.Tier2Threshold = t2.threshold
-	opt.Tier2Stability = t2.stability
 	if cacheDir != "" {
 		cache, err := daisy.OpenTranslationCache(cacheDir)
 		if err != nil {

@@ -1,73 +1,17 @@
 package telemetry
 
-// Canonical metric names. The VMM probe registers these; the top screen
-// and the docs refer to them by name, so they live in one place.
+// Canonical names of the metrics the telemetry layer itself owns: the
+// host-clock split, the sampled-dispatch count, the async queue gauges and
+// every histogram. The machine's counters are not listed here: each is named
+// once, by the `metric` tag on its vmm.Stats field, and the top screen reads
+// them by that name.
 const (
-	// Counters mirroring the machine's deterministic progress.
-	MBaseInsts   = "daisy_base_insts"
-	MInterpInsts = "daisy_interp_insts"
-	MVLIWs       = "daisy_vliws"
-	MCycles      = "daisy_cycles"
+	MTranslateNs       = "daisy_translate_ns"       // host clock; zeroed by Canonical
+	MExecuteNs         = "daisy_execute_ns"         // host clock; zeroed by Canonical
+	MDispatchesSampled = "daisy_dispatches_sampled" // sampled dispatch runs
 
-	// Translation activity.
-	MPagesBuilt   = "daisy_pages_built"
-	MGroupsBuilt  = "daisy_groups_built"
-	MEntriesBuilt = "daisy_entries_built"
-	MTranslateNs  = "daisy_translate_ns" // host clock; zeroed by Canonical
-	MExecuteNs    = "daisy_execute_ns"   // host clock; zeroed by Canonical
-
-	// Dispatch and chaining.
-	MDispatchesSampled = "daisy_dispatches_sampled"
-	MChainPatches      = "daisy_chain_patches"
-	MChainFollows      = "daisy_chain_follows"
-
-	// Robustness machinery.
-	MExceptions         = "daisy_exceptions"
-	MSMCInvalidations   = "daisy_smc_invalidations"
-	MCastOuts           = "daisy_cast_outs"
-	MQuarantines        = "daisy_quarantines"
-	MQuarantineReleases = "daisy_quarantine_releases"
-	MTranslatorPanics   = "daisy_translator_panics" // panics recovered in the translation path
-
-	// Asynchronous translation pipeline.
-	MAsyncEnqueues  = "daisy_async_enqueues"
-	MAsyncPublishes = "daisy_async_publishes"
-	MAsyncQueueFull = "daisy_async_queue_full"
-	MAsyncStale     = "daisy_async_stale_dropped"
-	GAsyncQueue     = "daisy_async_queue_depth" // gauge: pages waiting in the job channel
-	GAsyncInflight  = "daisy_async_inflight"    // gauge: pages being translated by workers
-
-	// Async-pipeline fault tolerance (worker watchdog; see vmm/async.go).
-	MAsyncRetries          = "daisy_async_retries"           // failed translations rescheduled with backoff
-	MAsyncRetriesExhausted = "daisy_async_retries_exhausted" // retry budget spent; page quarantined
-	MAsyncAbandons         = "daisy_async_abandons"          // in-flight jobs abandoned past the deadline
-	MAsyncLateDrops        = "daisy_async_late_drops"        // abandoned results that arrived late, dropped
-	MAsyncRespawns         = "daisy_async_respawns"          // worker goroutines respawned by the watchdog
-
-	// Optimizing retranslation tier (vmm/tier2.go).
-	MTier2Promotions     = "daisy_tier2_promotions"      // pages retranslated at tier-2 effort
-	MTier2Publishes      = "daisy_tier2_publishes"       // async tier-2 results installed
-	MTier2Dispatches     = "daisy_tier2_dispatches"      // dispatches served by a tier-2 group
-	MTier2Deopts         = "daisy_tier2_deopts"          // tier-2 faults deoptimized to tier-1
-	MTier2PathDepartures = "daisy_tier2_path_departures" // dispatches that left the tier-2 hot path
-	MTier2Demotions      = "daisy_tier2_demotions"       // tier-2 translations retired
-	MTier2ProfileInsts   = "daisy_tier2_profile_insts"   // insts interpreted by the promotion profiler
-
-	// Persistent translation cache.
-	MCacheHits       = "daisy_txcache_hits"
-	MCacheHotHits    = "daisy_txcache_hot_hits" // hits served by the decoded in-memory tier
-	MCacheMisses     = "daisy_txcache_misses"
-	MCacheStores     = "daisy_txcache_stores"
-	MCacheSaveErrors = "daisy_txcache_save_errors" // writes that failed and degraded to bypass
-
-	// Cache miss taxonomy: the four reasons partition MCacheMisses (see
-	// txcache.MissReason), so a fleet operator can tell benign cold starts
-	// (absent) from damage (corrupt), rollouts (version skew) and
-	// configuration drift (options mismatch) at a glance.
-	MCacheMissAbsent  = "daisy_txcache_miss_absent"
-	MCacheMissCorrupt = "daisy_txcache_miss_corrupt"
-	MCacheMissSkew    = "daisy_txcache_miss_version_skew"
-	MCacheMissOptions = "daisy_txcache_miss_options"
+	GAsyncQueue    = "daisy_async_queue_depth" // gauge: pages waiting in the job channel
+	GAsyncInflight = "daisy_async_inflight"    // gauge: pages being translated by workers
 
 	// Histograms.
 	HILPPerGroup     = "daisy_ilp_per_group"         // base insts / VLIWs per sampled group run

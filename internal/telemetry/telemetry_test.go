@@ -238,8 +238,8 @@ func TestSnapshotWriteFiles(t *testing.T) {
 
 func TestRenderTopShape(t *testing.T) {
 	tel := New(DefaultOptions())
-	tel.Counter(MBaseInsts).Add(1000)
-	tel.Counter(MVLIWs).Add(250)
+	tel.Counter("daisy_base_insts").Add(1000)
+	tel.Counter("daisy_vliws").Add(250)
 	tel.NoteGroup(0x1000)
 	s := tel.Snapshot()
 	out := RenderTop(s, 0, TopOptions{Rows: 5})
@@ -273,7 +273,7 @@ func TestConcurrentAccess(t *testing.T) {
 				return
 			default:
 			}
-			tel.Counter(MBaseInsts).Inc()
+			tel.Counter("daisy_base_insts").Inc()
 			tel.Histogram(HILPPerGroup, BoundsILP).Observe(float64(i % 7))
 			tel.Event(EvDispatch, uint64(i), uint32(i), 0, 0)
 			tel.NotePage(uint32(i) & 0xf000)

@@ -62,31 +62,32 @@ func RenderTop(s Snapshot, wall time.Duration, opt TopOptions) string {
 	// Async-pipeline pane: only rendered when the pipeline (or the
 	// persistent translation cache) actually saw traffic, so synchronous
 	// runs keep the pre-async screen byte-for-byte.
-	enq := ctr(MAsyncEnqueues)
-	hits, misses := ctr(MCacheHits), ctr(MCacheMisses)
-	if enq+ctr(MAsyncStale)+hits+misses > 0 {
+	enq := ctr("daisy_async_enqueues")
+	hits, misses := ctr("daisy_txcache_hits"), ctr("daisy_txcache_misses")
+	if enq+ctr("daisy_async_stale_dropped")+hits+misses > 0 {
 		fmt.Fprintf(&b, "async: enq=%d pub=%d stale=%d full=%d queue=%d inflight=%d\n",
-			enq, ctr(MAsyncPublishes), ctr(MAsyncStale), ctr(MAsyncQueueFull),
+			enq, ctr("daisy_async_publishes"), ctr("daisy_async_stale_dropped"),
+			ctr("daisy_async_queue_full"),
 			uint64(get(s.Gauges, GAsyncQueue)), uint64(get(s.Gauges, GAsyncInflight)))
 		if hits+misses > 0 {
 			fmt.Fprintf(&b, "txcache: hits=%d (hot=%d) misses=%d stores=%d hit%%=%.1f\n",
-				hits, ctr(MCacheHotHits), misses, ctr(MCacheStores),
+				hits, ctr("daisy_txcache_hot_hits"), misses, ctr("daisy_txcache_stores"),
 				100*float64(hits)/float64(hits+misses))
 			if misses > 0 {
 				fmt.Fprintf(&b, "txcache misses: absent=%d corrupt=%d skew=%d optfp=%d\n",
-					ctr(MCacheMissAbsent), ctr(MCacheMissCorrupt),
-					ctr(MCacheMissSkew), ctr(MCacheMissOptions))
+					ctr("daisy_txcache_miss_absent"), ctr("daisy_txcache_miss_corrupt"),
+					ctr("daisy_txcache_miss_version_skew"), ctr("daisy_txcache_miss_options"))
 			}
 		}
 	}
 
 	// Tier pane: only rendered when optimizing retranslation actually did
 	// something, so tier-1-only runs keep the previous screen byte-for-byte.
-	prom := ctr(MTier2Promotions)
-	if prom+ctr(MTier2Dispatches)+ctr(MTier2ProfileInsts) > 0 {
+	prom := ctr("daisy_tier2_promotions")
+	if prom+ctr("daisy_tier2_dispatches")+ctr("daisy_tier2_profile_insts") > 0 {
 		fmt.Fprintf(&b, "tier2: promoted=%d pub=%d dispatches=%d deopts=%d departures=%d demoted=%d\n",
-			prom, ctr(MTier2Publishes), ctr(MTier2Dispatches), ctr(MTier2Deopts),
-			ctr(MTier2PathDepartures), ctr(MTier2Demotions))
+			prom, ctr("daisy_tier2_publishes"), ctr("daisy_tier2_dispatches"), ctr("daisy_tier2_deopts"),
+			ctr("daisy_tier2_path_departures"), ctr("daisy_tier2_demotions"))
 	}
 
 	row := func(title string, hot []HotCount) {

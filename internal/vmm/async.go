@@ -33,7 +33,7 @@ package vmm
 //     interpret-only (a deterministic panic would just recur).
 //   - Retry with backoff: a failed (non-panic) translation is retried at
 //     a later dispatch after an exponentially growing, deterministically
-//     jittered span of the instruction clock. When AsyncMaxRetries is
+//     jittered span of the instruction clock. When asyncMaxRetries is
 //     spent, the page is quarantined instead (Stats.AsyncRetriesExhausted).
 //   - Watchdog: every in-flight job carries a wall-clock deadline
 //     (AsyncDeadline). A job past it is abandoned — removed from the
@@ -59,6 +59,7 @@ import (
 
 	"daisy/internal/core"
 	"daisy/internal/mem"
+	"daisy/internal/telemetry"
 	"daisy/internal/tradcomp/sched"
 	"daisy/internal/txcache"
 	"daisy/internal/vliw"
@@ -300,14 +301,6 @@ func (m *Machine) asyncDeadline() time.Duration {
 	return 2 * time.Second
 }
 
-// asyncMaxRetries returns the per-page retry budget for failed jobs.
-func (m *Machine) asyncMaxRetries() int {
-	if m.Opt.AsyncMaxRetries > 0 {
-		return m.Opt.AsyncMaxRetries
-	}
-	return 3
-}
-
 // bumpEpoch invalidates any in-flight translation of the page at base.
 func (m *Machine) bumpEpoch(base uint32) {
 	if m.pipe == nil {
@@ -433,7 +426,7 @@ func (m *Machine) submit(base, entry uint32, fill func(*txJob)) bool {
 
 // publishTier2 installs one finished optimizing retranslation, unless the
 // page changed underneath it (epoch bump or byte digest mismatch) — then
-// the result is dropped and the restarted stability clock decides whether
+// the result is dropped and the reset promotion policy decides whether
 // promotion is attempted again. A failed result backs the page's promotion
 // off; it can never quarantine the page, whose tier-1 translation is fine.
 func (m *Machine) publishTier2(r txResult) {
@@ -446,10 +439,7 @@ func (m *Machine) publishTier2(r txResult) {
 	if r.err != nil {
 		var pf *panicFault
 		if errors.As(r.err, &pf) {
-			m.Stats.TranslatorPanics++
-			if m.tp != nil {
-				m.tp.translatorPanic(m, base)
-			}
+			m.notePanic(base)
 		}
 		m.tier2Backoff(base)
 		return
@@ -458,9 +448,7 @@ func (m *Machine) publishTier2(r txResult) {
 	m.installTier2(base, r.pt)
 	if m.tier2[base] == r.pt {
 		m.Stats.Tier2Publishes++
-		if m.tp != nil {
-			m.tp.tier2Published(m, base)
-		}
+		m.emit(telemetry.EvTier2Publish, base, 0)
 	}
 }
 
@@ -594,16 +582,13 @@ func (m *Machine) publish(r txResult) {
 func (m *Machine) noteAsyncFailure(base uint32, err error) {
 	var pf *panicFault
 	if errors.As(err, &pf) {
-		m.Stats.TranslatorPanics++
-		if m.tp != nil {
-			m.tp.translatorPanic(m, base)
-		}
+		m.notePanic(base)
 		delete(m.pipe.retry, base)
 		m.forceQuarantine(base)
 		return
 	}
 	rs := m.pipe.retry[base]
-	if rs.attempts >= m.asyncMaxRetries() {
+	if rs.attempts >= asyncMaxRetries {
 		m.Stats.AsyncRetriesExhausted++
 		delete(m.pipe.retry, base)
 		m.forceQuarantine(base)
@@ -618,9 +603,14 @@ func (m *Machine) noteAsyncFailure(base uint32, err error) {
 	}
 }
 
-// asyncRetryBackoffBase is the first retry span in completed base
-// instructions; each further attempt doubles it.
-const asyncRetryBackoffBase = 10_000
+// asyncMaxRetries is how many times a failed worker translation (error,
+// watchdog abandonment) is rescheduled before the page is quarantined
+// interpret-only instead; asyncRetryBackoffBase is the first retry span in
+// completed base instructions, and each further attempt doubles it.
+const (
+	asyncMaxRetries       = 3
+	asyncRetryBackoffBase = 10_000
+)
 
 // retryBackoff returns the instruction-clock span before attempt may be
 // retried: exponential in the attempt number, plus a deterministic jitter
@@ -642,16 +632,7 @@ func (m *Machine) InflightPages() []uint32 {
 	if m.pipe == nil {
 		return nil
 	}
-	out := make([]uint32, 0, len(m.pipe.inflight))
-	for b := range m.pipe.inflight {
-		out = append(out, b)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return sortedKeys(m.pipe.inflight)
 }
 
 // ---- Persistent cross-run translation cache ----

@@ -17,6 +17,7 @@ import (
 	"daisy/internal/asm"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
+	"daisy/internal/telemetry"
 	"daisy/internal/workload"
 )
 
@@ -60,6 +61,55 @@ func TestSyncPanicQuarantinesAndCompletes(t *testing.T) {
 	}
 	if m.Stats.PagesBuilt != 0 {
 		t.Fatalf("%d pages built despite a translator that always panics", m.Stats.PagesBuilt)
+	}
+}
+
+// TestTier2SyncPanicTraced pins the panic funnel on the synchronous tier-2
+// promotion path: a planted panic is counted and traced exactly once, like
+// a panic on every other translation path, and costs only the promotion —
+// the page keeps its tier-1 translation and is not quarantined.
+func TestTier2SyncPanicTraced(t *testing.T) {
+	prog, err := asm.Assemble("_start:\taddi r1, r1, 1\n\tb _start\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(1 << 16)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Tier2 = true
+	opt.Tier2Threshold = 2
+	m := New(mm, &interp.Env{}, opt)
+	tel := telemetry.New(telemetry.DefaultOptions())
+	m.AttachTelemetry(tel)
+	m.Start(prog.Entry(), 0)
+	if _, err := m.StepGroup(); err != nil { // builds tier 1, first dispatch
+		t.Fatal(err)
+	}
+	// Armed only now, so the plan hits the promotion, not the tier-1 build.
+	m.FaultTranslation = func(uint32) *TranslationFault { return &TranslationFault{Panic: true} }
+	for i := 0; i < 16 && m.Stats.TranslatorPanics == 0; i++ {
+		if _, err := m.StepGroup(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Stats.TranslatorPanics != 1 {
+		t.Fatalf("TranslatorPanics = %d, want 1", m.Stats.TranslatorPanics)
+	}
+	events := 0
+	for _, e := range tel.Tracer().Events() {
+		if e.Kind == telemetry.EvTranslatorPanic {
+			events++
+		}
+	}
+	if events != 1 {
+		t.Fatalf("%d translator-panic events, want 1", events)
+	}
+	base := prog.Entry() &^ (m.Trans.Opt.PageSize - 1)
+	if m.Stats.Tier2Promotions != 0 || !pageLive(m, base) || len(m.QuarantinedPages()) != 0 {
+		t.Fatalf("a tier-2 panic must cost only the promotion (promotions %d, tier-1 live %v, quarantined %v)",
+			m.Stats.Tier2Promotions, pageLive(m, base), m.QuarantinedPages())
 	}
 }
 
@@ -165,22 +215,20 @@ func TestAsyncWorkerPanicQuarantines(t *testing.T) {
 }
 
 // TestAsyncErrRetriesThenQuarantines pins the retry ladder: a worker
-// translation that keeps failing is retried AsyncMaxRetries times with
+// translation that keeps failing is retried asyncMaxRetries times with
 // instruction-clock backoff, then the page is quarantined instead of
 // retrying forever.
 func TestAsyncErrRetriesThenQuarantines(t *testing.T) {
 	planted := errors.New("planted translation failure")
 	m, base := crashLoopMachine(t, false, func(uint32) *TranslationFault {
 		return &TranslationFault{Err: planted}
-	}, func(o *Options) {
-		o.AsyncMaxRetries = 2
-	})
+	}, nil)
 	defer m.Close()
 	stepSpin(t, m, "retries exhausted", func() bool {
 		return m.Stats.AsyncRetriesExhausted > 0
 	})
-	if m.Stats.AsyncRetries != 2 {
-		t.Fatalf("AsyncRetries = %d, want 2 (the configured budget)", m.Stats.AsyncRetries)
+	if m.Stats.AsyncRetries != asyncMaxRetries {
+		t.Fatalf("AsyncRetries = %d, want %d (the retry budget)", m.Stats.AsyncRetries, asyncMaxRetries)
 	}
 	if len(m.QuarantinedPages()) == 0 {
 		t.Fatal("retry-exhausted page was not quarantined")
@@ -282,13 +330,13 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative AsyncQueueDepth", func(o *Options) { o.AsyncTranslate = true; o.AsyncQueueDepth = -1 }, "AsyncQueueDepth"},
 		{"negative HotThreshold", func(o *Options) { o.AsyncTranslate = true; o.HotThreshold = -1 }, "HotThreshold"},
 		{"negative AsyncDeadline", func(o *Options) { o.AsyncTranslate = true; o.AsyncDeadline = -time.Second }, "AsyncDeadline"},
-		{"negative AsyncMaxRetries", func(o *Options) { o.AsyncTranslate = true; o.AsyncMaxRetries = -1 }, "AsyncMaxRetries"},
 		{"negative QuarantineThreshold", func(o *Options) { o.QuarantineThreshold = -1 }, "QuarantineThreshold"},
 		{"threshold without window", func(o *Options) { o.QuarantineThreshold = 4 }, "QuarantineWindow"},
 		{"async with interpretive", func(o *Options) { o.AsyncTranslate = true; o.Interpretive = true }, "Interpretive"},
 		{"async knobs without pipeline", func(o *Options) { o.AsyncWorkers = 2 }, "require AsyncTranslate"},
 		{"hot threshold without pipeline", func(o *Options) { o.HotThreshold = 2 }, "HotThreshold"},
 		{"sub-millisecond deadline", func(o *Options) { o.AsyncTranslate = true; o.AsyncDeadline = time.Microsecond }, "below 1ms"},
+		{"tier-2 threshold without tier 2", func(o *Options) { o.Tier2Threshold = 4 }, "requires Tier2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

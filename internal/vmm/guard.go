@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"daisy/internal/core"
+	"daisy/internal/telemetry"
 	"daisy/internal/vliw"
 )
 
@@ -118,13 +119,19 @@ func (m *Machine) translatorFailed(base uint32, err error) error {
 		// deterministic program/setup errors, not transient service faults.
 		return err
 	}
-	m.Stats.TranslatorPanics++
-	if m.tp != nil {
-		m.tp.translatorPanic(m, base)
-	}
+	m.notePanic(base)
 	m.resetTranslator()
 	m.forceQuarantine(base)
 	return errTranslationUnavailable
+}
+
+// notePanic counts and traces one recovered translator panic on the page
+// at base. Every path that recovers one — the synchronous build, an async
+// worker, a tier-1 or tier-2 result, a synchronous tier-2 promotion —
+// funnels through here.
+func (m *Machine) notePanic(base uint32) {
+	m.Stats.TranslatorPanics++
+	m.emit(telemetry.EvTranslatorPanic, base, 0)
 }
 
 // resetTranslator rebuilds the incremental translator after a panic,

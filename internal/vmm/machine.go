@@ -14,13 +14,14 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"daisy/internal/core"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
 	"daisy/internal/ppc"
+	"daisy/internal/telemetry"
 	"daisy/internal/tradcomp/sched"
 	"daisy/internal/txcache"
 	"daisy/internal/vliw"
@@ -106,12 +107,6 @@ type Options struct {
 	// dropped (0: 2s). Only consulted when AsyncTranslate is on.
 	AsyncDeadline time.Duration
 
-	// AsyncMaxRetries bounds how many times a failed worker translation
-	// (error, watchdog abandonment) is rescheduled with exponential
-	// backoff before the page is quarantined interpret-only instead
-	// (0: 3).
-	AsyncMaxRetries int
-
 	// Cache, if non-nil, is the persistent cross-run translation cache:
 	// consulted (by page-content digest + options fingerprint) before any
 	// page translation is scheduled, and written through after each one
@@ -131,13 +126,6 @@ type Options struct {
 	// it takes before the page is considered hot enough to retranslate at
 	// tier-2 effort (0: 8). Only consulted when Tier2 is on.
 	Tier2Threshold int
-
-	// Tier2Stability is the stability window in completed base
-	// instructions: the page must have gone at least this long since its
-	// last invalidation before tier-2 effort is spent on it, so code that
-	// keeps self-modifying never earns an optimizing translation (0: no
-	// stability requirement). Only consulted when Tier2 is on.
-	Tier2Stability uint64
 }
 
 // DefaultOptions mirrors the paper's headline setup.
@@ -145,16 +133,19 @@ func DefaultOptions() Options {
 	return Options{Trans: core.DefaultOptions(), InterpBudget: 64}
 }
 
-// Stats collects the dynamic counters behind the paper's tables.
+// Stats collects the dynamic counters behind the paper's tables. A uint64
+// field tagged `metric:"name"` is mirrored into attached telemetry as the
+// counter of that name (telemetry.go); adding a field with a tag is all it
+// takes to export a new counter. Untagged fields stay machine-local.
 type Stats struct {
 	Exec vliw.Stats // VLIWs, base instructions, loads/stores, aliases
 
-	InterpInsts  uint64 // instructions executed interpretively by the VMM
+	InterpInsts  uint64 `metric:"daisy_interp_insts"` // instructions executed interpretively by the VMM
 	Syscalls     uint64
-	PagesBuilt   uint64 // "VLIW translation missing" exceptions serviced
-	GroupsBuilt  uint64
-	EntriesBuilt uint64 // "invalid entry point" exceptions serviced
-	CastOuts     uint64
+	PagesBuilt   uint64 `metric:"daisy_pages_built"` // "VLIW translation missing" exceptions serviced
+	GroupsBuilt  uint64 `metric:"daisy_groups_built"`
+	EntriesBuilt uint64 `metric:"daisy_entries_built"` // "invalid entry point" exceptions serviced
+	CastOuts     uint64 `metric:"daisy_cast_outs"`
 
 	CrossDirect uint64 // Table 5.6: direct cross-page branches
 	CrossLR     uint64 // via the link register
@@ -164,57 +155,57 @@ type Stats struct {
 	// Group chaining (a pure wall-clock optimization: neither counter
 	// feeds any paper table, and IntraEntry above counts chained and
 	// dispatched transfers identically).
-	ChainPatches uint64 // exit edges patched with a direct group link
-	ChainFollows uint64 // dispatches bypassed by following a chain
+	ChainPatches uint64 `metric:"daisy_chain_patches"` // exit edges patched with a direct group link
+	ChainFollows uint64 `metric:"daisy_chain_follows"` // dispatches bypassed by following a chain
 
-	SMCInvalidations    uint64
-	Exceptions          uint64 // precise exceptions recovered
+	SMCInvalidations    uint64 `metric:"daisy_smc_invalidations"`
+	Exceptions          uint64 `metric:"daisy_exceptions"` // precise exceptions recovered
 	AliasRecoveries     uint64 // load-verify re-executions (Table 5.7)
 	AliasRetranslations uint64 // entries rebuilt without load speculation
 	TraceRecInsts       uint64 // instructions interpreted by the trace recorder
 
-	Quarantines        uint64 // pages degraded to interpret-only mode
-	QuarantineReleases uint64 // quarantines expired (translation retried)
+	Quarantines        uint64 `metric:"daisy_quarantines"`         // pages degraded to interpret-only mode
+	QuarantineReleases uint64 `metric:"daisy_quarantine_releases"` // quarantines expired (translation retried)
 	InjectedFaults     uint64 // chaos-harness injections observed
-	TranslatorPanics   uint64 // translator panics recovered (sync path and workers)
+	TranslatorPanics   uint64 `metric:"daisy_translator_panics"` // translator panics recovered (sync path and workers)
 
 	// Asynchronous translation pipeline (async.go).
-	AsyncEnqueues            uint64 // pages handed to the worker pool
-	AsyncPublishes           uint64 // worker results installed
-	AsyncQueueFull           uint64 // enqueues pushed back by a full queue
-	StaleTranslationsDropped uint64 // in-flight results discarded by epoch/digest
+	AsyncEnqueues            uint64 `metric:"daisy_async_enqueues"`      // pages handed to the worker pool
+	AsyncPublishes           uint64 `metric:"daisy_async_publishes"`     // worker results installed
+	AsyncQueueFull           uint64 `metric:"daisy_async_queue_full"`    // enqueues pushed back by a full queue
+	StaleTranslationsDropped uint64 `metric:"daisy_async_stale_dropped"` // in-flight results discarded by epoch/digest
 
 	// Async fault tolerance (worker watchdog and retry/backoff; async.go).
-	AsyncRetries          uint64 // failed worker translations rescheduled with backoff
-	AsyncRetriesExhausted uint64 // retry budgets spent; pages quarantined instead
-	AsyncAbandons         uint64 // in-flight jobs abandoned past AsyncDeadline
-	AsyncLateDrops        uint64 // abandoned results that arrived late and were dropped
-	AsyncRespawns         uint64 // worker goroutines respawned by the watchdog
+	AsyncRetries          uint64 `metric:"daisy_async_retries"`           // failed worker translations rescheduled with backoff
+	AsyncRetriesExhausted uint64 `metric:"daisy_async_retries_exhausted"` // retry budgets spent; pages quarantined instead
+	AsyncAbandons         uint64 `metric:"daisy_async_abandons"`          // in-flight jobs abandoned past AsyncDeadline
+	AsyncLateDrops        uint64 `metric:"daisy_async_late_drops"`        // abandoned results that arrived late and were dropped
+	AsyncRespawns         uint64 `metric:"daisy_async_respawns"`          // worker goroutines respawned by the watchdog
 
 	// Persistent translation cache (per-machine view; the Store keeps its
 	// own cross-machine counters). Misses are partitioned by reason:
 	// CacheMisses == CacheMissAbsent + CacheMissCorrupt + CacheMissSkew +
 	// CacheMissOptions.
-	CacheHits        uint64
-	CacheHotHits     uint64 // hits served from the store's decoded hot tier
-	CacheMisses      uint64
-	CacheMissAbsent  uint64 // no entry under the content address
-	CacheMissCorrupt uint64 // entry damaged (checksum/decode failure)
-	CacheMissSkew    uint64 // entry from another format version
-	CacheMissOptions uint64 // entry's key echo disagreed with its address
-	CacheStores      uint64
-	CacheSaveErrors  uint64 // cache writes that failed; translation unaffected
+	CacheHits        uint64 `metric:"daisy_txcache_hits"`
+	CacheHotHits     uint64 `metric:"daisy_txcache_hot_hits"` // hits served from the store's decoded hot tier
+	CacheMisses      uint64 `metric:"daisy_txcache_misses"`
+	CacheMissAbsent  uint64 `metric:"daisy_txcache_miss_absent"`       // no entry under the content address
+	CacheMissCorrupt uint64 `metric:"daisy_txcache_miss_corrupt"`      // entry damaged (checksum/decode failure)
+	CacheMissSkew    uint64 `metric:"daisy_txcache_miss_version_skew"` // entry from another format version
+	CacheMissOptions uint64 `metric:"daisy_txcache_miss_options"`      // entry's key echo disagreed with its address
+	CacheStores      uint64 `metric:"daisy_txcache_stores"`
+	CacheSaveErrors  uint64 `metric:"daisy_txcache_save_errors"` // cache writes that failed; translation unaffected
 
 	// Optimizing retranslation tier (tier2.go).
-	Tier2Promotions     uint64 // pages retranslated at tier-2 effort
-	Tier2Publishes      uint64 // async tier-2 results installed
-	Tier2Dispatches     uint64 // dispatches served by a tier-2 group
-	Tier2Deopts         uint64 // tier-2 faults deoptimized to tier-1
-	Tier2PathDepartures uint64 // dispatches that left the tier-2 hot path
-	Tier2Demotions      uint64 // tier-2 translations retired (deopt/departure storms)
-	Tier2ProfileInsts   uint64 // instructions interpreted by the promotion profiler
+	Tier2Promotions     uint64 `metric:"daisy_tier2_promotions"`      // pages retranslated at tier-2 effort
+	Tier2Publishes      uint64 `metric:"daisy_tier2_publishes"`       // async tier-2 results installed
+	Tier2Dispatches     uint64 `metric:"daisy_tier2_dispatches"`      // dispatches served by a tier-2 group
+	Tier2Deopts         uint64 `metric:"daisy_tier2_deopts"`          // tier-2 faults deoptimized to tier-1
+	Tier2PathDepartures uint64 `metric:"daisy_tier2_path_departures"` // dispatches that left the tier-2 hot path
+	Tier2Demotions      uint64 `metric:"daisy_tier2_demotions"`       // tier-2 translations retired (deopt/departure storms)
+	Tier2ProfileInsts   uint64 `metric:"daisy_tier2_profile_insts"`   // instructions interpreted by the promotion profiler
 
-	Cycles      uint64 // VLIW issue cycles (one per attempted tree instruction)
+	Cycles      uint64 `metric:"daisy_cycles"` // VLIW issue cycles (one per attempted tree instruction)
 	StallCycles uint64 // extra cycles from the attached cache model
 }
 
@@ -536,9 +527,7 @@ func (m *Machine) castOut() {
 		}
 		m.invalidate(victim)
 		m.Stats.CastOuts++
-		if m.tp != nil {
-			m.tp.castOut(m, victim)
-		}
+		m.emit(telemetry.EvCastOut, victim, 0)
 	}
 }
 
@@ -555,7 +544,7 @@ func (m *Machine) invalidate(base uint32) {
 		m.tp.spanInvalidate(m, base)
 	}
 	// The optimizing tier dies with the page: both the tier-2 translation
-	// and the promotion-policy state (its stability clock restarts from the
+	// and the promotion-policy state (its dispatch count restarts from the
 	// invalidation). Without this, a quarantine engaging while a tier-2
 	// retranslation is pending would leak the retained tier-1 translation's
 	// tier-2 shadow — m.tier2 must always be a subset of m.pages.
@@ -591,12 +580,16 @@ func (m *Machine) InjectSMC(addr uint32) {
 
 // TranslatedPages returns the bases of currently translated pages in
 // ascending order (deterministic, for seeded injectors and inspection).
-func (m *Machine) TranslatedPages() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
-	for b := range m.pages {
+func (m *Machine) TranslatedPages() []uint32 { return sortedKeys(m.pages) }
+
+// sortedKeys returns a page-keyed map's keys in ascending order, so every
+// walk over pages (exports, cache flushes, span closes) is deterministic.
+func sortedKeys[V any](pages map[uint32]V) []uint32 {
+	out := make([]uint32, 0, len(pages))
+	for b := range pages {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -661,12 +654,7 @@ func (m *Machine) flushCacheStores() {
 	if len(m.cachePending) == 0 {
 		return
 	}
-	bases := make([]uint32, 0, len(m.cachePending))
-	for base := range m.cachePending {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	for _, base := range bases {
+	for _, base := range sortedKeys(m.cachePending) {
 		if pt := m.cachePending[base]; m.pages[base] == pt {
 			m.cacheStore(pt)
 		}
@@ -897,9 +885,7 @@ func (m *Machine) runGroupLoop() (bool, error) {
 				if leaf != nil && leaf.Exit.Kind == vliw.ExitEntry && leaf.Exit.Chain == nil {
 					leaf.Exit.Chain = ng
 					m.Stats.ChainPatches++
-					if m.tp != nil {
-						m.tp.chainPatched(m, ng.Entry)
-					}
+					m.emit(telemetry.EvChainPatch, ng.Entry, 0)
 				}
 			}
 			m.profFlushGroup() // after the patch above, which reads the step log
@@ -999,9 +985,7 @@ func (m *Machine) recover(f *vliw.Fault) (bool, error) {
 		} else if !f.CodeMod {
 			m.Stats.Exceptions++
 		}
-		if m.tp != nil {
-			m.tp.exception(m, f, faultArg(f))
-		}
+		m.emit(telemetry.EvException, f.Resume, faultArg(f))
 		m.Exec.Journal.Undo(m.Mem)
 		m.Exec.RF = m.ckptRF
 		m.St.PC = m.ckptPC
@@ -1024,14 +1008,13 @@ func (m *Machine) recover(f *vliw.Fault) (bool, error) {
 			m.OnFault(f, scanPC)
 		}
 	}
-	if m.tp != nil {
-		m.tp.exception(m, f, faultArg(f))
-	}
+	m.emit(telemetry.EvException, f.Resume, faultArg(f))
 	m.St.PC = f.Resume
 	return false, m.interpret()
 }
 
-// faultArg encodes a fault's class for the trace event stream.
+// faultArg encodes a fault's class for the trace event stream: 0 exception,
+// 1 alias, 2 SMC.
 func faultArg(f *vliw.Fault) uint64 {
 	switch {
 	case f.CodeMod:
@@ -1149,9 +1132,7 @@ func (m *Machine) drainDirty() bool {
 	for b := range m.dirty {
 		m.invalidate(b) // also bumps the page's in-flight epoch
 		m.Stats.SMCInvalidations++
-		if m.tp != nil {
-			m.tp.smcInvalidate(m, b)
-		}
+		m.emit(telemetry.EvSMCInvalidate, b, 0)
 		m.noteTrouble(b)
 		delete(m.dirty, b)
 	}

@@ -14,6 +14,8 @@ package vmm
 // Time is measured in completed base instructions (Stats.BaseInsts()),
 // the only clock the machine has that is deterministic across runs.
 
+import "slices"
+
 // quarState tracks translation trouble for one page.
 type quarState struct {
 	events    []uint64 // completion-time stamps of recent trouble events
@@ -129,15 +131,12 @@ func (m *Machine) pageQuarantined(addr uint32) bool {
 	return true
 }
 
-// QuarantinedPages returns the page bases currently in interpret-only
-// quarantine (for observability; order unspecified).
+// QuarantinedPages returns the bases of pages currently in interpret-only
+// quarantine, in ascending order (for observability).
 func (m *Machine) QuarantinedPages() []uint32 {
-	var out []uint32
 	now := m.Stats.BaseInsts()
-	for base, q := range m.quar {
-		if q.until != 0 && now < q.until {
-			out = append(out, base)
-		}
-	}
-	return out
+	return slices.DeleteFunc(sortedKeys(m.quar), func(base uint32) bool {
+		q := m.quar[base]
+		return q.until == 0 || now >= q.until
+	})
 }

@@ -11,14 +11,19 @@ package vmm
 // events (translation, exceptions, SMC, cast-out, quarantine) are recorded
 // unconditionally; per-dispatch and per-boundary instrumentation is
 // sampled 1-in-N.
+//
+// Counters are declared once, as `metric:"name"` tags on Stats fields:
+// AttachTelemetry resolves each tag to a pointer into the machine, and a
+// sync pushes the deltas through those pointers. A rare event that only
+// needs recording goes through Machine.emit; the probe methods below are
+// the transitions that also move a span, a histogram or a sample countdown.
 
 import (
-	"sort"
+	"reflect"
 	"time"
 
 	"daisy/internal/core"
 	"daisy/internal/telemetry"
-	"daisy/internal/vliw"
 )
 
 // telProbe holds pre-resolved metric handles plus sampling countdowns, so
@@ -61,8 +66,8 @@ type telProbe struct {
 	hTranslate    *telemetry.Histogram
 	hPublishDelay *telemetry.Histogram
 
-	// Mirrored Stats counters: prev holds the value already pushed, so a
-	// sync adds only the delta (counters are monotonic).
+	// Mirrored machine counters: the executor's two plus every tagged
+	// Stats field, resolved once at attach.
 	mirror []statMirror
 }
 
@@ -80,9 +85,12 @@ type pageSpan struct {
 // spanAnyStage makes spanEnd close whatever stage is open.
 const spanAnyStage = telemetry.SpanStage(0xff)
 
+// statMirror pushes one machine counter into its registry counter. prev
+// holds the value already pushed, so a sync adds only the delta (counters
+// are monotonic).
 type statMirror struct {
 	c    *telemetry.Counter
-	read func(*Machine) uint64
+	v    *uint64
 	prev uint64
 }
 
@@ -132,49 +140,19 @@ func (m *Machine) AttachTelemetry(tel *telemetry.Telemetry) {
 		p.hTranslate = tel.TimeHistogram(telemetry.HSpanTranslateNs, telemetry.BoundsSpanNs)
 		p.hPublishDelay = tel.TimeHistogram(telemetry.HSpanPublishDelayNs, telemetry.BoundsSpanNs)
 	}
-	mk := func(name string, read func(*Machine) uint64) {
-		p.mirror = append(p.mirror, statMirror{c: tel.Counter(name), read: read})
+	// The executor counters are read live (Machine.Stats.Exec is a copy
+	// refreshed per dispatch run); every other counter is a tagged field.
+	p.mirror = []statMirror{
+		{c: tel.Counter("daisy_base_insts"), v: &m.Exec.Stats.BaseInsts},
+		{c: tel.Counter("daisy_vliws"), v: &m.Exec.Stats.VLIWs},
 	}
-	mk(telemetry.MBaseInsts, func(m *Machine) uint64 { return m.Exec.Stats.BaseInsts })
-	mk(telemetry.MInterpInsts, func(m *Machine) uint64 { return m.Stats.InterpInsts })
-	mk(telemetry.MVLIWs, func(m *Machine) uint64 { return m.Exec.Stats.VLIWs })
-	mk(telemetry.MCycles, func(m *Machine) uint64 { return m.Stats.Cycles })
-	mk(telemetry.MPagesBuilt, func(m *Machine) uint64 { return m.Stats.PagesBuilt })
-	mk(telemetry.MGroupsBuilt, func(m *Machine) uint64 { return m.Stats.GroupsBuilt })
-	mk(telemetry.MEntriesBuilt, func(m *Machine) uint64 { return m.Stats.EntriesBuilt })
-	mk(telemetry.MChainPatches, func(m *Machine) uint64 { return m.Stats.ChainPatches })
-	mk(telemetry.MChainFollows, func(m *Machine) uint64 { return m.Stats.ChainFollows })
-	mk(telemetry.MExceptions, func(m *Machine) uint64 { return m.Stats.Exceptions })
-	mk(telemetry.MSMCInvalidations, func(m *Machine) uint64 { return m.Stats.SMCInvalidations })
-	mk(telemetry.MCastOuts, func(m *Machine) uint64 { return m.Stats.CastOuts })
-	mk(telemetry.MQuarantines, func(m *Machine) uint64 { return m.Stats.Quarantines })
-	mk(telemetry.MQuarantineReleases, func(m *Machine) uint64 { return m.Stats.QuarantineReleases })
-	mk(telemetry.MTranslatorPanics, func(m *Machine) uint64 { return m.Stats.TranslatorPanics })
-	mk(telemetry.MAsyncEnqueues, func(m *Machine) uint64 { return m.Stats.AsyncEnqueues })
-	mk(telemetry.MAsyncPublishes, func(m *Machine) uint64 { return m.Stats.AsyncPublishes })
-	mk(telemetry.MAsyncQueueFull, func(m *Machine) uint64 { return m.Stats.AsyncQueueFull })
-	mk(telemetry.MAsyncStale, func(m *Machine) uint64 { return m.Stats.StaleTranslationsDropped })
-	mk(telemetry.MAsyncRetries, func(m *Machine) uint64 { return m.Stats.AsyncRetries })
-	mk(telemetry.MAsyncRetriesExhausted, func(m *Machine) uint64 { return m.Stats.AsyncRetriesExhausted })
-	mk(telemetry.MAsyncAbandons, func(m *Machine) uint64 { return m.Stats.AsyncAbandons })
-	mk(telemetry.MAsyncLateDrops, func(m *Machine) uint64 { return m.Stats.AsyncLateDrops })
-	mk(telemetry.MAsyncRespawns, func(m *Machine) uint64 { return m.Stats.AsyncRespawns })
-	mk(telemetry.MTier2Promotions, func(m *Machine) uint64 { return m.Stats.Tier2Promotions })
-	mk(telemetry.MTier2Publishes, func(m *Machine) uint64 { return m.Stats.Tier2Publishes })
-	mk(telemetry.MTier2Dispatches, func(m *Machine) uint64 { return m.Stats.Tier2Dispatches })
-	mk(telemetry.MTier2Deopts, func(m *Machine) uint64 { return m.Stats.Tier2Deopts })
-	mk(telemetry.MTier2PathDepartures, func(m *Machine) uint64 { return m.Stats.Tier2PathDepartures })
-	mk(telemetry.MTier2Demotions, func(m *Machine) uint64 { return m.Stats.Tier2Demotions })
-	mk(telemetry.MTier2ProfileInsts, func(m *Machine) uint64 { return m.Stats.Tier2ProfileInsts })
-	mk(telemetry.MCacheHits, func(m *Machine) uint64 { return m.Stats.CacheHits })
-	mk(telemetry.MCacheHotHits, func(m *Machine) uint64 { return m.Stats.CacheHotHits })
-	mk(telemetry.MCacheMisses, func(m *Machine) uint64 { return m.Stats.CacheMisses })
-	mk(telemetry.MCacheMissAbsent, func(m *Machine) uint64 { return m.Stats.CacheMissAbsent })
-	mk(telemetry.MCacheMissCorrupt, func(m *Machine) uint64 { return m.Stats.CacheMissCorrupt })
-	mk(telemetry.MCacheMissSkew, func(m *Machine) uint64 { return m.Stats.CacheMissSkew })
-	mk(telemetry.MCacheMissOptions, func(m *Machine) uint64 { return m.Stats.CacheMissOptions })
-	mk(telemetry.MCacheStores, func(m *Machine) uint64 { return m.Stats.CacheStores })
-	mk(telemetry.MCacheSaveErrors, func(m *Machine) uint64 { return m.Stats.CacheSaveErrors })
+	st := reflect.ValueOf(&m.Stats).Elem()
+	for i := 0; i < st.NumField(); i++ {
+		if name := st.Type().Field(i).Tag.Get("metric"); name != "" {
+			v := st.Field(i).Addr().Interface().(*uint64)
+			p.mirror = append(p.mirror, statMirror{c: tel.Counter(name), v: v})
+		}
+	}
 	m.tp = p
 }
 
@@ -195,7 +173,7 @@ func (m *Machine) SyncTelemetry() {
 		return
 	}
 	m.tp.closeSpans(m)
-	m.tp.syncStats(m)
+	m.tp.syncStats()
 	elapsed := uint64(time.Since(m.tp.attached).Nanoseconds())
 	trans := m.tp.cTransNs.Value()
 	exec := uint64(0)
@@ -207,6 +185,20 @@ func (m *Machine) SyncTelemetry() {
 	}
 }
 
+// emit records one rare event at pc (see telProbe.event). It inlines, so
+// a detached machine pays only the nil check.
+func (m *Machine) emit(kind telemetry.EventKind, pc uint32, arg uint64) {
+	if m.tp != nil {
+		m.tp.event(m, kind, pc, arg)
+	}
+}
+
+// event appends one trace event at pc, on pc's page, stamped with the
+// virtual instruction clock.
+func (p *telProbe) event(m *Machine, kind telemetry.EventKind, pc uint32, arg uint64) {
+	p.tel.Event(kind, m.instClock(), pc, pc&^(m.Trans.Opt.PageSize-1), arg)
+}
+
 // instClock is the machine's deterministic virtual clock: total completed
 // base instructions. Trace events are stamped with it so identical runs
 // produce identical traces.
@@ -214,10 +206,10 @@ func (m *Machine) instClock() uint64 {
 	return m.Exec.Stats.BaseInsts + m.Stats.InterpInsts
 }
 
-func (p *telProbe) syncStats(m *Machine) {
+func (p *telProbe) syncStats() {
 	for i := range p.mirror {
 		s := &p.mirror[i]
-		if cur := s.read(m); cur > s.prev {
+		if cur := *s.v; cur > s.prev {
 			s.c.Add(cur - s.prev)
 			s.prev = cur
 		}
@@ -251,7 +243,7 @@ func (p *telProbe) dispatchRun(m *Machine, startPC uint32, dBase, dVLIWs, dFollo
 	if dFollows > 0 {
 		p.tel.Event(telemetry.EvChainFollow, m.instClock(), startPC, base, dFollows)
 	}
-	p.syncStats(m)
+	p.syncStats()
 }
 
 // boundary records a sampled precise-boundary event from the per-VLIW loop.
@@ -274,31 +266,12 @@ func (p *telProbe) translated(m *Machine, addr uint32, before core.Stats) {
 	if d.BaseInsts > 0 {
 		p.hTransNs.Observe(float64(d.Nanos) / float64(d.BaseInsts))
 	}
-	p.tel.Event(telemetry.EvTranslate, m.instClock(), addr, addr&^(m.Trans.Opt.PageSize-1), d.BaseInsts)
-	p.syncStats(m)
-}
-
-// chainPatched records one exit-edge patch (each edge is patched at most
-// once, so this path is rare and recorded unconditionally).
-func (p *telProbe) chainPatched(m *Machine, target uint32) {
-	p.tel.Event(telemetry.EvChainPatch, m.instClock(), target, target&^(m.Trans.Opt.PageSize-1), 0)
-}
-
-// exception records one recovered fault. arg: 0 exception, 1 alias, 2 SMC.
-func (p *telProbe) exception(m *Machine, f *vliw.Fault, arg uint64) {
-	p.tel.Event(telemetry.EvException, m.instClock(), f.Resume, f.Resume&^(m.Trans.Opt.PageSize-1), arg)
-}
-
-func (p *telProbe) smcInvalidate(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvSMCInvalidate, m.instClock(), base, base, 0)
-}
-
-func (p *telProbe) castOut(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvCastOut, m.instClock(), base, base, 0)
+	p.event(m, telemetry.EvTranslate, addr, d.BaseInsts)
+	p.syncStats()
 }
 
 func (p *telProbe) quarantined(m *Machine, base uint32, backoff uint64) {
-	p.tel.Event(telemetry.EvQuarantine, m.instClock(), base, base, backoff)
+	p.event(m, telemetry.EvQuarantine, base, backoff)
 	// The engaging invalidate already closed the live span; quarantine is a
 	// fresh journey on the page's track.
 	p.spanBegin(m, base, telemetry.StageQuarantine, true)
@@ -306,7 +279,7 @@ func (p *telProbe) quarantined(m *Machine, base uint32, backoff uint64) {
 
 func (p *telProbe) quarantineReleased(m *Machine, base uint32, dwell uint64) {
 	p.hDwell.Observe(float64(dwell))
-	p.tel.Event(telemetry.EvQuarantineOff, m.instClock(), base, base, dwell)
+	p.event(m, telemetry.EvQuarantineOff, base, dwell)
 	p.spanEnd(m, base, telemetry.StageQuarantine, telemetry.OutcomeReleased)
 }
 
@@ -314,65 +287,42 @@ func (p *telProbe) quarantineReleased(m *Machine, base uint32, dwell uint64) {
 // and recorded unconditionally, like the robustness events above.
 
 func (p *telProbe) asyncEnqueue(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvAsyncEnqueue, m.instClock(), base, base, 0)
+	p.event(m, telemetry.EvAsyncEnqueue, base, 0)
 	p.spanEnd(m, base, telemetry.StageWarmup, telemetry.OutcomeNone)
 	p.spanBegin(m, base, telemetry.StageTranslate, false)
 }
 
 func (p *telProbe) asyncPublish(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvAsyncPublish, m.instClock(), base, base, 0)
+	p.event(m, telemetry.EvAsyncPublish, base, 0)
 	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomePublished)
 	p.spanBegin(m, base, telemetry.StageLive, false)
 }
 
 func (p *telProbe) asyncStale(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvAsyncStale, m.instClock(), base, base, 0)
+	p.event(m, telemetry.EvAsyncStale, base, 0)
 	// No-op when the invalidation that staled the result already closed the
 	// translate span.
 	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomeStale)
 }
 
-// Tier-2 events (tier2.go). Page-granular policy transitions — promotion,
-// publish, deopt, demotion — so recorded unconditionally.
-
-func (p *telProbe) tier2Promoted(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvTier2Promote, m.instClock(), base, base, 0)
-}
-
-func (p *telProbe) tier2Published(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvTier2Publish, m.instClock(), base, base, 0)
-}
-
-func (p *telProbe) tier2Deopt(m *Machine, pc uint32) {
-	p.tel.Event(telemetry.EvTier2Deopt, m.instClock(), pc, pc&^(m.Trans.Opt.PageSize-1), 0)
-}
-
-func (p *telProbe) tier2Demoted(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvTier2Demote, m.instClock(), base, base, 0)
-}
-
-// Crash-safety events (guard.go, async.go watchdog). All page-granular
-// and failure-path only, so recorded unconditionally.
-
-func (p *telProbe) translatorPanic(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvTranslatorPanic, m.instClock(), base, base, 0)
-}
+// Crash-safety events (async.go watchdog and retry). Page-granular and
+// failure-path only, so recorded unconditionally.
 
 func (p *telProbe) asyncAbandon(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvAsyncAbandon, m.instClock(), base, base, 0)
+	p.event(m, telemetry.EvAsyncAbandon, base, 0)
 	// An abandoned job's translate span ends here; the retry (if any)
 	// opens a fresh one at its re-enqueue.
 	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomeNone)
 }
 
 func (p *telProbe) asyncRetry(m *Machine, base uint32, attempt int) {
-	p.tel.Event(telemetry.EvAsyncRetry, m.instClock(), base, base, uint64(attempt))
+	p.event(m, telemetry.EvAsyncRetry, base, uint64(attempt))
 	// A failed worker result also leaves a dangling translate span.
 	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomeNone)
 }
 
 func (p *telProbe) cacheHit(m *Machine, base uint32) {
-	p.tel.Event(telemetry.EvCacheHit, m.instClock(), base, base, 0)
+	p.event(m, telemetry.EvCacheHit, base, 0)
 	if !p.spansOn {
 		return
 	}
@@ -454,8 +404,7 @@ func (p *telProbe) spanBegin(m *Machine, base uint32, stage telemetry.SpanStage,
 	}
 	if s.open {
 		// Defensive: never stack an unmatched begin on an open span.
-		p.tel.Event(telemetry.EvSpanEnd, m.instClock(), base, base,
-			telemetry.SpanArg(s.gen, s.stage, telemetry.OutcomeNone))
+		p.event(m, telemetry.EvSpanEnd, base, telemetry.SpanArg(s.gen, s.stage, telemetry.OutcomeNone))
 		s.open = false
 	}
 	if newJourney || s.gen == 0 {
@@ -463,8 +412,7 @@ func (p *telProbe) spanBegin(m *Machine, base uint32, stage telemetry.SpanStage,
 	}
 	s.stage = stage
 	s.open = true
-	p.tel.Event(telemetry.EvSpanBegin, m.instClock(), base, base,
-		telemetry.SpanArg(s.gen, stage, telemetry.OutcomeNone))
+	p.event(m, telemetry.EvSpanBegin, base, telemetry.SpanArg(s.gen, stage, telemetry.OutcomeNone))
 }
 
 // spanEnd closes the page's open span when it is in wantStage (or
@@ -482,8 +430,7 @@ func (p *telProbe) spanEnd(m *Machine, base uint32, wantStage telemetry.SpanStag
 		return
 	}
 	s.open = false
-	p.tel.Event(telemetry.EvSpanEnd, m.instClock(), base, base,
-		telemetry.SpanArg(s.gen, s.stage, outcome))
+	p.event(m, telemetry.EvSpanEnd, base, telemetry.SpanArg(s.gen, s.stage, outcome))
 }
 
 // closeSpans ends every still-open span with OutcomeOpen (in page order,
@@ -493,14 +440,7 @@ func (p *telProbe) closeSpans(m *Machine) {
 	if !p.spansOn {
 		return
 	}
-	bases := make([]uint32, 0, len(p.spans))
-	for b, s := range p.spans {
-		if s.open {
-			bases = append(bases, b)
-		}
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	for _, b := range bases {
-		p.spanEnd(m, b, spanAnyStage, telemetry.OutcomeOpen)
+	for _, b := range sortedKeys(p.spans) {
+		p.spanEnd(m, b, spanAnyStage, telemetry.OutcomeOpen) // no-op on a closed span
 	}
 }

@@ -19,25 +19,23 @@ package vmm
 // interpreter: tier 1 is always still installed, because installTier2
 // requires it and invalidation tears both tiers down together).
 //
-// Policy state is per page: promotion needs Tier2Threshold dispatches and
-// Tier2Stability completed instructions since the last invalidation;
-// repeated deopts or hot-path departures demote the tier-2 translation
-// with exponential backoff before promotion is retried. All clocks are the
-// machine's deterministic instruction clock, so identical runs promote,
-// deopt, and demote identically.
+// Policy state is per page: promotion needs Tier2Threshold dispatches since
+// the last invalidation (or backoff reset); repeated deopts or hot-path
+// departures demote the tier-2 translation with exponential backoff before
+// promotion is retried. All clocks are the machine's deterministic
+// instruction clock, so identical runs promote, deopt, and demote
+// identically.
 
 import (
-	"sort"
-
 	"daisy/internal/core"
 	"daisy/internal/interp"
+	"daisy/internal/telemetry"
 	"daisy/internal/vliw"
 )
 
 // t2State is one page's position in the tier-2 policy.
 type t2State struct {
 	dispatches int    // dispatches into the tier-1 translation since reset
-	since      uint64 // instruction clock when tracking (re)started
 	departures int    // leaky bucket of hot-path departures
 	deopts     int    // deopts since promotion
 	notBefore  uint64 // no promotion until the instruction clock reaches this
@@ -73,7 +71,7 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 	base := m.St.PC &^ (m.Trans.Opt.PageSize - 1)
 	st := m.t2[base]
 	if st == nil {
-		st = &t2State{since: m.instClock()}
+		st = &t2State{}
 		m.t2[base] = st
 	}
 	pt2, ok := m.tier2[base]
@@ -107,9 +105,7 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 		// already is the checkpoint.
 		st.plantDeopt = false
 		m.noteDeopt(base)
-		if m.tp != nil {
-			m.tp.tier2Deopt(m, m.St.PC)
-		}
+		m.emit(telemetry.EvTier2Deopt, m.St.PC, 0)
 		return g1
 	}
 	m.Stats.Tier2Dispatches++
@@ -120,14 +116,11 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 }
 
 // maybePromote counts one tier-1 dispatch into the page and retranslates
-// at tier-2 effort once the page is hot (Tier2Threshold dispatches) and
-// stable (Tier2Stability instructions since the last invalidation), and
-// any demotion backoff has expired.
+// at tier-2 effort once the page is hot (Tier2Threshold dispatches) and any
+// demotion backoff has expired.
 func (m *Machine) maybePromote(base uint32, st *t2State) {
 	st.dispatches++
-	now := m.instClock()
-	if st.dispatches < m.tier2Threshold() || now < st.notBefore ||
-		now-st.since < m.Opt.Tier2Stability {
+	if st.dispatches < m.tier2Threshold() || m.instClock() < st.notBefore {
 		return
 	}
 	if m.pages[base] == nil {
@@ -151,8 +144,10 @@ func (m *Machine) promoteSync(base, entry uint32, st *t2State) {
 	profile := m.tier2Profile(entry)
 	if plan != nil {
 		m.applyTier2Plan(plan, profile, st)
+		if plan.Panic {
+			m.notePanic(base)
+		}
 		if plan.Panic || plan.Err != nil {
-			m.Stats.TranslatorPanics += b2u(plan.Panic)
 			m.tier2Backoff(base)
 			return
 		}
@@ -180,13 +175,6 @@ func (m *Machine) applyTier2Plan(plan *TranslationFault, profile map[uint32][2]u
 		st.plantDeopt = true
 		m.Stats.InjectedFaults++
 	}
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // tier2Profile interprets ahead from entry on a scratch view of memory and
@@ -250,7 +238,7 @@ func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint6
 
 // installTier2 publishes a tier-2 translation. The tier-1 translation must
 // still be live — it is the deoptimization target — or the result is
-// dropped; invalidation since then also restarted the stability clock, so
+// dropped; invalidation since then also reset the promotion policy, so
 // dropping (rather than reinstalling tier 1) is the consistent move.
 func (m *Machine) installTier2(base uint32, pt *core.PageTranslation) {
 	if m.pages[base] == nil {
@@ -263,9 +251,7 @@ func (m *Machine) installTier2(base uint32, pt *core.PageTranslation) {
 		st.departures = 0
 	}
 	m.Stats.Tier2Promotions++
-	if m.tp != nil {
-		m.tp.tier2Promoted(m, base)
-	}
+	m.emit(telemetry.EvTier2Promote, base, 0)
 	if m.OnTranslate != nil {
 		m.OnTranslate(pt)
 	}
@@ -283,9 +269,7 @@ func (m *Machine) demoteTier2(base uint32) {
 	delete(m.tier2, base)
 	m.Stats.Tier2Demotions++
 	m.tier2Backoff(base)
-	if m.tp != nil {
-		m.tp.tier2Demoted(m, base)
-	}
+	m.emit(telemetry.EvTier2Demote, base, 0)
 }
 
 // tier2Backoff resets the page's promotion progress and pushes the next
@@ -301,9 +285,7 @@ func (m *Machine) tier2Backoff(base uint32) {
 	} else {
 		st.backoff *= 2
 	}
-	now := m.instClock()
-	st.notBefore = now + st.backoff
-	st.since = now
+	st.notBefore = m.instClock() + st.backoff
 	st.dispatches = 0
 	st.departures = 0
 	st.deopts = 0
@@ -328,10 +310,8 @@ func (m *Machine) deoptimize(f *vliw.Fault) (bool, error) {
 			m.OnFault(f, pc)
 		}
 	}
-	if m.tp != nil {
-		m.tp.exception(m, f, faultArg(f))
-		m.tp.tier2Deopt(m, f.VLIW.EntryBase)
-	}
+	m.emit(telemetry.EvException, f.Resume, faultArg(f))
+	m.emit(telemetry.EvTier2Deopt, f.VLIW.EntryBase, 0)
 	m.rollbackToCheckpoint()
 	m.noteDeopt(m.ckptPC &^ (m.Trans.Opt.PageSize - 1))
 	return false, nil
@@ -344,7 +324,7 @@ func (m *Machine) noteDeopt(base uint32) {
 	m.Stats.Tier2Deopts++
 	st := m.t2[base]
 	if st == nil {
-		st = &t2State{since: m.instClock()}
+		st = &t2State{}
 		m.t2[base] = st
 	}
 	st.skipOnce = true
@@ -356,11 +336,4 @@ func (m *Machine) noteDeopt(base uint32) {
 
 // Tier2Pages returns the bases of pages currently carrying a tier-2
 // translation, in ascending order (tests and inspection).
-func (m *Machine) Tier2Pages() []uint32 {
-	out := make([]uint32, 0, len(m.tier2))
-	for b := range m.tier2 {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (m *Machine) Tier2Pages() []uint32 { return sortedKeys(m.tier2) }

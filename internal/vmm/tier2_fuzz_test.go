@@ -90,8 +90,12 @@ func injectAt(pc, addr uint32, write bool, salt uint64, mod uint16) bool {
 	if mod == 0 {
 		return false
 	}
+	wr := uint64(0)
+	if write {
+		wr = 1
+	}
 	h := uint64(0xcbf29ce484222325) ^ salt
-	for _, w := range [3]uint64{uint64(pc), uint64(addr), b2u(write)} {
+	for _, w := range [3]uint64{uint64(pc), uint64(addr), wr} {
 		h = (h ^ w) * 0x100000001b3
 	}
 	return h%uint64(mod) == 0

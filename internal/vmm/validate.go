@@ -41,9 +41,6 @@ func (o *Options) Validate() error {
 	if o.AsyncDeadline < 0 {
 		return fmt.Errorf("vmm: AsyncDeadline %s is negative (0 selects the default of 2s)", o.AsyncDeadline)
 	}
-	if o.AsyncMaxRetries < 0 {
-		return fmt.Errorf("vmm: AsyncMaxRetries %d is negative (0 selects the default of 3)", o.AsyncMaxRetries)
-	}
 	if o.QuarantineThreshold < 0 {
 		return fmt.Errorf("vmm: QuarantineThreshold %d is negative (0 disables the quarantine policy)", o.QuarantineThreshold)
 	}
@@ -59,9 +56,9 @@ func (o *Options) Validate() error {
 	if !o.AsyncTranslate {
 		// Async knobs set without the pipeline are almost certainly a
 		// misconfiguration the caller would want to know about.
-		if o.AsyncWorkers > 0 || o.AsyncQueueDepth > 0 || o.AsyncDeadline > 0 || o.AsyncMaxRetries > 0 {
-			return fmt.Errorf("vmm: async pipeline options (workers=%d, depth=%d, deadline=%s, retries=%d) require AsyncTranslate",
-				o.AsyncWorkers, o.AsyncQueueDepth, o.AsyncDeadline, o.AsyncMaxRetries)
+		if o.AsyncWorkers > 0 || o.AsyncQueueDepth > 0 || o.AsyncDeadline > 0 {
+			return fmt.Errorf("vmm: async pipeline options (workers=%d, depth=%d, deadline=%s) require AsyncTranslate",
+				o.AsyncWorkers, o.AsyncQueueDepth, o.AsyncDeadline)
 		}
 		if o.HotThreshold > 0 {
 			return fmt.Errorf("vmm: HotThreshold %d requires AsyncTranslate (the synchronous machine translates on first touch)", o.HotThreshold)
@@ -73,9 +70,8 @@ func (o *Options) Validate() error {
 	if o.Tier2Threshold < 0 {
 		return fmt.Errorf("vmm: Tier2Threshold %d is negative (0 selects the default of 8)", o.Tier2Threshold)
 	}
-	if !o.Tier2 && (o.Tier2Threshold > 0 || o.Tier2Stability > 0) {
-		return fmt.Errorf("vmm: tier-2 options (threshold=%d, stability=%d) require Tier2",
-			o.Tier2Threshold, o.Tier2Stability)
+	if !o.Tier2 && o.Tier2Threshold > 0 {
+		return fmt.Errorf("vmm: Tier2Threshold %d requires Tier2", o.Tier2Threshold)
 	}
 	if o.Tier2 && o.Interpretive {
 		return fmt.Errorf("vmm: Tier2 is incompatible with Interpretive compilation (trace-guided pages have no stable tier-1 translation to deoptimize to)")
