@@ -51,8 +51,10 @@ chaos-soak:
 # Compile and exercise the perf-path benchmarks once so a regression that
 # breaks them is caught in CI, not at the next perf investigation. The
 # pattern matches both the bare executor and the telemetry-attached variant.
+# BenchmarkExec is the executor layer alone; it fails if Exec allocates.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=ExecutorThroughput -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkExec$$' -benchtime=1x ./internal/vliw
 
 # The end-to-end benchmark's own tests. bench/ is a separate module (it
 # replaces daisy with ../), so `go test ./...` at the root does not reach

@@ -153,6 +153,9 @@ func decodeParcel(p *Parcel, b []byte) (int, error) {
 		return 0, fmt.Errorf("vliw: truncated parcel")
 	}
 	p.Op = Prim(b[0])
+	if p.Op >= numPrims {
+		return 0, fmt.Errorf("vliw: unknown primitive %d", b[0])
+	}
 	flags := b[1]
 	p.Spec = flags&pfSpec != 0
 	p.SpecLoad = flags&pfSpecLoad != 0
@@ -299,6 +302,9 @@ func decodeNode(b []byte) (*Node, int, error) {
 			return nil, 0, fmt.Errorf("vliw: truncated condition")
 		}
 		n.Cond = &Cond{CRF: b[i] & 0x7f, Sense: b[i]&0x80 != 0, Bit: b[i+1]}
+		if n.Cond.CRF >= NumCRF || n.Cond.Bit > 3 {
+			return nil, 0, fmt.Errorf("vliw: condition on cr%d bit %d", n.Cond.CRF, n.Cond.Bit)
+		}
 		i += 2
 		i += 2 // taken length, only needed by hardware-style skipping
 		taken, sz, err := decodeNode(b[i:])
@@ -330,12 +336,14 @@ func decodeNode(b []byte) (*Node, int, error) {
 		}
 		n.Exit.Via = decodeRef(b[i])
 		i++
-	default:
+	case ExitEntry, ExitOffpage, ExitSyscall, ExitInterp:
 		if len(b) < i+4 {
 			return nil, 0, fmt.Errorf("vliw: truncated exit")
 		}
 		n.Exit.Target = binary.BigEndian.Uint32(b[i:])
 		i += 4
+	default:
+		return nil, 0, fmt.Errorf("vliw: unknown exit kind %d", term)
 	}
 	return n, i, nil
 }
@@ -382,6 +390,9 @@ func DecodeGroup(b []byte) (*Group, error) {
 	}
 	g := &Group{Entry: binary.BigEndian.Uint32(b)}
 	count := int(binary.BigEndian.Uint16(b[4:]))
+	if count == 0 {
+		return nil, fmt.Errorf("vliw: group with no VLIWs")
+	}
 	i := 6
 	for k := 0; k < count; k++ {
 		if len(b) < i+6 {

@@ -156,6 +156,30 @@ func TestDecodeErrors(t *testing.T) {
 		_, _ = DecodeGroup(bad)
 		bad[i] ^= 0x55
 	}
+	// Well-framed code with contents no translator emits: each must be a
+	// decode error, never a group that panics Exec or the dispatcher.
+	for _, c := range []struct {
+		name string
+		mut  func(*Group)
+	}{
+		{"primitive numPrims", func(g *Group) { g.VLIWs[0].Root.Ops[0].Op = numPrims }},
+		{"primitive 0xfe", func(g *Group) { g.VLIWs[0].Root.Ops[0].Op = 0xfe }},
+		{"condition on cr16", func(g *Group) { g.VLIWs[0].Root.Cond.CRF = NumCRF }},
+		{"condition on cr127", func(g *Group) { g.VLIWs[0].Root.Cond.CRF = 127 }},
+		{"condition bit 4", func(g *Group) { g.VLIWs[0].Root.Cond.Bit = 4 }},
+		{"exit kind 6", func(g *Group) { g.VLIWs[0].Root.Taken.Exit.Kind = ExitInterp + 1 }},
+		{"no VLIWs", func(g *Group) { g.VLIWs = nil }},
+	} {
+		g := sampleGroup()
+		c.mut(g)
+		b, err := EncodeGroup(g)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		if _, err := DecodeGroup(b); err == nil {
+			t.Errorf("%s: decoded without an error", c.name)
+		}
+	}
 }
 
 func TestRegRefEncoding(t *testing.T) {

@@ -2,7 +2,6 @@ package vliw
 
 import (
 	"fmt"
-	"math/bits"
 
 	"daisy/internal/mem"
 	"daisy/internal/ppc"
@@ -326,54 +325,92 @@ func (e *Executor) save(r RegRef) {
 	}
 }
 
-// write performs a write-through register update, shadowing the entry
-// value first. The GPR and CR cases — virtually every hot-loop write —
-// are flattened into one switch with barrier-free fault clearing; the
-// rest fall back to save + RegFile.Write.
-func (e *Executor) write(d RegRef, v uint32) {
+// gpr returns GPR n as of VLIW entry and whether it is free of an
+// exception tag.
+func (e *Executor) gpr(n uint8) (uint32, bool) {
+	if e.genGPR[n] == e.gen {
+		return e.oldGPR[n], !e.oldGTag[n]
+	}
+	return e.RF.GPR[n], !e.RF.GTag[n]
+}
+
+// crf is gpr for condition field n.
+func (e *Executor) crf(n uint8) (uint32, bool) {
+	if e.genCRF[n] == e.gen {
+		return uint32(e.oldCRFv[n]), !e.oldCRTag[n]
+	}
+	return uint32(e.RF.CRFv[n]), !e.RF.CRTag[n]
+}
+
+// get reads any operand as of VLIW entry (None reads as zero): the
+// general path for parcels whose operands are not the kinds their handler
+// names.
+func (e *Executor) get(r RegRef) (uint32, bool) {
+	v, tag, _ := e.read(r)
+	return v, !tag
+}
+
+// setGPR writes v through to GPR n, shadowing its entry state on the
+// VLIW's first write. The write clears the register's tag, carry extender
+// and load-verify record; a speculated load re-arms the record after.
+func (e *Executor) setGPR(n uint8, v uint32) {
+	if e.genGPR[n] != e.gen {
+		e.genGPR[n] = e.gen
+		e.oldGPR[n] = e.RF.GPR[n]
+		e.oldCA[n] = e.RF.CA[n]
+		e.oldGTag[n] = e.RF.GTag[n]
+		if e.oldGFault[n] != nil || e.RF.GFault[n] != nil {
+			e.oldGFault[n] = e.RF.GFault[n]
+		}
+	}
+	e.RF.GPR[n] = v
+	e.RF.GTag[n] = false
+	if e.RF.GFault[n] != nil {
+		e.RF.GFault[n] = nil
+	}
+	e.RF.CA[n] = false
+	if e.spec[n].valid {
+		e.spec[n].valid = false
+	}
+}
+
+// setCRF is setGPR for condition field n (the low four bits of v).
+func (e *Executor) setCRF(n uint8, v uint32) {
+	if e.genCRF[n] != e.gen {
+		e.genCRF[n] = e.gen
+		e.oldCRFv[n] = e.RF.CRFv[n]
+		e.oldCRTag[n] = e.RF.CRTag[n]
+		if e.oldCRFault[n] != nil || e.RF.CRFault[n] != nil {
+			e.oldCRFault[n] = e.RF.CRFault[n]
+		}
+	}
+	e.RF.CRFv[n] = uint8(v & 0xf)
+	e.RF.CRTag[n] = false
+	if e.RF.CRFault[n] != nil {
+		e.RF.CRFault[n] = nil
+	}
+}
+
+// put writes any destination through: the general path matching get.
+func (e *Executor) put(d RegRef, v uint32) {
 	switch d.Kind {
 	case RGPR:
-		n := d.N
-		if e.genGPR[n] != e.gen {
-			e.genGPR[n] = e.gen
-			e.oldGPR[n] = e.RF.GPR[n]
-			e.oldCA[n] = e.RF.CA[n]
-			e.oldGTag[n] = e.RF.GTag[n]
-			if e.oldGFault[n] != nil || e.RF.GFault[n] != nil {
-				e.oldGFault[n] = e.RF.GFault[n]
-			}
-		}
-		e.RF.GPR[n] = v
-		e.RF.GTag[n] = false
-		if e.RF.GFault[n] != nil {
-			e.RF.GFault[n] = nil
-		}
-		e.RF.CA[n] = false
+		e.setGPR(d.N, v)
 	case RCRF:
-		n := d.N
-		if e.genCRF[n] != e.gen {
-			e.genCRF[n] = e.gen
-			e.oldCRFv[n] = e.RF.CRFv[n]
-			e.oldCRTag[n] = e.RF.CRTag[n]
-			if e.oldCRFault[n] != nil || e.RF.CRFault[n] != nil {
-				e.oldCRFault[n] = e.RF.CRFault[n]
-			}
-		}
-		e.RF.CRFv[n] = uint8(v & 0xf)
-		e.RF.CRTag[n] = false
-		if e.RF.CRFault[n] != nil {
-			e.RF.CRFault[n] = nil
-		}
+		e.setCRF(d.N, v)
 	default:
 		e.save(d)
 		e.RF.Write(d, v)
 	}
 }
 
-// writeTagged marks d as holding a faulted speculative result (§2.1).
-func (e *Executor) writeTagged(d RegRef, f *mem.Fault) {
+// setTagged marks d as holding a faulted speculative result (§2.1).
+func (e *Executor) setTagged(d RegRef, f *mem.Fault) {
 	e.save(d)
 	e.RF.WriteTagged(d, f)
+	if d.Kind == RGPR && e.spec[d.N].valid {
+		e.spec[d.N].valid = false
+	}
 }
 
 // setCarry records a carry-out (XER for architected destinations, the
@@ -421,46 +458,12 @@ func (e *Executor) rollback() {
 	}
 }
 
-// primClass maps each primitive to its execParcel dispatch class, so the
-// hot loop takes one flat switch over a precomputed index instead of a
-// sparse two-level switch on the opcode.
-type primClass uint8
-
-const (
-	clALU primClass = iota
-	clNop
-	clLoad
-	clStore
-	clCopy
-	clMfcr
-	clMtcrf
-	clMcrf
-	clCrOp
-	clCmp
-)
-
-var classOf = func() [numPrims]primClass {
-	var t [numPrims]primClass // default clALU
-	t[PNop] = clNop
-	t[PLoad] = clLoad
-	t[PStore] = clStore
-	t[PCopy] = clCopy
-	t[PMfcr] = clMfcr
-	t[PMtcrf] = clMtcrf
-	t[PMcrf] = clMcrf
-	for _, p := range []Prim{PCrand, PCror, PCrxor, PCrnand, PCrnor} {
-		t[p] = clCrOp
-	}
-	for _, p := range []Prim{PCmpI, PCmpLI, PCmp, PCmpL} {
-		t[p] = clCmp
-	}
-	return t
-}()
-
 // Exec executes one VLIW with parallel semantics: all conditions and all
 // parcel inputs are read from the state at entry, stores are validated and
 // applied only after the whole taken path succeeds. On any fault the
 // register file is rolled back to the entry state and memory is untouched.
+// Each parcel runs through its resolved handler (handler.go); a parcel's
+// first run resolves it.
 func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 	if e.OnFetch != nil {
 		e.OnFetch(v)
@@ -474,19 +477,26 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 	for {
 		for i := range n.Ops {
 			p := &n.Ops[i]
-			if err, alias := e.execParcel(p); err != nil || alias {
-				return e.fail(v, n, i, err, alias, step)
+			h := p.h
+			if h == 0 {
+				h = p.resolve()
 			}
-			if p.EndsInst {
+			// A nop's only effect is its EndsInst, counted below.
+			if h&^hEnds != hDirect|uint8(PNop) {
+				if err := handlers[h&hPrim].run(e, p); err != nil {
+					return e.fail(v, n, i, err, step)
+				}
+			}
+			if h&hEnds != 0 {
 				completed++
 			}
 		}
 		if n.Leaf() {
 			break
 		}
-		fv, tag, fp := e.read(CRF(n.Cond.CRF))
-		if tag {
-			return e.fail(v, n, -1, condFault(fp), false, step)
+		fv, ok := e.crf(n.Cond.CRF)
+		if !ok {
+			return e.fail(v, n, -1, condFault(e.srcFault(CRF(n.Cond.CRF))), step)
 		}
 		bit := fv>>(3-uint(n.Cond.Bit))&1 != 0
 		if bit == n.Cond.Sense {
@@ -504,7 +514,7 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 		s := &e.stores[i]
 		if e.FaultHook != nil {
 			if f := e.FaultHook(s.pc, s.addr, int(s.size), true); f != nil {
-				ex, flt := e.fail(v, n, -1, f, false, step)
+				ex, flt := e.fail(v, n, -1, f, step)
 				if i == 0 {
 					// Only the first pending store is attributable: with
 					// earlier uncommitted stores in the VLIW the boundary
@@ -516,7 +526,7 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 			}
 		}
 		if err := e.Mem.CheckWrite(s.addr, int(s.size)); err != nil {
-			ex, flt := e.fail(v, n, -1, err, false, step)
+			ex, flt := e.fail(v, n, -1, err, step)
 			if i == 0 {
 				flt.StorePC = s.pc
 			}
@@ -548,7 +558,7 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 		}
 		if err != nil {
 			// CheckWrite passed; this cannot happen.
-			return e.fail(v, n, -1, err, false, step)
+			return e.fail(v, n, -1, err, step)
 		}
 		e.Stats.Stores++
 	}
@@ -561,16 +571,18 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 
 // fail rolls the in-flight VLIW back to its entry state — a precise
 // base-instruction boundary — logs the (partial) step so the fault scan
-// can replay the path, and reports the fault.
-func (e *Executor) fail(v *VLIW, n *Node, idx int, cause error, alias bool, step PathStep) (Exit, *Fault) {
+// can replay the path, and reports the fault. errAlias reports a
+// load-verify mismatch, which carries no cause.
+func (e *Executor) fail(v *VLIW, n *Node, idx int, err error, step PathStep) (Exit, *Fault) {
 	e.Steps = append(e.Steps, step)
 	e.rollback()
 	e.Stats.Rollbacks++
-	if alias {
+	f := &Fault{VLIW: v, Node: n, Parcel: idx, Resume: v.EntryBase, Cause: err}
+	if err == errAlias {
 		e.Stats.Aliases++
+		f.Cause, f.Alias = nil, true
 	}
-	return Exit{}, &Fault{VLIW: v, Node: n, Parcel: idx,
-		Resume: v.EntryBase, Cause: cause, Alias: alias}
+	return Exit{}, f
 }
 
 func (e *Executor) failCodeMod(v *VLIW, n *Node, step PathStep) (Exit, *Fault) {
@@ -588,339 +600,7 @@ func condFault(f *mem.Fault) error {
 	return fmt.Errorf("vliw: branch on tagged condition")
 }
 
-// noteWrite maintains the load-verify records: any write to a GPR clears
-// its pending record unless the write is itself a speculated load. The
-// store is guarded so the overwhelmingly common invalid-over-invalid case
-// stays read-only.
-func (e *Executor) noteWrite(d RegRef, rec specRec) {
-	if d.Kind == RGPR && (rec.valid || e.spec[d.N].valid) {
-		e.spec[d.N] = rec
-	}
-}
-
-// execParcel runs one parcel, reading sources from the entry-state shadow
-// and writing results through to RF. It returns (error, aliasDetected).
-func (e *Executor) execParcel(p *Parcel) (error, bool) {
-	switch classOf[p.Op] {
-	case clNop:
-		return nil, false
-	case clLoad:
-		return e.execLoad(p)
-	case clStore:
-		return e.execStore(p)
-	case clCopy:
-		return e.execCopy(p)
-	case clMfcr:
-		var cr uint32
-		for f := uint8(0); f < 8; f++ {
-			fv, tag, fault := e.read(CRF(f))
-			if tag {
-				return tagged(p, fault), false
-			}
-			cr = ppc.SetCRField(cr, f, uint8(fv))
-		}
-		e.write(p.D, cr)
-		e.noteWrite(p.D, specRec{})
-		return nil, false
-	case clMtcrf:
-		v, tag, f := e.read(p.A)
-		if tag {
-			return tagged(p, f), false
-		}
-		for fld := uint8(0); fld < 8; fld++ {
-			if p.FXM&(0x80>>fld) != 0 {
-				e.write(CRF(fld), uint32(ppc.CRField(v, fld)))
-			}
-		}
-		return nil, false
-	case clMcrf:
-		v, tag, f := e.read(p.A)
-		if tag {
-			if p.Spec {
-				e.writeTagged(p.D, f)
-				return nil, false
-			}
-			return tagged(p, f), false
-		}
-		e.write(p.D, v)
-		return nil, false
-	case clCrOp:
-		return e.execCrOp(p)
-	case clCmp:
-		return e.execCompare(p)
-	}
-	return e.execALU(p)
-}
-
-func tagged(p *Parcel, f *mem.Fault) error {
-	if f != nil {
-		return f
-	}
-	return fmt.Errorf("vliw: %s consumed tagged register", p.Op)
-}
-
-func (e *Executor) execALU(p *Parcel) (error, bool) {
-	a, tagA, fA := e.read(p.A)
-	b, tagB, fB := e.read(p.B)
-	tag := tagA || tagB
-	f := fA
-	if f == nil {
-		f = fB
-	}
-	// Carry-in source participates in dependence and tagging.
-	if p.Op == PAddE || p.Op == PSubfE {
-		if p.CASrc.Kind == RGPR {
-			_, ctag, cf := e.read(p.CASrc)
-			if ctag {
-				tag = true
-				if f == nil {
-					f = cf
-				}
-			}
-		}
-	}
-	if tag {
-		if p.Spec {
-			e.writeTagged(p.D, f)
-			e.noteWrite(p.D, specRec{})
-			return nil, false
-		}
-		return tagged(p, f), false
-	}
-
-	var r uint32
-	var ca bool
-	hasCA := false
-	switch p.Op {
-	case PLI:
-		r = uint32(p.Imm)
-	case PLIS:
-		r = uint32(p.Imm) << 16
-	case PAddI:
-		r = a + uint32(p.Imm)
-	case PAddIS:
-		r = a + uint32(p.Imm)<<16
-	case PAddIC:
-		r, ca = ppc.AddCarry(a, uint32(p.Imm), 0)
-		hasCA = true
-	case PAdd:
-		r = a + b
-	case PAddC:
-		r, ca = ppc.AddCarry(a, b, 0)
-		hasCA = true
-	case PAddE:
-		r, ca = ppc.AddCarry(a, b, e.carryOf(p.CASrc))
-		hasCA = true
-	case PSubf:
-		r = b - a
-	case PSubfC:
-		r, ca = ppc.AddCarry(^a, b, 1)
-		hasCA = true
-	case PSubfE:
-		r, ca = ppc.AddCarry(^a, b, e.carryOf(p.CASrc))
-		hasCA = true
-	case PSubfIC:
-		r, ca = ppc.AddCarry(^a, uint32(p.Imm), 1)
-		hasCA = true
-	case PNeg:
-		r = -a
-	case PMullw:
-		r = a * b
-	case PMulhwu:
-		r = uint32(uint64(a) * uint64(b) >> 32)
-	case PDivw:
-		r = ppc.DivSigned(a, b)
-	case PDivwu:
-		r = ppc.DivUnsigned(a, b)
-	case PMulI:
-		r = uint32(int32(a) * p.Imm)
-	case PAnd:
-		r = a & b
-	case PAndc:
-		r = a &^ b
-	case POr:
-		r = a | b
-	case PNor:
-		r = ^(a | b)
-	case PXor:
-		r = a ^ b
-	case PNand:
-		r = ^(a & b)
-	case PAndI:
-		r = a & uint32(p.Imm)
-	case PAndIS:
-		r = a & (uint32(p.Imm) << 16)
-	case POrI:
-		r = a | uint32(p.Imm)
-	case POrIS:
-		r = a | uint32(p.Imm)<<16
-	case PXorI:
-		r = a ^ uint32(p.Imm)
-	case PXorIS:
-		r = a ^ uint32(p.Imm)<<16
-	case PSlw:
-		r = ppc.ShiftLeft(a, b)
-	case PSrw:
-		r = ppc.ShiftRight(a, b)
-	case PSraw:
-		r, ca = ppc.ShiftRightAlg(a, b&0x3f)
-		hasCA = true
-	case PSrawI:
-		r, ca = ppc.ShiftRightAlg(a, uint32(p.SH))
-		hasCA = true
-	case PCntlzw:
-		r = uint32(bits.LeadingZeros32(a))
-	case PExtsb:
-		r = uint32(int32(int8(a)))
-	case PExtsh:
-		r = uint32(int32(int16(a)))
-	case PRlwinm:
-		r = bits.RotateLeft32(a, int(p.SH)) & ppc.RotateMask(p.MB, p.ME)
-	case PRlwimi:
-		m := ppc.RotateMask(p.MB, p.ME)
-		r = bits.RotateLeft32(a, int(p.SH))&m | b&^m
-	default:
-		return fmt.Errorf("vliw: unimplemented primitive %s", p.Op), false
-	}
-
-	e.write(p.D, r)
-	e.noteWrite(p.D, specRec{})
-	if hasCA {
-		e.setCarry(p.D, ca)
-	}
-	return nil, false
-}
-
-func (e *Executor) execCompare(p *Parcel) (error, bool) {
-	a, tagA, fA := e.read(p.A)
-	var b uint32
-	var tagB bool
-	var fB *mem.Fault
-	if p.Op == PCmp || p.Op == PCmpL {
-		b, tagB, fB = e.read(p.B)
-	} else {
-		b = uint32(p.Imm)
-	}
-	if tagA || tagB {
-		f := fA
-		if f == nil {
-			f = fB
-		}
-		if p.Spec {
-			e.writeTagged(p.D, f)
-			return nil, false
-		}
-		return tagged(p, f), false
-	}
-	var fld uint8
-	switch p.Op {
-	case PCmpI, PCmp:
-		fld = ppc.CompareSigned(int32(a), int32(b), e.entryXER())
-	default:
-		fld = ppc.CompareUnsigned(a, b, e.entryXER())
-	}
-	e.write(p.D, uint32(fld))
-	return nil, false
-}
-
-func (e *Executor) execCrOp(p *Parcel) (error, bool) {
-	av, tagA, fA := e.read(p.A)
-	bv, tagB, fB := e.read(p.B)
-	dv, tagD, fD := e.read(p.D) // read-modify-write of the dest field
-	if tagA || tagB || tagD {
-		f := fA
-		if f == nil {
-			f = fB
-		}
-		if f == nil {
-			f = fD
-		}
-		if p.Spec {
-			e.writeTagged(p.D, f)
-			return nil, false
-		}
-		return tagged(p, f), false
-	}
-	abit := uint8(av)>>(3-p.BA)&1 != 0
-	bbit := uint8(bv)>>(3-p.BB)&1 != 0
-	var op ppc.Opcode
-	switch p.Op {
-	case PCrand:
-		op = ppc.OpCrand
-	case PCror:
-		op = ppc.OpCror
-	case PCrxor:
-		op = ppc.OpCrxor
-	case PCrnand:
-		op = ppc.OpCrnand
-	default:
-		op = ppc.OpCrnor
-	}
-	res := ppc.CrOp(op, abit, bbit)
-	m := uint8(1) << (3 - p.BD)
-	nv := uint8(dv) &^ m
-	if res {
-		nv |= m
-	}
-	e.write(p.D, uint32(nv))
-	return nil, false
-}
-
-func (e *Executor) execCopy(p *Parcel) (error, bool) {
-	v, tag, f := e.read(p.A)
-	if tag {
-		if p.Spec {
-			e.writeTagged(p.D, f)
-			e.noteWrite(p.D, specRec{})
-			return nil, false
-		}
-		// The deferred exception of §2.1 fires here.
-		return tagged(p, f), false
-	}
-	if p.Verify && p.A.Kind == RGPR {
-		if rec := e.spec[p.A.N]; rec.valid {
-			if e.AliasHook != nil && e.AliasHook(p.BaseAddr, rec.addr) {
-				return nil, true
-			}
-			fresh, err := e.readMem(rec.addr, rec.size, rec.signed)
-			if err != nil {
-				return err, false
-			}
-			if fresh != v {
-				// A bypassed store (or another processor) changed the
-				// location: discard all speculative work and re-execute
-				// from the load (§2.1 / Table 5.7).
-				return nil, true
-			}
-		}
-	}
-	e.write(p.D, v)
-	e.noteWrite(p.D, specRec{})
-	if p.CommitCA && p.A.Kind == RGPR {
-		ca := e.entryCA(p.A.N)
-		e.save(XER)
-		if ca {
-			e.RF.XER |= ppc.XerCA
-		} else {
-			e.RF.XER &^= ppc.XerCA
-		}
-	}
-	return nil, false
-}
-
-func (e *Executor) effectiveAddr(p *Parcel) (uint32, bool, *mem.Fault) {
-	a, tagA, fA := e.read(p.A)
-	if p.Indexed {
-		b, tagB, fB := e.read(p.B)
-		f := fA
-		if f == nil {
-			f = fB
-		}
-		return a + b, tagA || tagB, f
-	}
-	return a + uint32(p.Imm), tagA, fA
-}
-
+// readMem reads size bytes at addr, sign-extending a signed halfword.
 func (e *Executor) readMem(addr uint32, size uint8, signed bool) (uint32, error) {
 	switch size {
 	case 1:
@@ -934,86 +614,6 @@ func (e *Executor) readMem(addr uint32, size uint8, signed bool) (uint32, error)
 	default:
 		return e.Mem.Read32(addr)
 	}
-}
-
-func (e *Executor) execLoad(p *Parcel) (error, bool) {
-	ea, tag, f := e.effectiveAddr(p)
-	if tag {
-		if p.Spec {
-			e.writeTagged(p.D, f)
-			e.noteWrite(p.D, specRec{})
-			return nil, false
-		}
-		return tagged(p, f), false
-	}
-	if e.AddrXlate != nil {
-		pa, xf := e.AddrXlate(ea, false)
-		if xf != nil {
-			if p.Spec {
-				e.writeTagged(p.D, xf)
-				e.noteWrite(p.D, specRec{})
-				return nil, false
-			}
-			return xf, false
-		}
-		ea = pa
-	}
-	if e.FaultHook != nil {
-		if f := e.FaultHook(p.BaseAddr, ea, int(p.Size), false); f != nil {
-			if p.Spec {
-				e.writeTagged(p.D, f)
-				e.noteWrite(p.D, specRec{})
-				return nil, false
-			}
-			return f, false
-		}
-	}
-	if e.OnMem != nil {
-		e.OnMem(ea, int(p.Size), false)
-	}
-	v, err := e.readMem(ea, p.Size, p.Signed)
-	if err != nil {
-		if p.Spec {
-			// A speculative load that faults only tags its destination;
-			// memory-mapped I/O space behaves the same way (§2.1).
-			mf, ok := err.(*mem.Fault)
-			if !ok {
-				mf = &mem.Fault{Addr: ea}
-			}
-			e.writeTagged(p.D, mf)
-			e.noteWrite(p.D, specRec{})
-			return nil, false
-		}
-		return err, false
-	}
-	e.Stats.Loads++
-	e.write(p.D, v)
-	rec := specRec{}
-	if p.SpecLoad {
-		rec = specRec{valid: true, addr: ea, size: p.Size, signed: p.Signed}
-	}
-	e.noteWrite(p.D, rec)
-	return nil, false
-}
-
-func (e *Executor) execStore(p *Parcel) (error, bool) {
-	v, tag, f := e.read(p.D)
-	if tag {
-		return tagged(p, f), false
-	}
-	ea, tagEA, fEA := e.effectiveAddr(p)
-	if tagEA {
-		return tagged(p, fEA), false
-	}
-	if e.AddrXlate != nil {
-		pa, xf := e.AddrXlate(ea, true)
-		if xf != nil {
-			return xf, false
-		}
-		ea = pa
-	}
-	e.stores = append(e.stores, pendingStore{addr: ea, size: p.Size, val: v, pc: p.BaseAddr})
-	return nil, false
 }
 
 // StoreJournal records overwritten memory so a span of translated

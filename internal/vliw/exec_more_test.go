@@ -248,40 +248,46 @@ func TestSpecCompareTagPropagation(t *testing.T) {
 	}
 }
 
-func TestDeepTreeAllPaths(t *testing.T) {
-	// A 3-level tree: 8 leaves; every CR pattern must reach the right one.
-	build := func() *VLIW {
-		v := NewVLIW(0, 0)
-		mk := func(depth int, id uint32) *Node {
-			var rec func(d int, id uint32) *Node
-			rec = func(d int, id uint32) *Node {
-				if d == 3 {
-					return leaf(offpage(id))
-				}
-				return &Node{
-					Cond:  &Cond{CRF: uint8(d), Bit: ppc.CrEQ, Sense: true},
-					Taken: rec(d+1, id*2+1),
-					Fall:  rec(d+1, id*2),
-				}
-			}
-			return rec(depth, id)
+// deepTree builds a 3-level tree: 8 leaves, leaf id = the path's branch
+// directions read as a binary number behind a leading 1.
+func deepTree() *VLIW {
+	v := NewVLIW(0, 0)
+	var rec func(d int, id uint32) *Node
+	rec = func(d int, id uint32) *Node {
+		if d == 3 {
+			return leaf(offpage(id))
 		}
-		v.Root = mk(0, 1)
-		return v
+		return &Node{
+			Cond:  &Cond{CRF: uint8(d), Bit: ppc.CrEQ, Sense: true},
+			Taken: rec(d+1, id*2+1),
+			Fall:  rec(d+1, id*2),
+		}
 	}
+	v.Root = rec(0, 1)
+	return v
+}
+
+// deepTreeEntry sets cr0..cr2 so that the tree takes the branches in mask
+// (bit d: the depth-d split is taken) and returns the leaf it must reach.
+func deepTreeEntry(e *Executor, mask int) uint32 {
+	want := uint32(1)
+	for d := 0; d < 3; d++ {
+		if mask>>d&1 != 0 {
+			e.RF.CRFv[d] = 0x2
+			want = want*2 + 1
+		} else {
+			want = want * 2
+		}
+	}
+	return want
+}
+
+func TestDeepTreeAllPaths(t *testing.T) {
+	// Every CR pattern must reach the right leaf.
 	for mask := 0; mask < 8; mask++ {
 		e := &Executor{Mem: mem.New(1 << 12)}
-		want := uint32(1)
-		for d := 0; d < 3; d++ {
-			taken := mask>>d&1 != 0
-			if taken {
-				e.RF.CRFv[d] = 0x2
-				want = want*2 + 1
-			} else {
-				want = want * 2
-			}
-		}
-		exit, f := e.Exec(build())
+		want := deepTreeEntry(e, mask)
+		exit, f := e.Exec(deepTree())
 		if f != nil {
 			t.Fatal(f)
 		}
@@ -291,25 +297,32 @@ func TestDeepTreeAllPaths(t *testing.T) {
 	}
 }
 
+// swapChain builds one VLIW of parallel copies that permute r0..r7 and
+// the entry values to permute.
+func swapChain(rng *rand.Rand) (v *VLIW, vals []uint32, perm []int) {
+	const n = 8
+	vals = make([]uint32, n)
+	for i := range vals {
+		vals[i] = rng.Uint32()
+	}
+	perm = rng.Perm(n)
+	v = NewVLIW(0, 0)
+	node := leaf(offpage(0))
+	for d, s := range perm {
+		node.Ops = append(node.Ops, Parcel{Op: PCopy, D: GPR(uint8(d)), A: GPR(uint8(s))})
+	}
+	v.Root = node
+	return v, vals, perm
+}
+
 // TestRandomParallelSwapChains: permutations computed with parallel
 // semantics must match computing them functionally.
 func TestRandomParallelSwapChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
+		v, vals, perm := swapChain(rng)
 		e := &Executor{Mem: mem.New(1 << 12)}
-		n := 8
-		vals := make([]uint32, n)
-		for i := range vals {
-			vals[i] = rng.Uint32()
-			e.RF.GPR[i] = vals[i]
-		}
-		perm := rng.Perm(n)
-		v := NewVLIW(0, 0)
-		node := leaf(offpage(0))
-		for d, s := range perm {
-			node.Ops = append(node.Ops, Parcel{Op: PCopy, D: GPR(uint8(d)), A: GPR(uint8(s))})
-		}
-		v.Root = node
+		copy(e.RF.GPR[:], vals)
 		if _, f := e.Exec(v); f != nil {
 			t.Fatal(f)
 		}

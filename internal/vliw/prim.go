@@ -190,12 +190,24 @@ func (p Prim) String() string {
 func (p Prim) IsMem() bool { return p == PLoad || p == PStore }
 
 // Parcel is one primitive operation inside a VLIW.
+//
+// Invariant: Op, the kinds of its register operands and its flags are
+// fixed once the parcel has run, because its first run resolves them into
+// its handler. Every other field — register numbers, Imm, the rotate, bit
+// and mask fields, Size, BaseAddr, Deopt — is read live on every run, so
+// editing one after the parcel has executed takes effect at once.
 type Parcel struct {
 	Op    Prim
 	D     RegRef // destination (the value source for PStore)
 	A, B  RegRef
 	CASrc RegRef // carry-in: None means the XER CA bit, else a GPR extender
-	Imm   int32
+
+	// h is the parcel's resolved handler (see resolve), zero until the
+	// parcel first runs. It sits in what would otherwise be padding, so a
+	// Parcel stays 40 bytes.
+	h uint8
+
+	Imm int32
 
 	SH, MB, ME uint8 // rotate fields
 	BD, BA, BB uint8 // bit-in-field for CR-bit logic

@@ -60,9 +60,10 @@ type Exit struct {
 	// so later trips skip the dispatch lookup entirely — the software
 	// analogue of §3.4's resolved cross-page branch becoming a direct VLIW
 	// address. Links are severed whenever the page's translation is
-	// invalidated (see PageTranslation.Unchain) and are never created
-	// while observation hooks are installed, so chaining changes
-	// wall-clock time, never the modeled machine.
+	// invalidated (see PageTranslation.Unchain). Observation hooks do not
+	// turn chaining off: a chained hop runs the same VLIWs and calls the
+	// same hooks as an unchained one, so chaining changes wall-clock time,
+	// never the modeled machine.
 	Chain *Group
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"daisy/internal/txcache"
+	"daisy/internal/vliw"
 	"daisy/internal/workload"
 )
 
@@ -110,6 +111,53 @@ func TestCacheCorruptFallsBack(t *testing.T) {
 	}
 	if string(warmOut) != string(coldOut) || warm.St != cold.St {
 		t.Fatal("corrupt-cache run diverged from cold run")
+	}
+}
+
+// TestCacheUnknownOpcodeIsCorrupt re-saves every page's entry with a
+// valid checksum but one parcel naming a primitive that does not exist.
+// The decoder must reject such an entry, so the machine counts a corrupt
+// miss and translates afresh instead of executing the bad parcel.
+func TestCacheUnknownOpcodeIsCorrupt(t *testing.T) {
+	store := txcache.OpenMemory()
+	w, err := workload.ByName("c_sieve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, coldOut := runWorkloadVMM(t, w, 1, cacheOptions(store))
+	damaged := 0
+	for base, pt := range cold.pages {
+		k, ok := cold.cacheKey(base)
+		if !ok {
+			continue
+		}
+		groups := make([]*vliw.Group, 0, len(pt.Order))
+		for _, e := range pt.Order {
+			groups = append(groups, vliw.CloneGroup(pt.Groups[e]))
+		}
+		for _, g := range groups {
+			if ops := g.VLIWs[0].Root.Ops; len(ops) > 0 {
+				ops[0].Op = 0xfe
+				break
+			}
+		}
+		if _, err := store.Save(k, groups); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	if damaged == 0 {
+		t.Fatal("no page to damage")
+	}
+	warm, warmOut := runWorkloadVMM(t, w, 1, cacheOptions(store))
+	if warm.Stats.CacheHits != 0 {
+		t.Fatalf("entries with an unknown opcode served %d hits", warm.Stats.CacheHits)
+	}
+	if warm.Stats.CacheMissCorrupt == 0 {
+		t.Fatalf("entries with an unknown opcode were not counted corrupt: %d misses", warm.Stats.CacheMisses)
+	}
+	if string(warmOut) != string(coldOut) || warm.St != cold.St {
+		t.Fatal("run over entries with an unknown opcode diverged from the cold run")
 	}
 }
 
