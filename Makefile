@@ -1,11 +1,6 @@
 GO ?= go
-DATE := $(shell date +%Y-%m-%d)
 
-# Samples per benchmark in `make bench`. With 4+ samples per side,
-# daisy-trend's rank-sum test replaces the wide single-sample thresholds.
-BENCH_COUNT ?= 4
-
-.PHONY: all build test vet race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke cover cover-update ci bench benchcmp experiments paper paper-smoke trend trend-check
+.PHONY: all build test vet fmt race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke cover cover-update ci bench experiments paper paper-smoke
 
 all: build
 
@@ -17,6 +12,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file, bench/ included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 race:
 	$(GO) test -race ./...
@@ -48,12 +47,10 @@ chaos-smoke:
 chaos-soak:
 	$(GO) run -race ./cmd/daisy-chaos -seed 1 -seeds 4
 
-# Compile and exercise the perf-path benchmarks once so a regression that
-# breaks them is caught in CI, not at the next perf investigation. The
-# pattern matches both the bare executor and the telemetry-attached variant.
+# Compile and exercise the executor layer benchmark once so a regression
+# that breaks it is caught in CI, not at the next perf investigation.
 # BenchmarkExec is the executor layer alone; it fails if Exec allocates.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=ExecutorThroughput -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExec$$' -benchtime=1x ./internal/vliw
 
 # The end-to-end benchmark's own tests. bench/ is a separate module (it
@@ -103,21 +100,13 @@ cover-update:
 	$(GO) run ./cmd/daisy-cover -profile cover.out -update
 	@echo "commit COVERAGE.txt to ratchet the floor"
 
-ci: vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke paper-smoke trend-check cover
+ci: fmt vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke paper-smoke cover
 
-# Run the full benchmark suite BENCH_COUNT times and archive the parsed
-# metrics as a dated JSON snapshot — the repository's perf trajectory.
-# The snapshot carries a provenance manifest and the raw per-benchmark
-# sample distributions; list every delta between two snapshots with
-# `make benchcmp A=BENCH_old.json B=BENCH_new.json` or gate with
-# `go run ./cmd/daisy-trend check OLD NEW`.
+# The end-to-end benchmark (bench/, see bench/README.md) on all five
+# workloads; pass flags through bench/run.sh directly for one workload,
+# a traced run or -compare.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem . | \
-		$(GO) run ./cmd/daisy-bench -benchtime=1x -count=$(BENCH_COUNT) > BENCH_$(DATE).json
-	@echo "wrote BENCH_$(DATE).json"
-
-benchcmp:
-	$(GO) run ./cmd/daisy-trend check -all $(A) $(B)
+	bash bench/run.sh
 
 # The experiment grid alone: every table printed to stdout, the run folder
 # under $TMPDIR, no chaos matrix or profiler smoke.
@@ -137,19 +126,3 @@ paper:
 paper-smoke:
 	$(GO) run ./cmd/daisy-paper -reps 2 -fleet-reps 1 -machines 2 -chaos-seeds 1 \
 		-out $${TMPDIR:-/tmp}/daisy-paper-smoke -name ci
-
-# Render the perf-trend wall over every committed BENCH_*.json snapshot.
-trend:
-	$(GO) run ./cmd/daisy-trend wall
-
-# CI gate: benchmark the working tree (2 samples per benchmark, enough
-# for honest min-of-N) and gate the pinned headline metrics against the
-# newest committed snapshot. Wall-clock metrics only gate when both
-# snapshots come from the same host; deterministic metrics (allocs/op,
-# cycles/inst) gate everywhere. Acknowledge an intentional regression by
-# re-running with ACK="Benchmark/metric" (see EXPERIMENTS.md).
-trend-check:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=2 -benchmem . | \
-		$(GO) run ./cmd/daisy-bench -benchtime=1x -count=2 > $${TMPDIR:-/tmp}/daisy-trend-now.json
-	$(GO) run ./cmd/daisy-trend check $(if $(ACK),-ack "$(ACK)") \
-		$(lastword $(sort $(wildcard BENCH_*.json))) $${TMPDIR:-/tmp}/daisy-trend-now.json

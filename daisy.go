@@ -18,7 +18,7 @@
 //     tree-VLIW groups for inspection.
 //   - Workloads returns the benchmark suite used by the paper-shaped
 //     experiments; the experiment tables themselves are regenerated by
-//     cmd/daisy-paper and the benchmarks in bench_test.go.
+//     cmd/daisy-paper.
 //   - RunChaos executes a workload under seeded fault injection with the
 //     machine and the reference interpreter in lockstep, bisecting any
 //     divergence to the base instruction that caused it (cmd/daisy-chaos

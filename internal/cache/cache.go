@@ -21,6 +21,7 @@ type Cache struct {
 	sets     [][]line
 	setShift uint
 	setMask  uint32
+	clock    uint64 // LRU stamp source, per cache so parallel runs share nothing
 
 	Accesses uint64
 	Misses   uint64
@@ -56,19 +57,17 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-var stampCounter uint64
-
 // Access looks addr up, filling on miss. It returns true on a hit.
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
-	stampCounter++
+	c.clock++
 	tag := addr / c.cfg.Line
 	set := c.sets[tag&c.setMask]
 	tag >>= c.setShift
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			set[i].stamp = stampCounter
+			set[i].stamp = c.clock
 			return true
 		}
 	}
@@ -83,7 +82,7 @@ func (c *Cache) Access(addr uint32) bool {
 			victim = i
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, stamp: stampCounter}
+	set[victim] = line{tag: tag, valid: true, stamp: c.clock}
 	return false
 }
 

@@ -267,7 +267,7 @@ func (c *groupCtx) newOps() []vliw.Parcel {
 	}
 	n := len(c.opsChunk)
 	c.opsChunk = c.opsChunk[:n+opsCap]
-	return c.opsChunk[n:n : n+opsCap]
+	return c.opsChunk[n : n : n+opsCap]
 }
 
 // newVLIW is vliw.NewVLIW backed by the group arena.

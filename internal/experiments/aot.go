@@ -11,7 +11,8 @@ package experiments
 // serving repeat loads without touching disk. Both aggregates include
 // everything — the baseline's cold first machine, the AOT pass itself —
 // so the comparison is honest about where the time goes. Host wall-clock
-// measurements: these numbers belong in BENCH_* snapshots, not goldens.
+// measurements: the registry marks the table Wallclock and no golden pins
+// it.
 
 import (
 	"fmt"
@@ -266,9 +267,7 @@ func MeasureFleet(name string, scale, machines int, dir string, reps int) (*Flee
 
 // AotTable measures the fleet cold start for every workload: aggregate
 // time-to-completion of both configurations, the pre-translation pass
-// cost, per-tier byte traffic, and the reduction (the acceptance number
-// of the AOT issue; the headline gcc row is also asserted by
-// BenchmarkFleetColdStart).
+// cost, per-tier byte traffic, and the reduction.
 func (r *Runner) AotTable() (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("Fleet cold start: %d machines, shared cache (scale %d, host clock)", r.FleetMachines, r.Scale),

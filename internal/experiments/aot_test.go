@@ -3,19 +3,19 @@ package experiments
 import "testing"
 
 // TestMeasureFleetSmall runs the fleet measurement end to end at a small
-// shape (3 machines, 1 rep) so the harness itself — both configurations
+// shape (4 machines, 1 rep) so the harness itself — both configurations
 // from empty stores, the output cross-check, the per-tier accounting —
-// stays exercised in CI. Three machines is the smallest fleet where the
-// hot tier must serve: machine 0 decodes from disk and may rewrite
-// entries it extends, machine 1 re-decodes those, machine 2 rides the
-// tier. The headline numbers live in BenchmarkFleetColdStart; this pins
-// the plumbing, not the wall clock.
+// stays exercised in CI. Machine 0 decodes from disk and may rewrite
+// entries it extends, machine 1 re-decodes those, and machines 2 and 3
+// ride the hot tier. Four is the smallest fleet in which a hot tier that
+// forgets an entry after serving it shows up as a late decode. This pins
+// the plumbing and the hot-tier invariant, not the wall clock.
 func TestMeasureFleetSmall(t *testing.T) {
-	f, err := MeasureFleet("gcc", 1, 3, t.TempDir(), 1)
+	f, err := MeasureFleet("gcc", 1, 4, t.TempDir(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Workload != "gcc" || f.Machines != 3 {
+	if f.Workload != "gcc" || f.Machines != 4 {
 		t.Fatalf("wrong shape: %+v", f)
 	}
 	if f.Baseline == 0 || f.Aot == 0 || f.PrecompileWall == 0 {
@@ -32,6 +32,12 @@ func TestMeasureFleetSmall(t *testing.T) {
 	}
 	if f.AotHotHits == 0 || f.AotHotBytes == 0 {
 		t.Fatalf("hot tier never served the AOT fleet: %+v", f)
+	}
+	// Once the fleet has settled (machine 2 on), every load must be
+	// absorbed by the hot tier: no further disk decodes.
+	if f.AotLateDecodes != 0 {
+		t.Fatalf("hot tier leaked to disk after the fleet settled: %d late decodes (%d total, %d stored pages)",
+			f.AotLateDecodes, f.AotDecodes, f.Stored)
 	}
 	if f.BaselineDiskBytes == 0 {
 		t.Fatalf("baseline fleet never read the disk tier: %+v", f)

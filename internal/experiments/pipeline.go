@@ -3,9 +3,9 @@ package experiments
 // The translation-pipeline evaluation (ISSUE 4): end-to-end host
 // time-to-completion — translation stalls included — of the same workload
 // under the four pipeline modes, plus the warm-cache payoff the analytic
-// reuse model (§5.1, Table 5.8) predicts. Unlike every other experiment in
-// this package, these numbers are host wall-clock measurements, so they
-// belong in BENCH_* snapshots rather than goldens.
+// reuse model (§5.1, Table 5.8) predicts. These numbers are host
+// wall-clock measurements, so the registry marks the table Wallclock and
+// no golden pins it.
 
 import (
 	"fmt"
@@ -129,30 +129,12 @@ func PrimeCache(name string, scale int, store *txcache.Store) error {
 	return err
 }
 
-// PipelineReps is how many times PipelineTable (and BenchmarkColdStart)
-// re-run each mode; the minimum wall time is reported (the standard way
-// to strip scheduler and frequency-scaling noise from millisecond-scale
-// measurements). Sixteen interleaved reps per mode is what it takes for
-// the minima to stabilize on a busy shared host, where single runs of
-// the same mode vary by 2-3x.
+// PipelineReps is how many times PipelineTable re-runs each mode; the
+// minimum wall time is reported (the standard way to strip scheduler and
+// frequency-scaling noise from millisecond-scale measurements). Sixteen
+// interleaved reps per mode is what it takes for the minima to stabilize
+// on a busy shared host, where single runs of the same mode vary by 2-3x.
 const PipelineReps = 16
-
-// MeasurePipelineBest is MeasurePipeline, best time of reps runs. The
-// digest and counter fields come from the fastest run (they are identical
-// across runs; wall time is the only nondeterministic field).
-func MeasurePipelineBest(name string, scale int, mode PipelineMode, store *txcache.Store, reps int) (*PipelineM, error) {
-	var best *PipelineM
-	for i := 0; i < reps; i++ {
-		m, err := MeasurePipeline(name, scale, mode, store)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || m.Wall < best.Wall {
-			best = m
-		}
-	}
-	return best, nil
-}
 
 // MeasurePipelineSet measures every mode reps times in a round-robin —
 // mode A, B, C, D, then A again — keeping each mode's minimum wall time.

@@ -26,8 +26,10 @@ func TestRegistryWellFormed(t *testing.T) {
 			t.Errorf("registry missing %q", id)
 		}
 	}
-	if ExperimentByID("pipeline") == nil || !ExperimentByID("pipeline").Wallclock {
-		t.Fatal("pipeline must be registered as wall-clock")
+	for _, id := range []string{"cost", "pipeline", "aot"} {
+		if e := ExperimentByID(id); e == nil || !e.Wallclock {
+			t.Fatalf("%s must be registered as wall-clock", id)
+		}
 	}
 	if ExperimentByID("t51") == nil || ExperimentByID("t51").Wallclock {
 		t.Fatal("t51 must be registered as deterministic")

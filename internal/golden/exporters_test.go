@@ -2,8 +2,6 @@ package golden
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -59,26 +57,8 @@ func captureExporters(t *testing.T) map[string][]byte {
 // committed golden files (acceptance: exporters verified by golden-file
 // tests, not eyeballing).
 func TestExporterGoldens(t *testing.T) {
-	got := captureExporters(t)
-	for name, data := range got {
-		path := filepath.Join("testdata", "golden", name)
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden %s (run with -update to record): %v", name, err)
-		}
-		if !bytes.Equal(data, want) {
-			t.Errorf("%s differs from golden (%d vs %d bytes); rerun with -update if intended",
-				name, len(data), len(want))
-		}
+	for name, data := range captureExporters(t) {
+		checkGolden(t, name, data)
 	}
 }
 

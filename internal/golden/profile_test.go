@@ -9,8 +9,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"daisy/internal/interp"
@@ -74,21 +72,7 @@ func TestProfileGoldens(t *testing.T) {
 		"c_sieve.profile.annot": []byte(ma.AnnotatedDisassembly(prof, pages[0].Base)),
 	}
 	for name, data := range got {
-		path := filepath.Join("testdata", "golden", name)
-		if *update {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden %s (run with -update to record): %v", name, err)
-		}
-		if !bytes.Equal(data, want) {
-			t.Errorf("%s differs from golden (%d vs %d bytes); rerun with -update if intended",
-				name, len(data), len(want))
-		}
+		checkGolden(t, name, data)
 	}
 
 	// The exported payload must also pass the structural validator — the

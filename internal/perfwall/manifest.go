@@ -1,3 +1,7 @@
+// Package perfwall archives paper-harness runs: the manifest that stamps
+// each run with its provenance (git SHA, toolchain, host), the run-folder
+// writer cmd/daisy-paper archives experiment grids into, and the SVG
+// sparkline it renders per-rep sample series with.
 package perfwall
 
 import (
@@ -8,10 +12,11 @@ import (
 	"time"
 )
 
-// Manifest stamps a snapshot or run folder with everything needed to
-// interpret its numbers later: what code ran, on what toolchain, on what
-// host. The comparison policy keys off it — wall-clock metrics are only
-// gated between snapshots whose hosts match (SameHost).
+// schemaVersion identifies the run-folder manifest format.
+const schemaVersion = 1
+
+// Manifest stamps a run folder with everything needed to interpret its
+// numbers later: what code ran, on what toolchain, on what host.
 type Manifest struct {
 	Schema     int    `json:"schema"`
 	Tool       string `json:"tool"`
@@ -24,8 +29,6 @@ type Manifest struct {
 	CPU        string `json:"cpu,omitempty"` // host CPU model string
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	BenchTime  string `json:"benchtime,omitempty"` // -benchtime used for capture
-	Count      int    `json:"count,omitempty"`     // -count used for capture
 }
 
 // CollectManifest fills a manifest from the current process and host.
@@ -33,7 +36,7 @@ type Manifest struct {
 // left empty rather than failing: a manifest is provenance, not a gate.
 func CollectManifest(tool string) *Manifest {
 	m := &Manifest{
-		Schema:     SchemaVersion,
+		Schema:     schemaVersion,
 		Tool:       tool,
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
@@ -47,17 +50,6 @@ func CollectManifest(tool string) *Manifest {
 		m.GitSHA, m.GitDirty = sha, dirty
 	}
 	return m
-}
-
-// SameHost reports whether two manifests describe comparable hosts for
-// wall-clock purposes: same CPU model, architecture and OS. A nil or
-// CPU-less manifest never matches — the oldest committed snapshots have
-// no manifest, so time metrics across them are informational only.
-func SameHost(a, b *Manifest) bool {
-	if a == nil || b == nil || a.CPU == "" || b.CPU == "" {
-		return false
-	}
-	return a.CPU == b.CPU && a.GOARCH == b.GOARCH && a.GOOS == b.GOOS
 }
 
 func gitHead() (sha string, dirty, ok bool) {

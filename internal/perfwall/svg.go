@@ -96,6 +96,26 @@ func Sparkline(title string, labels []string, values []float64, wantW, wantH int
 	return []byte(b.String())
 }
 
+// compact formats an axis or point label.
+func compact(v float64) string {
+	a := v
+	if a < 0 {
+		a = -a
+	}
+	switch {
+	case a >= 1e9:
+		return fmt.Sprintf("%.3gG", v/1e9)
+	case a >= 1e6:
+		return fmt.Sprintf("%.3gM", v/1e6)
+	case a >= 1e4:
+		return fmt.Sprintf("%.3gk", v/1e3)
+	case a >= 100 || a == float64(int64(a)):
+		return fmt.Sprintf("%.0f", v)
+	default:
+		return fmt.Sprintf("%.3g", v)
+	}
+}
+
 func escape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)

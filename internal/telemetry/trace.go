@@ -10,29 +10,29 @@ import (
 type EventKind uint8
 
 const (
-	EvTranslate EventKind = iota // page translated; Arg = base insts in page's groups
-	EvDispatch                   // sampled group dispatch; Arg = sample stride
-	EvChainPatch                 // ExitEntry edge patched; PC = target entry
-	EvChainFollow                // chain run ended; Arg = groups followed without VMM round-trip
-	EvBoundary                   // sampled VLIW boundary; Arg = base insts completed in the dispatch run so far
-	EvException                  // exception recovered; Arg = fault cause
-	EvSMCInvalidate              // page invalidated by guest store
-	EvCastOut                    // page evicted by LRU cast-out
-	EvQuarantine                 // page entered interpret-only quarantine; Arg = backoff window
-	EvQuarantineOff              // page released from quarantine; Arg = dwell (base insts)
-	EvAsyncEnqueue               // page handed to the async translator pool
-	EvAsyncPublish               // async translation published at a precise boundary
-	EvAsyncStale                 // in-flight result dropped by epoch/digest check
-	EvCacheHit                   // page installed from the persistent translation cache
-	EvSpanBegin                  // page-lifecycle stage begins; Arg = SpanArg(gen, stage, 0)
-	EvSpanEnd                    // page-lifecycle stage ends; Arg = SpanArg(gen, stage, outcome)
-	EvTranslatorPanic            // translator panic recovered; page quarantined interpret-only
-	EvAsyncAbandon               // in-flight translation abandoned by the worker watchdog
-	EvAsyncRetry                 // failed worker translation rescheduled; Arg = retry attempt
-	EvTier2Promote               // page retranslated at tier-2 effort (sync promotion or async publish)
-	EvTier2Publish               // async tier-2 result installed at a precise boundary
-	EvTier2Deopt                 // tier-2 fault deoptimized to the retained tier-1 translation
-	EvTier2Demote                // tier-2 translation retired (deopt/departure storm); backoff engaged
+	EvTranslate       EventKind = iota // page translated; Arg = base insts in page's groups
+	EvDispatch                         // sampled group dispatch; Arg = sample stride
+	EvChainPatch                       // ExitEntry edge patched; PC = target entry
+	EvChainFollow                      // chain run ended; Arg = groups followed without VMM round-trip
+	EvBoundary                         // sampled VLIW boundary; Arg = base insts completed in the dispatch run so far
+	EvException                        // exception recovered; Arg = fault cause
+	EvSMCInvalidate                    // page invalidated by guest store
+	EvCastOut                          // page evicted by LRU cast-out
+	EvQuarantine                       // page entered interpret-only quarantine; Arg = backoff window
+	EvQuarantineOff                    // page released from quarantine; Arg = dwell (base insts)
+	EvAsyncEnqueue                     // page handed to the async translator pool
+	EvAsyncPublish                     // async translation published at a precise boundary
+	EvAsyncStale                       // in-flight result dropped by epoch/digest check
+	EvCacheHit                         // page installed from the persistent translation cache
+	EvSpanBegin                        // page-lifecycle stage begins; Arg = SpanArg(gen, stage, 0)
+	EvSpanEnd                          // page-lifecycle stage ends; Arg = SpanArg(gen, stage, outcome)
+	EvTranslatorPanic                  // translator panic recovered; page quarantined interpret-only
+	EvAsyncAbandon                     // in-flight translation abandoned by the worker watchdog
+	EvAsyncRetry                       // failed worker translation rescheduled; Arg = retry attempt
+	EvTier2Promote                     // page retranslated at tier-2 effort (sync promotion or async publish)
+	EvTier2Publish                     // async tier-2 result installed at a precise boundary
+	EvTier2Deopt                       // tier-2 fault deoptimized to the retained tier-1 translation
+	EvTier2Demote                      // tier-2 translation retired (deopt/departure storm); backoff engaged
 	numEventKinds
 )
 
