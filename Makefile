@@ -35,9 +35,13 @@ race-async:
 	$(GO) test -race ./internal/txcache
 
 # Short deterministic chaos pass: every workload under every injector,
-# fixed seeds, so CI failures are replayable with the printed triple.
+# fixed seeds, so CI failures are replayable with the printed triple. The
+# second pass repeats the matrix with telemetry and the profiler attached,
+# so the telemetry observer runs beside every injector, the bisector and
+# the async, tier-2 and cache fault paths.
 chaos-smoke:
 	$(GO) run ./cmd/daisy-chaos -seed 1 -seeds 2
+	$(GO) run ./cmd/daisy-chaos -seed 1 -seeds 2 -telemetry -profile $${TMPDIR:-/tmp}/daisy-chaos-smoke.pb
 
 # Crash-safety soak: the full seeded injector matrix — including the
 # worker-panic/hang/overflow/stale-publish and cache-I/O injectors —
@@ -60,7 +64,7 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) test .
 
-# End-to-end profiler gate: run a workload with every dispatch attributed,
+# End-to-end profiler gate: run a workload with every group run attributed,
 # export the pprof payload (daisy-run fails unless it re-reads and
 # validates), and print the top screen, flat report and hottest page's
 # annotated disassembly.

@@ -25,7 +25,6 @@ type Flags struct {
 	JSONLFile     string
 	ChromeFile    string
 	ProfileFile   string
-	Spans         bool
 	Top           bool
 	CPUProfile    string
 	MemProfile    string
@@ -37,13 +36,12 @@ func Register() *Flags {
 	f := &Flags{}
 	def := telemetry.DefaultOptions()
 	flag.BoolVar(&f.Telemetry, "telemetry", false, "attach the telemetry layer (metrics + event trace)")
-	flag.IntVar(&f.Sample, "sample", def.SampleEvery, "telemetry: sample 1 in N dispatches")
+	flag.IntVar(&f.Sample, "sample", def.SampleEvery, "telemetry: sample 1 in N group runs (a group's entry to its exit) and 1 in N precise boundaries")
 	flag.IntVar(&f.TraceCap, "trace-cap", def.TraceCap, "telemetry: event ring capacity (0 disables tracing)")
 	flag.StringVar(&f.PromFile, "prom", "", "telemetry: write Prometheus text metrics to FILE at exit")
 	flag.StringVar(&f.JSONLFile, "trace-jsonl", "", "telemetry: write the event trace as JSONL to FILE at exit")
 	flag.StringVar(&f.ChromeFile, "trace-chrome", "", "telemetry: write a Chrome trace_event file to FILE at exit")
 	flag.StringVar(&f.ProfileFile, "profile", "", "telemetry: write a guest pprof profile (base-PC attribution) to FILE at exit")
-	flag.BoolVar(&f.Spans, "spans", false, "telemetry: trace page-lifecycle spans (begin/end events + latency histograms)")
 	flag.BoolVar(&f.Top, "top", false, "telemetry: print a daisy-top screen (plus the -profile flat report) to stderr at exit; with -snapshot-every, redraw it every interval")
 	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to FILE")
 	flag.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to FILE at exit")
@@ -54,7 +52,7 @@ func Register() *Flags {
 // Enabled reports whether any flag implies a telemetry instance.
 func (f *Flags) Enabled() bool {
 	return f.Telemetry || f.PromFile != "" || f.JSONLFile != "" ||
-		f.ChromeFile != "" || f.ProfileFile != "" || f.Spans ||
+		f.ChromeFile != "" || f.ProfileFile != "" ||
 		f.Top || f.SnapshotEvery > 0
 }
 
@@ -75,7 +73,6 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 			SampleEvery: f.Sample,
 			TraceCap:    f.TraceCap,
 			Profile:     f.ProfileFile != "",
-			Spans:       f.Spans,
 		})
 		if f.SnapshotEvery > 0 {
 			render := func(elapsed time.Duration) string {

@@ -20,6 +20,7 @@ import (
 	"daisy"
 	"daisy/internal/mem"
 	"daisy/internal/vliw"
+	"daisy/internal/vmm"
 )
 
 const src = `
@@ -66,11 +67,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ma.OnFault = func(fv *vliw.Fault, scanPC uint32) {
-		groupPC, _ := ma.ScanFaultFromGroupEntry(fv)
-		fmt.Fprintf(w, "VMM: VLIW%d rolled back to boundary %#x; §3.5 scan -> %#x (per-VLIW) / %#x (group-entry walk)\n",
-			fv.VLIW.ID, fv.Resume, scanPC, groupPC)
-	}
+	ma.Observe(faultReporter{w: w, ma: ma})
 	errV := ma.Run(prog.Entry(), 0)
 	var f2 *mem.Fault
 	if !errors.As(errV, &f2) {
@@ -87,6 +84,20 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "precise: identical fault point, instruction count and architected state.")
 	return nil
+}
+
+// faultReporter prints each recovered exception with the base address the
+// §3.5 scan found, both from the faulting VLIW and from the group entry.
+type faultReporter struct {
+	vmm.NopObserver
+	w  io.Writer
+	ma *daisy.Machine
+}
+
+func (r faultReporter) Fault(fv *vliw.Fault, scanPC uint32) {
+	groupPC, _ := r.ma.ScanFaultFromGroupEntry(fv)
+	fmt.Fprintf(r.w, "VMM: VLIW%d rolled back to boundary %#x; §3.5 scan -> %#x (per-VLIW) / %#x (group-entry walk)\n",
+		fv.VLIW.ID, fv.Resume, scanPC, groupPC)
 }
 
 func main() {

@@ -13,6 +13,7 @@ func TestExceptionsExample(t *testing.T) {
 	}
 	for _, want := range []string{
 		"interpreter faults at pc=",
+		"§3.5 scan -> 0x20 (per-VLIW) / 0x20 (group-entry walk)",
 		"DAISY faults at pc=",
 		"precise: identical fault point, instruction count and architected state.",
 	} {

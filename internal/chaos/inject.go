@@ -12,10 +12,10 @@ import (
 
 // Injector is one seeded source of adversity. Tune adjusts the machine
 // options before construction (shrinking the page pool, starving the
-// interpreter budget); Arm wires the injector's hooks into a freshly
-// built machine. Both must be deterministic functions of the *rand.Rand
-// they are armed with: the lockstep bisector replays a scenario from
-// scratch and every injection must land on the same dynamic event.
+// interpreter budget); Arm wires the injector's hooks and observers into
+// a freshly built machine. Both must be deterministic functions of the
+// *rand.Rand they are armed with: the lockstep bisector replays a scenario
+// from scratch and every injection must land on the same dynamic event.
 //
 // Injections are deliberately confined to the translated-execution side
 // of the machine (executor hooks, translation-cache surgery). The
@@ -53,6 +53,15 @@ func Injectors() []Injector {
 		&cacheShortWrite{},
 	}
 }
+
+// dispatchObserver runs fn at the top of every dispatch, where the machine
+// has not yet resolved a group: a page invalidated there is never entered.
+type dispatchObserver struct {
+	vmm.NopObserver
+	fn func()
+}
+
+func (o dispatchObserver) DispatchStart(uint32) { o.fn() }
 
 // ByName returns the named injector, or nil for "none".
 func ByName(name string) (Injector, error) {
@@ -114,7 +123,7 @@ type smcStorm struct{}
 func (smcStorm) Name() string          { return "smc-storm" }
 func (smcStorm) Tune(opt *vmm.Options) {}
 func (smcStorm) Arm(m *vmm.Machine, rng *rand.Rand) {
-	m.OnGroupStart = func(pc uint32) {
+	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(24) != 0 {
 			return
 		}
@@ -124,7 +133,7 @@ func (smcStorm) Arm(m *vmm.Machine, rng *rand.Rand) {
 		}
 		m.InjectSMC(pages[rng.Intn(len(pages))])
 		m.Stats.InjectedFaults++
-	}
+	}})
 }
 
 // castOutChurn shrinks the translated-page pool to a single page and
@@ -136,7 +145,7 @@ type castOutChurn struct{}
 func (castOutChurn) Name() string          { return "castout-churn" }
 func (castOutChurn) Tune(opt *vmm.Options) { opt.MaxPages = 1 }
 func (castOutChurn) Arm(m *vmm.Machine, rng *rand.Rand) {
-	m.OnGroupStart = func(pc uint32) {
+	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(12) != 0 {
 			return
 		}
@@ -146,7 +155,7 @@ func (castOutChurn) Arm(m *vmm.Machine, rng *rand.Rand) {
 		}
 		m.InvalidatePage(pages[rng.Intn(len(pages))])
 		m.Stats.InjectedFaults++
-	}
+	}})
 }
 
 // interpStarve cuts the interpreter budget to a single instruction and
@@ -271,7 +280,7 @@ func (stalePublish) Tune(opt *vmm.Options) {
 	opt.MaxPages = 2
 }
 func (stalePublish) Arm(m *vmm.Machine, rng *rand.Rand) {
-	m.OnGroupStart = func(pc uint32) {
+	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(8) != 0 {
 			return
 		}
@@ -281,7 +290,7 @@ func (stalePublish) Arm(m *vmm.Machine, rng *rand.Rand) {
 		}
 		m.InjectSMC(inflight[rng.Intn(len(inflight))])
 		m.Stats.InjectedFaults++
-	}
+	}})
 }
 
 // ---- Tier-2 optimizing-retranslation injectors ----
@@ -357,14 +366,14 @@ func (c *cacheBitFlip) Tune(opt *vmm.Options) {
 	opt.MaxPages = 2
 }
 func (c *cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
-	m.OnGroupStart = func(pc uint32) {
+	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(64) != 0 {
 			return
 		}
 		if n := c.store.Corrupt(); n > 0 {
 			m.Stats.InjectedFaults++
 		}
-	}
+	}})
 }
 
 // cacheSkew rewrites stored entries to a foreign format version,
@@ -379,14 +388,14 @@ func (c *cacheSkew) Tune(opt *vmm.Options) {
 	opt.MaxPages = 2
 }
 func (c *cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
-	m.OnGroupStart = func(pc uint32) {
+	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(64) != 0 {
 			return
 		}
 		if n := c.store.SkewVersion(txcache.Version + 1); n > 0 {
 			m.Stats.InjectedFaults++
 		}
-	}
+	}})
 }
 
 // cacheENOSPC fails cache writes as if the volume were full, flapping the
@@ -405,7 +414,7 @@ func (c *cacheENOSPC) Tune(opt *vmm.Options) {
 }
 func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
 	full := true
-	m.OnGroupStart = func(pc uint32) {
+	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(48) != 0 {
 			return
 		}
@@ -416,7 +425,7 @@ func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
 			c.store.SetFailMode(txcache.FailNone)
 		}
 		m.Stats.InjectedFaults++
-	}
+	}})
 }
 
 // cacheShortWrite tears every cache write: the entry lands truncated, as

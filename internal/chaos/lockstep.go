@@ -175,7 +175,7 @@ type memWrite struct {
 //  1. The reference replays with per-instruction recording over the
 //     window: the full architected state after every instruction, plus
 //     the stores it performed.
-//  2. The machine replays with an OnBoundary hook. In precise-exception
+//  2. The machine replays with a boundary observer. In precise-exception
 //     mode every committed VLIW is an exact architected boundary, so at
 //     each boundary in the window the machine register file is compared
 //     against the recorded reference state at the same count. The first
@@ -238,7 +238,7 @@ func bisect(sc *Scenario, div *Divergence) {
 	}
 	defer ma.Close()
 	found := false
-	ma.OnBoundary = func(completed uint64) {
+	ma.Observe(boundaryObserver{fn: func(completed uint64) {
 		if found || completed <= good || completed > bad {
 			return
 		}
@@ -259,7 +259,7 @@ func bisect(sc *Scenario, div *Divergence) {
 		if g := ma.CurrentGroup(); g != nil {
 			div.GroupDump = g.Dump()
 		}
-	}
+	}})
 	ma.Start(entry, bad)
 	for !found {
 		halted, merr := ma.StepGroup()
@@ -287,6 +287,14 @@ func bisect(sc *Scenario, div *Divergence) {
 	}
 	div.BadPC, div.BadPCOK = states[0].PC, false
 }
+
+// boundaryObserver runs fn at every precise VLIW boundary.
+type boundaryObserver struct {
+	vmm.NopObserver
+	fn func(completed uint64)
+}
+
+func (o boundaryObserver) Boundary(completed uint64) { o.fn(completed) }
 
 // lastRegWriter finds, for each register differing between want (the
 // reference) and got (the machine), the last reference instruction in

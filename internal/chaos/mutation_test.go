@@ -74,6 +74,17 @@ func gprWriters(g *vliw.Group, d vliw.RegRef) int {
 // checks that the lockstep harness both catches each one and bisects the
 // divergence to exactly the base instruction whose translation was
 // corrupted.
+// translateObserver hands every installed translation to fn, before any of
+// its code runs.
+type translateObserver struct {
+	vmm.NopObserver
+	fn func(pt *core.PageTranslation)
+}
+
+func (o translateObserver) Translated(pt *core.PageTranslation, _ core.Stats, _ vmm.AsyncLatency) {
+	o.fn(pt)
+}
+
 func TestPlantedBugIsBisected(t *testing.T) {
 	var w workload.Workload
 	var entry uint32
@@ -86,11 +97,11 @@ func TestPlantedBugIsBisected(t *testing.T) {
 		e := prog.Entry()
 		n := 0
 		sc := Scenario{Workload: cand, MaxInsts: 1000, Prepare: func(m *vmm.Machine) {
-			m.OnTranslate = func(pt *core.PageTranslation) {
+			m.Observe(translateObserver{fn: func(pt *core.PageTranslation) {
 				if g, ok := pt.Groups[e]; ok && n == 0 {
 					n = len(candidateParcels(g))
 				}
-			}
+			}})
 		}}
 		if _, err := Run(sc); err != nil {
 			t.Fatal(err)
@@ -113,7 +124,7 @@ func TestPlantedBugIsBisected(t *testing.T) {
 		var mutatedPC uint32
 		mutated := make(map[*vliw.Group]bool)
 		sc := Scenario{Workload: w, Prepare: func(m *vmm.Machine) {
-			m.OnTranslate = func(pt *core.PageTranslation) {
+			m.Observe(translateObserver{fn: func(pt *core.PageTranslation) {
 				g, ok := pt.Groups[entry]
 				if !ok || mutated[g] {
 					return
@@ -125,7 +136,7 @@ func TestPlantedBugIsBisected(t *testing.T) {
 				}
 				cands[k].Imm += 4
 				mutatedPC = cands[k].BaseAddr
-			}
+			}})
 		}}
 		rep, err := Run(sc)
 		if err != nil {

@@ -10,11 +10,10 @@ import (
 )
 
 // exporterTelOpt uses a deliberately tiny ring so the JSONL/Chrome goldens
-// stay small: they lock down the retained window plus the formatting.
-// Spans are on so the goldens also pin the page-lifecycle begin/end
-// records (deterministic on the synchronous machine: live spans only,
-// stamped with the virtual clock).
-var exporterTelOpt = telemetry.Options{SampleEvery: 8, TraceCap: 256, Spans: true}
+// stay small: they lock down the retained window plus the formatting,
+// page-lifecycle span records included (deterministic on the synchronous
+// machine: live spans only, stamped with the virtual clock).
+var exporterTelOpt = telemetry.Options{SampleEvery: 8, TraceCap: 256}
 
 // captureExporters runs c_sieve once and renders every exporter from the
 // canonical snapshot (host-clock metrics zeroed), so the outputs are

@@ -22,6 +22,17 @@ import (
 	"daisy/internal/workload"
 )
 
+// translateObserver hands every installed translation to fn, before any of
+// its code runs.
+type translateObserver struct {
+	vmm.NopObserver
+	fn func(pt *core.PageTranslation)
+}
+
+func (o translateObserver) Translated(pt *core.PageTranslation, _ core.Stats, _ vmm.AsyncLatency) {
+	o.fn(pt)
+}
+
 // tier2Options is the pinned configuration of the tier-2 golden wall: the
 // default machine with optimizing retranslation forced on and a low
 // promotion threshold, so even the short golden-scale runs promote their
@@ -126,13 +137,13 @@ func TestTier2TranslationDeterminism(t *testing.T) {
 		}
 		var log string
 		digest := uint64(fnvOffset)
-		ma.OnTranslate = func(pt *core.PageTranslation) {
+		ma.Observe(translateObserver{fn: func(pt *core.PageTranslation) {
 			for _, e := range pt.Order {
 				g := pt.Groups[e]
 				log += fmt.Sprintf("%x:%d:%d;", e, g.TierOf(), len(g.VLIWs))
 				digest = fnvBytes2(digest, []byte(g.Dump()))
 			}
-		}
+		}})
 		if err := ma.Run(prog.Entry(), 0); err != nil {
 			t.Fatal(err)
 		}

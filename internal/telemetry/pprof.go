@@ -186,7 +186,7 @@ func (p *Profile) WritePprof(w io.Writer) error {
 		out.msg(pfSample, &sm)
 	}
 
-	out.msg(pfPeriodType, valueType(st.id("dispatches"), st.id("count")))
+	out.msg(pfPeriodType, valueType(st.id("group_runs"), st.id("count")))
 	out.varint(pfPeriod, p.Period())
 	out.varint(pfDefaultSampleType, st.id("cycles"))
 	for _, s := range st.tab {

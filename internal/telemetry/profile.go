@@ -1,11 +1,12 @@
 package telemetry
 
-// Guest-time attribution profile. The VMM's sampled dispatch probe walks
-// the executed VLIW path with the §3.5 scan mapping and charges each
-// attempted VLIW issue cycle — and each completed base instruction — back
-// to the *base-architecture* PC responsible for it. The aggregate answers
-// the question every dynamic-compilation stack needs answered: where does
-// guest time actually go, in the guest's own address space?
+// Guest-time attribution profile. On each sampled group run the VMM's
+// telemetry observer walks the executed VLIW path with the §3.5 scan
+// mapping and charges each attempted VLIW issue cycle — and each completed
+// base instruction — back to the *base-architecture* PC responsible for
+// it. The aggregate answers the question every dynamic-compilation stack
+// needs answered: where does guest time actually go, in the guest's own
+// address space?
 //
 // Three views are exported: a pprof-compatible gzipped protobuf payload
 // (pprof.go) consumable by `go tool pprof`, a flat top-N text report
@@ -24,7 +25,7 @@ import (
 )
 
 // PCCharge is one batch of attribution against a base PC, accumulated by
-// the VMM probe across one sampled dispatch run.
+// the VMM's telemetry observer across one sampled group run.
 type PCCharge struct {
 	PC     uint32
 	Cycles uint64 // VLIW issue cycles attributed to the PC
@@ -40,11 +41,11 @@ type PCSample struct {
 }
 
 // Profile aggregates guest-time attribution by base-architecture PC.
-// Safe for concurrent use; the probe adds whole dispatch runs under one
+// Safe for concurrent use; the observer adds whole group runs under one
 // lock acquisition.
 type Profile struct {
 	mu       sync.Mutex
-	period   uint64 // 1-in-N dispatch sampling rate the charges came from
+	period   uint64 // 1-in-N group-run sampling rate the charges came from
 	pageSize uint32
 	pcs      map[uint32]*PCSample
 }
@@ -58,7 +59,7 @@ func NewProfile(period int) *Profile {
 	return &Profile{period: uint64(period), pageSize: 4096, pcs: make(map[uint32]*PCSample)}
 }
 
-// Period returns the 1-in-N dispatch sampling rate.
+// Period returns the 1-in-N group-run sampling rate.
 func (p *Profile) Period() uint64 { return p.period }
 
 // SetPageSize records the translation page size used for per-page rollups
@@ -79,7 +80,7 @@ func (p *Profile) PageSize() uint32 {
 	return p.pageSize
 }
 
-// AddRun merges one sampled dispatch run into the profile. wallNs — the
+// AddRun merges one sampled group run into the profile. wallNs — the
 // host time the whole run took — is distributed across the run's PCs
 // proportionally to their cycle counts (the only per-PC weight the
 // executor exposes without per-parcel clocks).
@@ -203,7 +204,7 @@ func (p *Profile) RenderTop(rows int) string {
 		totalInsts += s.Insts
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "guest profile: %d PCs, %d cycles, %d insts (sampled 1-in-%d dispatches)\n",
+	fmt.Fprintf(&b, "guest profile: %d PCs, %d cycles, %d insts (sampled 1-in-%d group runs)\n",
 		len(samples), total, totalInsts, p.Period())
 	if len(samples) == 0 {
 		return b.String()

@@ -83,7 +83,7 @@ func TestProfileRenderTop(t *testing.T) {
 	}, 0)
 	out := p.RenderTop(10)
 	for _, want := range []string{
-		"2 PCs, 40 cycles, 80 insts (sampled 1-in-8 dispatches)",
+		"2 PCs, 40 cycles, 80 insts (sampled 1-in-8 group runs)",
 		"0x00010040", "75.0%", "by page:", "0x00010000",
 	} {
 		if !strings.Contains(out, want) {
@@ -184,21 +184,17 @@ func TestPrometheusHistogramCumulative(t *testing.T) {
 	}
 }
 
-// TestOptionsProfileSpans pins the wiring: Profile/Spans options surface
-// through the accessors, and stay off by default.
-func TestOptionsProfileSpans(t *testing.T) {
-	tel := New(Options{Profile: true, Spans: true, SampleEvery: 2})
+// TestOptionsProfile pins the wiring: the Profile option surfaces through
+// its accessor and stays off by default.
+func TestOptionsProfile(t *testing.T) {
+	tel := New(Options{Profile: true, SampleEvery: 2})
 	if tel.Profile() == nil {
 		t.Fatal("Profile() nil with Options.Profile")
 	}
 	if tel.Profile().Period() != 2 {
 		t.Fatalf("profile period = %d, want the sample stride", tel.Profile().Period())
 	}
-	if !tel.SpansEnabled() {
-		t.Fatal("SpansEnabled() false with Options.Spans")
-	}
-	def := New(DefaultOptions())
-	if def.Profile() != nil || def.SpansEnabled() {
-		t.Fatal("profiler/spans on by default")
+	if New(DefaultOptions()).Profile() != nil {
+		t.Fatal("profiler on by default")
 	}
 }

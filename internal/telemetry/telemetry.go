@@ -6,14 +6,18 @@
 //
 // Design constraints, in order:
 //
-//   - Zero allocation and near-zero cost when disabled. A Machine without
-//     an attached *Telemetry pays exactly one nil pointer check per
-//     instrumentation site; no telemetry object is ever allocated.
+//   - Zero allocation and near-zero cost when disabled. Telemetry reaches
+//     the machine as one vmm.Observer in the machine's observer slot, so a
+//     Machine with no observer pays exactly one length check per
+//     observation point; no telemetry object is ever allocated.
 //   - Cheap enough to stay on under load. Hot-path instrumentation is
-//     sampled 1-in-N (Options.SampleEvery); only rare events (translation,
-//     exception recovery, SMC, cast-out, quarantine) are recorded
-//     unconditionally. Counters are atomic; histograms and the trace ring
-//     take a mutex only on the sampled/rare paths.
+//     sampled 1-in-N (Options.SampleEvery): group runs (a group's entry,
+//     by dispatch, chain follow or intra-page hop, to its exit, so chained
+//     code is seen) and precise VLIW boundaries. Rare events (translation,
+//     exception recovery, SMC, cast-out, quarantine, the async pipeline)
+//     and page-lifecycle spans are recorded unconditionally. Counters are
+//     atomic; histograms and the trace ring take a mutex only on the
+//     sampled/rare paths.
 //   - Deterministic where tests need it. Event timestamps are virtual —
 //     completed base instructions, the machine's only deterministic clock —
 //     so traces golden-compare across runs; host-clock quantities (the
@@ -40,8 +44,8 @@ import (
 // Options configure a Telemetry instance.
 type Options struct {
 	// SampleEvery is the 1-in-N sampling rate for hot-path instrumentation
-	// (dispatch events, per-group histograms, boundary events). 0 or 1
-	// means every occurrence; the tools default to 64.
+	// (group runs with their histograms and profile charges, and boundary
+	// events). 0 or 1 means every occurrence; the tools default to 64.
 	SampleEvery int
 
 	// TraceCap is the event ring capacity (rounded up to a power of two;
@@ -49,17 +53,10 @@ type Options struct {
 	TraceCap int
 
 	// Profile enables the guest-time attribution profiler (profile.go):
-	// sampled dispatch runs are walked with the scan mapping and charged
-	// to base-architecture PCs. Off by default — attribution walks the
+	// sampled group runs are walked with the scan mapping and charged to
+	// base-architecture PCs. Off by default — attribution walks the
 	// executed path, which costs more than the flat counters.
 	Profile bool
-
-	// Spans enables page-lifecycle span tracing: the VMM probe emits
-	// begin/end span events (EvSpanBegin/EvSpanEnd) for each page's
-	// journey through the translation pipeline and feeds the per-stage
-	// latency histograms. Off by default so span-free traces golden-
-	// compare against the pre-span event streams.
-	Spans bool
 }
 
 // DefaultOptions returns the configuration the cmd tools use: 1-in-64
@@ -82,8 +79,8 @@ type Telemetry struct {
 	prof  *Profile // nil when Options.Profile is false
 
 	hotMu     sync.Mutex
-	hotPages  map[uint32]uint64 // sampled dispatch counts by page base
-	hotGroups map[uint32]uint64 // sampled dispatch counts by group entry
+	hotPages  map[uint32]uint64 // sampled group-run counts by page base
+	hotGroups map[uint32]uint64 // sampled group-run counts by group entry
 }
 
 // New builds a Telemetry instance.
@@ -117,9 +114,6 @@ func (t *Telemetry) Tracer() *Tracer { return t.trace }
 
 // Profile returns the guest attribution profile, or nil when disabled.
 func (t *Telemetry) Profile() *Profile { return t.prof }
-
-// SpansEnabled reports whether page-lifecycle span tracing is on.
-func (t *Telemetry) SpansEnabled() bool { return t.opt.Spans }
 
 // Counter is a monotonically increasing uint64 metric. Safe for concurrent
 // use; Inc/Add are a single atomic add.
@@ -245,7 +239,7 @@ func (t *Telemetry) histogram(name string, bounds []float64, timeBase bool) *His
 	return h
 }
 
-// NotePage charges one sampled dispatch to the page at base (hot-page
+// NotePage charges one sampled group run to the page at base (hot-page
 // accounting for the top screen).
 func (t *Telemetry) NotePage(base uint32) {
 	t.hotMu.Lock()
@@ -253,7 +247,7 @@ func (t *Telemetry) NotePage(base uint32) {
 	t.hotMu.Unlock()
 }
 
-// NoteGroup charges one sampled dispatch to the group entered at pc.
+// NoteGroup charges one sampled group run to the group entered at pc.
 func (t *Telemetry) NoteGroup(pc uint32) {
 	t.hotMu.Lock()
 	t.hotGroups[pc]++
@@ -297,7 +291,7 @@ func hotCounts(m map[uint32]uint64) []HotCount {
 	return out
 }
 
-// HotCount is one (address, sampled dispatch count) pair.
+// HotCount is one (address, sampled group-run count) pair.
 type HotCount struct {
 	Addr  uint32 `json:"addr"`
 	Count uint64 `json:"count"`

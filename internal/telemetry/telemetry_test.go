@@ -103,13 +103,13 @@ func TestTracerWrapAround(t *testing.T) {
 	tr := tel.Tracer()
 	const n = 100
 	for i := 0; i < n; i++ {
-		tel.Event(EvDispatch, uint64(i), uint32(i), 0x1000, 0)
+		tel.Event(EvGroupRun, uint64(i), uint32(i), 0x1000, 0)
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d (must count wrapped-out events)", tr.Len(), n)
 	}
-	if got := tr.CountByKind()["dispatch"]; got != n {
-		t.Fatalf("CountByKind[dispatch] = %d, want %d", got, n)
+	if got := tr.CountByKind()["group-run"]; got != n {
+		t.Fatalf("CountByKind[group-run] = %d, want %d", got, n)
 	}
 	evs := tr.Events()
 	if len(evs) != 8 {
@@ -138,7 +138,7 @@ func TestTracerWrapAround(t *testing.T) {
 func TestTracerExportFormats(t *testing.T) {
 	tel := New(Options{SampleEvery: 1, TraceCap: 16})
 	tel.Event(EvTranslate, 10, 0x1000, 0x1000, 42)
-	tel.Event(EvDispatch, 20, 0x1010, 0x1000, 64)
+	tel.Event(EvGroupRun, 20, 0x1010, 0x1000, 64)
 	tel.Event(EvException, 30, 0x1020, 0x1000, 0)
 
 	var jl bytes.Buffer
@@ -275,7 +275,7 @@ func TestConcurrentAccess(t *testing.T) {
 			}
 			tel.Counter("daisy_base_insts").Inc()
 			tel.Histogram(HILPPerGroup, BoundsILP).Observe(float64(i % 7))
-			tel.Event(EvDispatch, uint64(i), uint32(i), 0, 0)
+			tel.Event(EvGroupRun, uint64(i), uint32(i), 0, 0)
 			tel.NotePage(uint32(i) & 0xf000)
 		}
 	}()

@@ -55,8 +55,8 @@ func RenderTop(s Snapshot, wall time.Duration, opt TopOptions) string {
 	fmt.Fprintf(&b, "pages: built=%d castout=%d smc=%d quarantined=%d\n",
 		ctr("daisy_pages_built"), ctr("daisy_cast_outs"),
 		ctr("daisy_smc_invalidations"), ctr("daisy_quarantines"))
-	fmt.Fprintf(&b, "groups: built=%d dispatches~=%d chain_patches=%d chain_follows=%d exceptions=%d\n",
-		ctr("daisy_groups_built"), ctr("daisy_dispatches_sampled"),
+	fmt.Fprintf(&b, "groups: built=%d runs_sampled=%d chain_patches=%d chain_follows=%d exceptions=%d\n",
+		ctr("daisy_groups_built"), ctr(MGroupRunsSampled),
 		ctr("daisy_chain_patches"), ctr("daisy_chain_follows"), ctr("daisy_exceptions"))
 
 	// Async-pipeline pane: only rendered when the pipeline (or the
@@ -91,7 +91,7 @@ func RenderTop(s Snapshot, wall time.Duration, opt TopOptions) string {
 	}
 
 	row := func(title string, hot []HotCount) {
-		fmt.Fprintf(&b, "%s (sampled dispatches)\n", title)
+		fmt.Fprintf(&b, "%s (sampled group runs)\n", title)
 		if len(hot) == 0 {
 			b.WriteString("  (none)\n")
 			return

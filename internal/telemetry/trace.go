@@ -11,10 +11,9 @@ type EventKind uint8
 
 const (
 	EvTranslate       EventKind = iota // page translated; Arg = base insts in page's groups
-	EvDispatch                         // sampled group dispatch; Arg = sample stride
+	EvGroupRun                         // sampled group run ended; PC = group entry, Arg = chain depth (groups entered since the last dispatch, this one included)
 	EvChainPatch                       // ExitEntry edge patched; PC = target entry
-	EvChainFollow                      // chain run ended; Arg = groups followed without VMM round-trip
-	EvBoundary                         // sampled VLIW boundary; Arg = base insts completed in the dispatch run so far
+	EvBoundary                         // sampled precise VLIW boundary; PC = group entry, Arg = base insts completed since the group's entry
 	EvException                        // exception recovered; Arg = fault cause
 	EvSMCInvalidate                    // page invalidated by guest store
 	EvCastOut                          // page evicted by LRU cast-out
@@ -33,16 +32,19 @@ const (
 	EvTier2Publish                     // async tier-2 result installed at a precise boundary
 	EvTier2Deopt                       // tier-2 fault deoptimized to the retained tier-1 translation
 	EvTier2Demote                      // tier-2 translation retired (deopt/departure storm); backoff engaged
+	EvInvalidate                       // page translation (and any in-flight one) invalidated
+	EvAsyncWarmup                      // cold page first dispatched; the async tiering policy starts counting it
 	numEventKinds
 )
 
 var eventKindNames = [numEventKinds]string{
-	"translate", "dispatch", "chain-patch", "chain-follow", "boundary",
+	"translate", "group-run", "chain-patch", "boundary",
 	"exception", "smc-invalidate", "cast-out", "quarantine", "quarantine-release",
 	"async-enqueue", "async-publish", "async-stale", "cache-hit",
 	"span-begin", "span-end",
 	"translator-panic", "async-abandon", "async-retry",
 	"tier2-promote", "tier2-publish", "tier2-deopt", "tier2-demote",
+	"invalidate", "async-warmup",
 }
 
 // SpanStage is one stage of a page's lifecycle through the translation
@@ -230,7 +232,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 // WriteChromeTrace writes the retained events in Chrome trace_event JSON
 // array format (load via chrome://tracing or Perfetto). The virtual
 // instruction clock maps to microseconds: 1 base inst = 1us, which renders
-// dispatch density and translation bursts on a meaningful shared axis.
+// group-run density and translation bursts on a meaningful shared axis.
 // Translate events become duration ("X") slices sized by the page's base
 // instruction count; everything else is an instant ("i") event on a
 // per-kind track.

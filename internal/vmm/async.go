@@ -342,8 +342,8 @@ func (m *Machine) groupAsync(addr uint32) (*vliw.Group, error) {
 		return m.groupAt(addr)
 	}
 	m.hot[base]++
-	if m.tp != nil && m.hot[base] == 1 {
-		m.tp.spanFirstTouch(m, base)
+	if m.hot[base] == 1 {
+		m.emit(telemetry.EvAsyncWarmup, base, 0)
 	}
 	if m.hot[base] < m.hotThreshold() {
 		return nil, nil
@@ -361,9 +361,7 @@ func (m *Machine) enqueue(base, entry uint32) {
 		return
 	}
 	m.Stats.AsyncEnqueues++
-	if m.tp != nil {
-		m.tp.asyncEnqueue(m, base)
-	}
+	m.emit(telemetry.EvAsyncEnqueue, base, 0)
 }
 
 // enqueueTier2 offers an optimizing retranslation of a live page to the
@@ -445,7 +443,7 @@ func (m *Machine) publishTier2(r txResult) {
 		return
 	}
 	m.Trans.Stats = m.Trans.Stats.Add(r.stats)
-	m.installTier2(base, r.pt)
+	m.installTier2(base, r.pt, r.stats)
 	if m.tier2[base] == r.pt {
 		m.Stats.Tier2Publishes++
 		m.emit(telemetry.EvTier2Publish, base, 0)
@@ -484,9 +482,6 @@ func (m *Machine) drainAsync() {
 			}
 		default:
 			m.watchdog()
-			if m.tp != nil {
-				m.tp.queueDepth(len(m.pipe.jobs), len(m.pipe.inflight))
-			}
 			return
 		}
 	}
@@ -510,9 +505,7 @@ func (m *Machine) watchdog() {
 		delete(m.pipe.inflight, base)
 		m.pipe.abandoned[inf.seq] = true
 		m.Stats.AsyncAbandons++
-		if m.tp != nil {
-			m.tp.asyncAbandon(m, base)
-		}
+		m.emit(telemetry.EvAsyncAbandon, base, 0)
 		if m.pipe.respawns < m.pipe.workers*respawnCap {
 			m.pipe.respawns++
 			m.pipe.spawnWorker()
@@ -541,30 +534,26 @@ func (m *Machine) publish(r txResult) {
 	cur := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
 	if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
 		m.Stats.StaleTranslationsDropped++
-		if m.tp != nil {
-			m.tp.asyncStale(m, base)
-		}
+		m.emit(telemetry.EvAsyncStale, base, 0)
 		return
 	}
 	if r.err != nil {
 		m.noteAsyncFailure(base, r.err)
 		return
 	}
-	before := m.Trans.Stats
 	m.Trans.Stats = m.Trans.Stats.Add(r.stats)
 	m.Stats.PagesBuilt++
 	m.Stats.GroupsBuilt += r.stats.Groups
 	m.Stats.AsyncPublishes++
 	delete(m.hot, base)
 	delete(m.pipe.retry, base)
-	if m.tp != nil {
-		m.tp.translated(m, r.job.entry, before)
-		m.tp.asyncLatency(r)
-		m.tp.asyncPublish(m, base)
-	}
-	if m.OnTranslate != nil {
-		m.OnTranslate(r.pt)
-	}
+	m.emit(telemetry.EvTranslate, r.job.entry, r.stats.BaseInsts)
+	m.emit(telemetry.EvAsyncPublish, base, 0)
+	m.translated(r.pt, r.stats, AsyncLatency{
+		QueueWait:    time.Duration(r.startedNs - r.job.enqueuedNs),
+		Translate:    time.Duration(r.doneNs - r.startedNs),
+		PublishDelay: time.Duration(time.Now().UnixNano() - r.doneNs),
+	})
 	m.pages[base] = r.pt
 	m.touch(base)
 	m.Mem.SetReadOnly(base, true)
@@ -598,9 +587,7 @@ func (m *Machine) noteAsyncFailure(base uint32, err error) {
 	rs.notBefore = m.Stats.BaseInsts() + retryBackoff(base, rs.attempts)
 	m.pipe.retry[base] = rs
 	m.Stats.AsyncRetries++
-	if m.tp != nil {
-		m.tp.asyncRetry(m, base, rs.attempts)
-	}
+	m.emit(telemetry.EvAsyncRetry, base, uint64(rs.attempts))
 }
 
 // asyncMaxRetries is how many times a failed worker translation (error,
@@ -707,12 +694,8 @@ func (m *Machine) installCached(addr uint32) bool {
 	}
 	m.Stats.CacheHits++
 	m.Stats.PagesBuilt++ // a "translation missing" exception was serviced
-	if m.tp != nil {
-		m.tp.cacheHit(m, base)
-	}
-	if m.OnTranslate != nil {
-		m.OnTranslate(pt)
-	}
+	m.emit(telemetry.EvCacheHit, base, 0)
+	m.translated(pt, core.Stats{}, AsyncLatency{})
 	m.pages[base] = pt
 	m.touch(base)
 	m.Mem.SetReadOnly(base, true)

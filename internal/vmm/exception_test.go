@@ -13,6 +13,14 @@ import (
 	"daisy/internal/vliw"
 )
 
+// faultObserver hands each recovered exception to fn.
+type faultObserver struct {
+	NopObserver
+	fn func(f *vliw.Fault, scanPC uint32)
+}
+
+func (o faultObserver) Fault(f *vliw.Fault, scanPC uint32) { o.fn(f, scanPC) }
+
 // faultBoth injects a data fault at addr in both engines and checks that
 // the DAISY machine surfaces the identical precise exception: same fault
 // address, same base PC, same architected state at the fault point.
@@ -38,7 +46,7 @@ func faultBoth(t *testing.T, src string, faultAddr uint32) {
 	m2.InjectFault(faultAddr, false)
 	ma := New(m2, &interp.Env{}, DefaultOptions())
 	var scans []uint32
-	ma.OnFault = func(fv *vliw.Fault, scanPC uint32) { scans = append(scans, scanPC) }
+	ma.Observe(faultObserver{fn: func(fv *vliw.Fault, scanPC uint32) { scans = append(scans, scanPC) }})
 	errV := ma.Run(prog.Entry(), 10_000_000)
 	var f2 *mem.Fault
 	if !errors.As(errV, &f2) {
@@ -163,10 +171,10 @@ next:	bdnz loop
 	ma := New(m2, &interp.Env{}, DefaultOptions())
 	var scanned, scannedGroup uint32
 	var okScan, okGroup bool
-	ma.OnFault = func(fv *vliw.Fault, scanPC uint32) {
+	ma.Observe(faultObserver{fn: func(fv *vliw.Fault, scanPC uint32) {
 		scanned, okScan = ma.ScanFault(fv)
 		scannedGroup, okGroup = ma.ScanFaultFromGroupEntry(fv)
-	}
+	}})
 	if err := ma.Run(prog.Entry(), 0); !errors.As(err, &f) {
 		t.Fatalf("vmm: %v", err)
 	}

@@ -248,23 +248,9 @@ type Machine struct {
 	// translated code runs.
 	St ppc.State
 
-	// OnFault, if non-nil, observes each recovered exception: the rolled
-	// back fault and the precise base address found by the §3.5 scan.
-	OnFault func(f *vliw.Fault, scanPC uint32)
-
 	// StallFn, if non-nil, returns extra stall cycles for a memory
 	// access (wired to the cache simulator).
 	StallFn func(addr uint32, size int, write bool, fetch bool) uint64
-
-	// OnGroupStart, if non-nil, observes the base PC at the top of every
-	// translated-execution attempt (one call per runGroup). The chaos
-	// harness drives its SMC-storm and cast-out injectors from it.
-	OnGroupStart func(pc uint32)
-
-	// OnTranslate, if non-nil, observes every page translation the moment
-	// it is built or extended with a new entry group — before any of its
-	// code runs. The chaos mutation tests use it to plant translator bugs.
-	OnTranslate func(pt *core.PageTranslation)
 
 	// FaultTranslation, if non-nil, is consulted on the machine goroutine
 	// once per translation attempt of the page at base, before the
@@ -275,12 +261,8 @@ type Machine struct {
 	// async.go; nil means translate normally.
 	FaultTranslation func(base uint32) *TranslationFault
 
-	// OnBoundary, if non-nil, observes every committed VLIW boundary with
-	// the total completed base-instruction count. In precise-exception
-	// mode each such boundary is an exact architected state (Chapter 2),
-	// which is what the lockstep bisector exploits; the hook is not
-	// invoked in imprecise mode, where only group entries are precise.
-	OnBoundary func(completed uint64)
+	// obs is the observer slot (observer.go), attached telemetry included.
+	obs []Observer
 
 	pages map[uint32]*core.PageTranslation
 	lru   *pageLRU
@@ -329,10 +311,6 @@ type Machine struct {
 	t2        map[uint32]*t2State
 	t2sched   sched.Scheduler
 	t2journal *vliw.StoreJournal
-
-	// tp is the attached telemetry probe (nil when telemetry is off; see
-	// telemetry.go — every hot-path site is a single nil check).
-	tp *telProbe
 
 	// scanBuf is the reused node buffer for expanding the executor's step
 	// log on the (rare) fault-scan path.
@@ -495,15 +473,11 @@ func (m *Machine) pageFor(addr uint32) (*core.PageTranslation, error) {
 	if err != nil {
 		return nil, m.translatorFailed(base, err)
 	}
+	work := m.Trans.Stats.Sub(before)
 	m.Stats.PagesBuilt++
-	m.Stats.GroupsBuilt += m.Trans.Stats.Groups - before.Groups
-	if m.tp != nil {
-		m.tp.translated(m, addr, before)
-		m.tp.spanLiveSync(m, base)
-	}
-	if m.OnTranslate != nil {
-		m.OnTranslate(pt)
-	}
+	m.Stats.GroupsBuilt += work.Groups
+	m.emit(telemetry.EvTranslate, addr, work.BaseInsts)
+	m.translated(pt, work, AsyncLatency{})
 	m.pages[base] = pt
 	m.touch(base)
 	// Protect the page so stores into it raise the code-modification
@@ -540,9 +514,7 @@ func (m *Machine) invalidate(base uint32) {
 	// no published translation yet but still have one in flight, and that
 	// result must not land after this invalidation.
 	m.bumpEpoch(base)
-	if m.tp != nil {
-		m.tp.spanInvalidate(m, base)
-	}
+	m.emit(telemetry.EvInvalidate, base, 0)
 	// The optimizing tier dies with the page: both the tier-2 translation
 	// and the promotion-policy state (its dispatch count restarts from the
 	// invalidation). Without this, a quarantine engaging while a tier-2
@@ -617,14 +589,11 @@ func (m *Machine) groupAt(addr uint32) (*vliw.Group, error) {
 	if err != nil {
 		return nil, m.translatorFailed(addr&^(m.Trans.Opt.PageSize-1), err)
 	}
+	work := m.Trans.Stats.Sub(before)
 	m.Stats.EntriesBuilt++
-	m.Stats.GroupsBuilt += m.Trans.Stats.Groups - before.Groups
-	if m.tp != nil {
-		m.tp.translated(m, addr, before)
-	}
-	if m.OnTranslate != nil {
-		m.OnTranslate(pt)
-	}
+	m.Stats.GroupsBuilt += work.Groups
+	m.emit(telemetry.EvTranslate, addr, work.BaseInsts)
+	m.translated(pt, work, AsyncLatency{})
 	// The page grew a new entry group: its cache entry needs a rewrite so
 	// the next run reloads the extended translation. Deferred — a run
 	// discovering N entry points on one page must pay one rewrite, not N
@@ -662,36 +631,19 @@ func (m *Machine) flushCacheStores() {
 	m.cachePending = nil
 }
 
-// recordTrace interprets ahead from entry on a scratch view of memory and
-// a copy of the I/O environment, recording the direction of every
-// conditional branch (Chapter 6: "since we are decoding the base
+// recordTrace interprets ahead from entry and records the direction of
+// every conditional branch (Chapter 6: "since we are decoding the base
 // architecture instructions, interpreting them at that point adds only a
 // small overhead"). It returns a guide the translator consumes in order.
-//
-// The view stores into the live image and rolls its stores back on
-// return, so the cost is the stores made, not a copy of guest memory. That
-// is sound because interpreting ahead runs only on the machine goroutine
-// and no other goroutine reads the live image: async workers and
-// Precompile translate from private page snapshots (translateSnapshot).
-// The view has no hooks, so its stores raise no code-modification
-// interrupt, mark no page dirty and hit no injected fault.
 func (m *Machine) recordTrace(entry uint32) func(pc uint32) (bool, bool) {
 	type rec struct {
 		pc    uint32
 		taken bool
 	}
-	scratch := m.Mem.Scratch()
-	defer scratch.Rollback()
-	ip := interp.New(scratch, m.Env.Clone(), entry)
-	m.Exec.RF.ToState(&ip.St)
-	ip.St.PC = entry
 	var recs []rec
-	ip.OnBranch = func(pc uint32, taken bool) {
+	m.Stats.TraceRecInsts += m.interpretAhead(entry, uint64(4*m.Trans.Opt.Window), func(pc uint32, taken bool) {
 		recs = append(recs, rec{pc, taken})
-	}
-	budget := uint64(4 * m.Trans.Opt.Window)
-	_ = ip.Run(budget) // halt, fault or budget exhaustion all end recording
-	m.Stats.TraceRecInsts += ip.InstCount
+	})
 	i := 0
 	return func(pc uint32) (bool, bool) {
 		if i >= len(recs) || recs[i].pc != pc {
@@ -703,35 +655,48 @@ func (m *Machine) recordTrace(entry uint32) func(pc uint32) (bool, bool) {
 	}
 }
 
+// interpretAhead runs the interpreter from entry, from the current
+// register file, for up to budget instructions on a scratch view of memory
+// and a copy of the I/O environment, calling onBranch at every conditional
+// branch. It returns how many instructions ran; halt, fault and budget
+// exhaustion all end the run. Trace recording and tier-2 promotion
+// profiling both use it.
+//
+// The view stores into the live image and rolls its stores back on
+// return, so the cost is the stores made, not a copy of guest memory. That
+// is sound because interpreting ahead runs only on the machine goroutine
+// and no other goroutine reads the live image: async workers and
+// Precompile translate from private page snapshots (translateSnapshot).
+// The view has no hooks, so its stores raise no code-modification
+// interrupt, mark no page dirty and hit no injected fault.
+func (m *Machine) interpretAhead(entry uint32, budget uint64, onBranch func(pc uint32, taken bool)) uint64 {
+	scratch := m.Mem.Scratch()
+	defer scratch.Rollback()
+	ip := interp.New(scratch, m.Env.Clone(), entry)
+	m.Exec.RF.ToState(&ip.St)
+	ip.St.PC = entry
+	ip.OnBranch = onBranch
+	_ = ip.Run(budget)
+	return ip.InstCount
+}
+
 // runGroup executes translated code from the current PC until control
 // leaves the current page, a system call is serviced, or the program
 // halts. It returns halt=true on SysHalt.
 //
 // The Stats.Exec mirror is synced once per runGroup here (plus at the few
-// in-loop points that read it: boundary hooks, recovery, SMC drains)
-// instead of after every VLIW; checkBudget reads the live executor
+// in-loop points that read it: recovery and SMC drains) instead of after
+// every VLIW; checkBudget and boundary observers read the live executor
 // counter directly.
 func (m *Machine) runGroup() (bool, error) {
-	if m.tp != nil && m.tp.sampleDispatch() {
-		startPC := m.St.PC
-		beforeExec := m.Exec.Stats
-		beforeFollows := m.Stats.ChainFollows
-		m.tp.profBegin(m)
-		halt, err := m.runGroupLoop()
-		m.tp.profEnd(m)
-		m.Stats.Exec = m.Exec.Stats
-		d := m.Exec.Stats.Sub(beforeExec)
-		m.tp.dispatchRun(m, startPC, d.BaseInsts, d.VLIWs, m.Stats.ChainFollows-beforeFollows)
-		return halt, err
-	}
 	halt, err := m.runGroupLoop()
 	m.Stats.Exec = m.Exec.Stats
 	return halt, err
 }
 
 func (m *Machine) runGroupLoop() (bool, error) {
-	if m.OnGroupStart != nil {
-		m.OnGroupStart(m.St.PC)
+	for _, o := range m.obs {
+		o.DispatchStart(m.St.PC)
 	}
 	m.drainDirty()
 	if m.pipe != nil {
@@ -779,11 +744,7 @@ func (m *Machine) runGroupLoop() (bool, error) {
 			m.Exec.Journal = nil
 		}
 	}
-	m.curGroup = g
-	m.Exec.ResetPath()
-	m.checkpoint(g.Entry)
-	v := g.VLIWs[0]
-	runStart := m.Exec.Stats.BaseInsts // virtual-clock origin of this dispatch run
+	v := m.enterGroup(g)
 
 	for {
 		if err := m.checkBudget(); err != nil {
@@ -810,16 +771,12 @@ func (m *Machine) runGroupLoop() (bool, error) {
 		// A committed VLIW is a precise architected boundary (precise
 		// mode only). Inside a tier-2 group only path ends are precise —
 		// deferred commits flush there — so mid-path ExitNext boundaries
-		// are skipped. Syscall exits defer the callback until the service
+		// are skipped. Syscall exits defer the boundary until the service
 		// routine has run, so the observed state includes its effects.
-		if m.OnBoundary != nil && m.Trans.Opt.PreciseExceptions &&
+		if len(m.obs) != 0 && m.Trans.Opt.PreciseExceptions &&
 			(m.curGroup.TierOf() < 2 || exit.Kind != vliw.ExitNext) &&
 			exit.Kind != vliw.ExitSyscall {
-			m.Stats.Exec = m.Exec.Stats
-			m.OnBoundary(m.Stats.BaseInsts())
-		}
-		if m.tp != nil && exit.Kind != vliw.ExitSyscall {
-			m.tp.boundary(m, v.EntryBase, m.Exec.Stats.BaseInsts-runStart)
+			m.boundary()
 		}
 
 		switch exit.Kind {
@@ -858,11 +815,7 @@ func (m *Machine) runGroupLoop() (bool, error) {
 			// recency can interleave before the next real dispatch.)
 			if exit.Chain != nil {
 				m.Stats.ChainFollows++
-				m.profFlushGroup() // attribute the group we are leaving
-				m.curGroup = exit.Chain
-				m.Exec.ResetPath()
-				m.checkpoint(exit.Chain.Entry)
-				v = exit.Chain.VLIWs[0]
+				v = m.enterGroup(exit.Chain)
 				continue
 			}
 			// Stay inside the page: hop to the target group directly.
@@ -888,11 +841,7 @@ func (m *Machine) runGroupLoop() (bool, error) {
 					m.emit(telemetry.EvChainPatch, ng.Entry, 0)
 				}
 			}
-			m.profFlushGroup() // after the patch above, which reads the step log
-			m.curGroup = ng
-			m.Exec.ResetPath()
-			m.checkpoint(ng.Entry)
-			v = ng.VLIWs[0]
+			v = m.enterGroup(ng)
 			continue
 
 		case vliw.ExitOffpage:
@@ -936,9 +885,8 @@ func (m *Machine) runGroupLoop() (bool, error) {
 			}
 			m.Exec.RF.FromState(&m.St)
 			m.Exec.ClearSpec()
-			if m.OnBoundary != nil && m.Trans.Opt.PreciseExceptions {
-				m.Stats.Exec = m.Exec.Stats
-				m.OnBoundary(m.Stats.BaseInsts())
+			if len(m.obs) != 0 && m.Trans.Opt.PreciseExceptions {
+				m.boundary()
 			}
 			return false, nil
 
@@ -986,11 +934,7 @@ func (m *Machine) recover(f *vliw.Fault) (bool, error) {
 			m.Stats.Exceptions++
 		}
 		m.emit(telemetry.EvException, f.Resume, faultArg(f))
-		m.Exec.Journal.Undo(m.Mem)
-		m.Exec.RF = m.ckptRF
-		m.St.PC = m.ckptPC
-		m.Exec.Stats.BaseInsts = m.ckptInsts
-		m.Stats.Exec = m.Exec.Stats
+		m.rollbackToCheckpoint()
 		return false, m.interpret()
 	}
 	if f.CodeMod {
@@ -1003,10 +947,7 @@ func (m *Machine) recover(f *vliw.Fault) (bool, error) {
 	} else {
 		m.Stats.Exceptions++
 		m.noteGroupTrouble()
-		if m.OnFault != nil {
-			scanPC, _ := m.ScanFault(f)
-			m.OnFault(f, scanPC)
-		}
+		m.faulted(f)
 	}
 	m.emit(telemetry.EvException, f.Resume, faultArg(f))
 	m.St.PC = f.Resume

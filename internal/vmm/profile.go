@@ -1,18 +1,18 @@
 package vmm
 
 // Guest-time attribution (the VMM half of the profiler; the aggregate and
-// its exporters live in internal/telemetry). On a sampled dispatch the
-// probe replays the executor's compressed step log with the §3.5 scan
-// walk — the same machinery exception recovery uses — and charges every
-// attempted VLIW issue cycle and every completed base instruction back to
-// the base-architecture PC responsible. Where the walk derails (an
-// indirect branch whose target the walk cannot reconstruct), it resyncs
-// from the parcel's recorded originating address, so attribution never
-// silently drifts.
+// its exporters live in internal/telemetry). When a sampled group run ends,
+// the telemetry observer replays the executor's compressed step log with
+// the §3.5 scan walk — the same machinery exception recovery uses — and
+// charges every attempted VLIW issue cycle and every completed base
+// instruction back to the base-architecture PC responsible. Where the walk
+// derails (an indirect branch whose target the walk cannot reconstruct), it
+// resyncs from the parcel's recorded originating address, so attribution
+// never silently drifts.
 //
-// Cost model: unsampled dispatches pay one extra bool check at each group
-// transition; the walk itself runs only on the 1-in-N sampled runs and
-// only when Options.Profile is set.
+// Cost model: the walk runs only on the 1-in-N sampled group runs and only
+// when Options.Profile is set. The step log is the executor's own, reset at
+// every group entry, so an unsampled run costs the profiler nothing.
 
 import (
 	"fmt"
@@ -25,62 +25,34 @@ import (
 	"daisy/internal/vliw"
 )
 
-// profBegin marks the dispatch run that is starting as attributed. The
-// step log is cleared so stale steps from unsampled runs are never
-// charged; runGroupLoop resets it again at each group entry, making the
-// log exactly "the path since the last flush point".
-func (p *telProbe) profBegin(m *Machine) {
-	if p.prof == nil {
-		return
-	}
-	p.profRun = true
-	p.profBuf = p.profBuf[:0]
-	for k := range p.profIdx {
-		delete(p.profIdx, k)
-	}
-	m.Exec.ResetPath()
-	p.profT0 = time.Now()
-}
-
-// profEnd flushes the final group's path and folds the run into the
-// profile, distributing the run's wall time across its PCs by cycle share.
-func (p *telProbe) profEnd(m *Machine) {
-	if !p.profRun {
-		return
-	}
-	m.profCharge()
-	p.profRun = false
-	p.prof.AddRun(p.profBuf, uint64(time.Since(p.profT0).Nanoseconds()))
-}
-
-// profFlushGroup charges the current group's accumulated path. The group
-// transitions in runGroupLoop call it immediately before each ResetPath,
-// so a chained or intra-page-hopped run attributes every group it crossed.
-func (m *Machine) profFlushGroup() {
-	if m.tp == nil || !m.tp.profRun {
-		return
-	}
-	m.profCharge()
+// profileRun charges one sampled run of g and folds it into the profile,
+// distributing the run's wall time across its PCs by cycle share. The step
+// log still holds g's path: the machine resets it only at the next group
+// entry, after the observer has seen the switch.
+func (o *telObserver) profileRun(g *vliw.Group) {
+	o.profBuf = o.profBuf[:0]
+	clear(o.profIdx)
+	o.chargePath(g)
+	o.prof.AddRun(o.profBuf, uint64(time.Since(o.runT0).Nanoseconds()))
 }
 
 // charge accumulates one attribution into the run's scratch buffer.
-func (p *telProbe) charge(pc uint32, cycles, insts uint64) {
-	i, ok := p.profIdx[pc]
+func (o *telObserver) charge(pc uint32, cycles, insts uint64) {
+	i, ok := o.profIdx[pc]
 	if !ok {
-		i = len(p.profBuf)
-		p.profIdx[pc] = i
-		p.profBuf = append(p.profBuf, telemetry.PCCharge{PC: pc})
+		i = len(o.profBuf)
+		o.profIdx[pc] = i
+		o.profBuf = append(o.profBuf, telemetry.PCCharge{PC: pc})
 	}
-	p.profBuf[i].Cycles += cycles
-	p.profBuf[i].Insts += insts
+	o.profBuf[i].Cycles += cycles
+	o.profBuf[i].Insts += insts
 }
 
-// profCharge replays the step log for the current group. Each step is one
-// Exec call — exactly one Stats.Cycles increment — so at sample=1 the
-// profile's cycle total matches the machine's dispatch cycle count.
-func (m *Machine) profCharge() {
-	p := m.tp
-	g := m.curGroup
+// chargePath replays the step log for g. Each step is one Exec call —
+// exactly one Stats.Cycles increment — so at sample=1 the profile's cycle
+// total matches the machine's cycle count.
+func (o *telObserver) chargePath(g *vliw.Group) {
+	m := o.m
 	steps := m.Exec.Steps
 	if g == nil || len(steps) == 0 {
 		return
@@ -99,7 +71,7 @@ func (m *Machine) profCharge() {
 		if lost {
 			cpc = v.EntryBase
 		}
-		p.charge(cpc, 1, 0)
+		o.charge(cpc, 1, 0)
 
 		m.scanBuf = vliw.StepNodes(m.scanBuf[:0], g, s)
 		for i, n := range m.scanBuf {
@@ -118,7 +90,7 @@ func (m *Machine) profCharge() {
 				if lost {
 					ipc = v.EntryBase
 				}
-				p.charge(ipc, 0, 1)
+				o.charge(ipc, 0, 1)
 				if !lost && !w.advance() {
 					lost = true
 				}

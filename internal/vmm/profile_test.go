@@ -44,7 +44,7 @@ func profiledWorkload(t *testing.T, wlName string, scale, sample int, opt Option
 }
 
 // TestProfileCycleAttribution pins the acceptance bound: at sample=1 every
-// dispatch run is attributed, so the profile's cycle total must sit within
+// group run is attributed, so the profile's cycle total must sit within
 // 2% of the machine's VLIW issue-cycle counter (the design charges exactly
 // one cycle per executed VLIW, so the totals should in fact be equal).
 func TestProfileCycleAttribution(t *testing.T) {
@@ -78,6 +78,34 @@ func TestProfileCycleAttribution(t *testing.T) {
 		}
 		if insts > m.Stats.BaseInsts() {
 			t.Errorf("%s: attributed %d insts > %d completed", wl, insts, m.Stats.BaseInsts())
+		}
+	}
+}
+
+// TestProfileSamplingAccuracy pins what group-run sampling buys: at the
+// tools' default 1-in-64, chained code is sampled like any other, so the
+// profile scaled by the period lands within 10% of the machine's cycle
+// count, and its instructions per cycle within 10% of the machine's.
+func TestProfileSamplingAccuracy(t *testing.T) {
+	const sample = 64
+	within := func(got, want float64) bool { return got >= 0.9*want && got <= 1.1*want }
+	for _, wl := range []string{"c_sieve", "wc", "compress", "lex"} {
+		m, tel := profiledWorkload(t, wl, 4, sample, DefaultOptions())
+		prof := tel.Profile()
+		var insts uint64
+		for _, s := range prof.Samples() {
+			insts += s.Insts
+		}
+		cycles := float64(prof.TotalCycles())
+		if got, want := cycles*sample, float64(m.Stats.Cycles); !within(got, want) {
+			t.Errorf("%s: profile cycles x %d = %.0f, machine counted %.0f (outside 10%%)", wl, sample, got, want)
+		}
+		if cycles == 0 {
+			continue
+		}
+		got, want := float64(insts)/cycles, float64(m.Stats.Exec.BaseInsts)/float64(m.Stats.Cycles)
+		if !within(got, want) {
+			t.Errorf("%s: profile insts/cycle %.3f, machine %.3f (outside 10%%)", wl, got, want)
 		}
 	}
 }
@@ -154,7 +182,7 @@ func TestAnnotatedDisassembly(t *testing.T) {
 }
 
 // TestProfileDetached pins the zero-cost contract: without Options.Profile
-// the telemetry instance carries no profile and the probe no buffers.
+// the telemetry instance carries no profile and its observer no buffers.
 func TestProfileDetached(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{SampleEvery: 8})
 	if tel.Profile() != nil {
@@ -162,7 +190,11 @@ func TestProfileDetached(t *testing.T) {
 	}
 	m := New(mem.New(1<<16), &interp.Env{}, DefaultOptions())
 	m.AttachTelemetry(tel)
-	if m.tp.prof != nil || m.tp.profBuf != nil || m.tp.profIdx != nil {
-		t.Fatal("probe allocated profiler state without Options.Profile")
+	o := m.telObs()
+	if o == nil {
+		t.Fatal("attached telemetry is not in the observer slot")
+	}
+	if o.prof != nil || o.profBuf != nil || o.profIdx != nil {
+		t.Fatal("observer allocated profiler state without Options.Profile")
 	}
 }

@@ -14,7 +14,11 @@ package vmm
 // Time is measured in completed base instructions (Stats.BaseInsts()),
 // the only clock the machine has that is deterministic across runs.
 
-import "slices"
+import (
+	"slices"
+
+	"daisy/internal/telemetry"
+)
 
 // quarState tracks translation trouble for one page.
 type quarState struct {
@@ -81,9 +85,7 @@ func (m *Machine) engageQuarantine(base uint32, q *quarState, firstBackoff uint6
 	q.events = q.events[:0]
 	m.Stats.Quarantines++
 	m.invalidate(base)
-	if m.tp != nil {
-		m.tp.quarantined(m, base, q.backoff)
-	}
+	m.emit(telemetry.EvQuarantine, base, q.backoff)
 }
 
 // defaultQuarantineBackoff (completed base instructions) is used by the
@@ -123,9 +125,7 @@ func (m *Machine) pageQuarantined(addr uint32) bool {
 	if m.Stats.BaseInsts() >= q.until {
 		q.until = 0
 		m.Stats.QuarantineReleases++
-		if m.tp != nil {
-			m.tp.quarantineReleased(m, base, m.Stats.BaseInsts()-q.engagedAt)
-		}
+		m.emit(telemetry.EvQuarantineOff, base, m.Stats.BaseInsts()-q.engagedAt)
 		return false
 	}
 	return true

@@ -414,10 +414,19 @@ loop:	addi r1, r1, 1
 	sc
 `
 
-// TestChainingWithHooks: installing an observation hook leaves chaining
-// on and changes nothing the machine does. Each hook must see calls, and
-// the run must end with the Stats (chain patches and follows included)
-// and the architected state of a run with no hook.
+// countObserver counts precise boundaries and dispatch starts.
+type countObserver struct {
+	NopObserver
+	n *int
+}
+
+func (o countObserver) Boundary(uint64)      { *o.n++ }
+func (o countObserver) DispatchStart(uint32) { *o.n++ }
+
+// TestChainingWithHooks: installing an observer or an injection hook
+// leaves chaining on and changes nothing the machine does. Each must see
+// calls, and the run must end with the Stats (chain patches and follows
+// included) and the architected state of a run with neither.
 func TestChainingWithHooks(t *testing.T) {
 	prog, err := asm.Assemble(chainHookSrc)
 	if err != nil {
@@ -445,8 +454,7 @@ func TestChainingWithHooks(t *testing.T) {
 		name    string
 		install func(*Machine)
 	}{
-		{"OnBoundary", func(m *Machine) { m.OnBoundary = func(uint64) { calls++ } }},
-		{"OnGroupStart", func(m *Machine) { m.OnGroupStart = func(uint32) { calls++ } }},
+		{"Observer", func(m *Machine) { m.Observe(countObserver{n: &calls}) }},
 		{"FaultHook", func(m *Machine) {
 			m.Exec.FaultHook = func(pc, addr uint32, size int, write bool) *mem.Fault { calls++; return nil }
 		}},

@@ -85,7 +85,7 @@ func FuzzScanMapping(f *testing.F) {
 		_ = prog.Load(m2)
 		m2.InjectFault(faultAddr, false)
 		ma := New(m2, &interp.Env{}, DefaultOptions())
-		ma.OnFault = func(fv *vliw.Fault, scanPC uint32) {
+		ma.Observe(faultObserver{fn: func(fv *vliw.Fault, scanPC uint32) {
 			backward, okB := ma.ScanFault(fv)
 			forward, okF := ma.ScanFaultFromGroupEntry(fv)
 			if !okB || !okF {
@@ -100,7 +100,7 @@ func FuzzScanMapping(f *testing.F) {
 			if scanPC != wantPC {
 				t.Fatalf("OnFault scanPC %#x, interpreter faulted at %#x", scanPC, wantPC)
 			}
-		}
+		}})
 		// OnFault fires only when the fault lands in translated code; if a
 		// pathological input faults during interpretation instead, the
 		// state comparisons below still verify precise recovery.

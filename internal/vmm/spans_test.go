@@ -1,6 +1,7 @@
 package vmm
 
-// Tests for page-lifecycle span tracing (telemetry.go span methods): the
+// Tests for page-lifecycle span tracing (the telemetry observer keys each
+// span transition on the event that marks it): the
 // begin/end pairing invariant across the async pipeline's happy path and
 // its three unhappy ones (SMC stale drop, explicit invalidation,
 // quarantine), plus the per-stage latency histograms.
@@ -73,9 +74,10 @@ func checkSpanPairing(t *testing.T, tr *telemetry.Tracer) map[telemetry.SpanStag
 	return outcomes
 }
 
-// spanTel builds a telemetry instance with spans and tracing on.
+// spanTel builds a telemetry instance with a trace ring big enough to keep
+// every span event.
 func spanTel() *telemetry.Telemetry {
-	return telemetry.New(telemetry.Options{SampleEvery: 8, TraceCap: 1 << 14, Spans: true})
+	return telemetry.New(telemetry.Options{SampleEvery: 8, TraceCap: 1 << 14})
 }
 
 // TestSpanPairingAsyncWorkload runs a real workload through the async
@@ -163,8 +165,8 @@ func TestSpanPairingSyncWorkload(t *testing.T) {
 	}
 }
 
-// spanLoopMachine is asyncLoopMachine with spans-enabled telemetry
-// attached before the first step.
+// spanLoopMachine is asyncLoopMachine with telemetry attached before the
+// first step.
 func spanLoopMachine(t *testing.T) (*Machine, *telemetry.Telemetry, uint32) {
 	t.Helper()
 	m, entry := asyncLoopMachineTel(t, spanTel())
@@ -198,8 +200,8 @@ func TestSpanStaleDropOnSMC(t *testing.T) {
 }
 
 // TestSpanStaleDropOnInvalidate covers the explicit-invalidation ordering:
-// spanInvalidate closes the translate span first and the later stale-drop
-// hook must be a no-op, not a second end event.
+// the invalidate event closes the translate span first and the later
+// stale-drop event must be a no-op, not a second end event.
 func TestSpanStaleDropOnInvalidate(t *testing.T) {
 	m, tel, entry := spanLoopMachine(t)
 	defer m.Close()

@@ -1,70 +1,80 @@
 package vmm
 
-// Telemetry wiring. The Machine carries at most one telProbe; every
-// instrumentation site in the hot path is a single `m.tp != nil` check, so
-// an unattached machine pays one predictable branch and zero allocations.
+// Telemetry wiring. Attached telemetry is one Observer (observer.go) in the
+// machine's observer slot, so a detached machine pays one length check per
+// observation point and zero allocations, and telemetry sees exactly the
+// precise points every other observer sees. It observes the machine without
+// changing what it does.
 //
-// The probe is its own seam, separate from the OnGroupStart/OnBoundary/
-// FaultHook/AliasHook hooks that the lockstep validator and the chaos
-// injectors install. Like them it runs on the chained fast path, and
-// telemetry must observe the machine without changing what it does. Rare
-// events (translation, exceptions, SMC, cast-out, quarantine) are recorded
-// unconditionally; per-dispatch and per-boundary instrumentation is
-// sampled 1-in-N.
+// Hot-path instrumentation is sampled 1-in-N: group runs — a group's entry,
+// by dispatch, chain follow or intra-page hop, to its exit — and precise
+// VLIW boundaries. A run ends when the machine next enters a group or
+// starts a dispatch, or at SyncTelemetry. Rare events (translation,
+// exceptions, SMC, cast-out, quarantine, the async pipeline) are recorded
+// unconditionally, and each page-lifecycle span transition is keyed on the
+// event that marks it.
 //
 // Counters are declared once, as `metric:"name"` tags on Stats fields:
 // AttachTelemetry resolves each tag to a pointer into the machine, and a
-// sync pushes the deltas through those pointers. A rare event that only
-// needs recording goes through Machine.emit; the probe methods below are
-// the transitions that also move a span, a histogram or a sample countdown.
+// sync pushes the deltas through those pointers.
 
 import (
 	"reflect"
+	"slices"
 	"time"
 
 	"daisy/internal/core"
 	"daisy/internal/telemetry"
+	"daisy/internal/vliw"
 )
 
-// telProbe holds pre-resolved metric handles plus sampling countdowns, so
-// the instrumented paths never take the registry lock.
-type telProbe struct {
+// telObserver is the telemetry Observer: pre-resolved metric handles plus
+// sampling countdowns, so the instrumented paths never take the registry
+// lock.
+type telObserver struct {
+	NopObserver // Fault: the exception event is all telemetry records
+	m           *Machine
 	tel         *telemetry.Telemetry
 	sampleEvery uint64
-	dispatchCD  uint64 // countdown to the next sampled dispatch
+	runCD       uint64 // countdown to the next sampled group run
 	boundaryCD  uint64 // countdown to the next sampled boundary event
 	attached    time.Time
+
+	// The group in progress: its entry, the executor's instruction count at
+	// entry and its chain depth (groups entered since the last dispatch).
+	// run marks it as a sampled group run, which also keeps the group, the
+	// VLIW count at entry and, for the profiler, the host clock.
+	entry      uint32
+	entryInsts uint64
+	depth      uint64
+	run        bool
+	runGroup   *vliw.Group
+	runVLIWs   uint64
+	runT0      time.Time
 
 	hILP      *telemetry.Histogram
 	hVLIWs    *telemetry.Histogram
 	hTransNs  *telemetry.Histogram
-	hChainRun *telemetry.Histogram
+	hDepth    *telemetry.Histogram
 	hDwell    *telemetry.Histogram
-
-	cDispatches *telemetry.Counter
-	cTransNs    *telemetry.Counter
-	cExecNs     *telemetry.Counter
-
-	gAsyncQueue    *telemetry.Gauge
-	gAsyncInflight *telemetry.Gauge
+	hQueue    *telemetry.Histogram
+	hWorker   *telemetry.Histogram
+	hPublish  *telemetry.Histogram
+	cRuns     *telemetry.Counter
+	cTransNs  *telemetry.Counter
+	cExecNs   *telemetry.Counter
+	gQueue    *telemetry.Gauge
+	gInflight *telemetry.Gauge
 
 	// Guest attribution profiler (profile.go). prof is nil unless the
 	// attached instance enables it; the scratch buffers accumulate one
-	// sampled dispatch run's per-PC charges without reallocating.
+	// sampled group run's per-PC charges without reallocating.
 	prof    *telemetry.Profile
-	profRun bool // the dispatch run in progress is being attributed
-	profT0  time.Time
 	profBuf []telemetry.PCCharge
 	profIdx map[uint32]int // PC -> index into profBuf
 
-	// Page-lifecycle span tracing. spansOn caches Options.Spans; spans
-	// holds each page's open-stage state, touched only on the (rare,
-	// page-granular) lifecycle paths and only by the machine goroutine.
-	spansOn       bool
-	spans         map[uint32]*pageSpan
-	hQueueWait    *telemetry.Histogram
-	hTranslate    *telemetry.Histogram
-	hPublishDelay *telemetry.Histogram
+	// spans holds each page's open lifecycle stage.
+	spans map[uint32]*pageSpan
 
 	// Mirrored machine counters: the executor's two plus every tagged
 	// Stats field, resolved once at attach.
@@ -94,55 +104,50 @@ type statMirror struct {
 	prev uint64
 }
 
-// AttachTelemetry connects a telemetry instance to the machine. Call once,
-// before Run/Start; attach nil to detach.
+// AttachTelemetry connects a telemetry instance to the machine, replacing
+// any attached before. Call once, before Run/Start; attach nil to detach.
 func (m *Machine) AttachTelemetry(tel *telemetry.Telemetry) {
+	if old := m.telObs(); old != nil {
+		m.obs = slices.DeleteFunc(m.obs, func(o Observer) bool { return o == Observer(old) })
+	}
 	if tel == nil {
-		m.tp = nil
 		return
 	}
-	n := uint64(tel.SampleEvery())
 	// Sampling is 1-in-N with the FIRST occurrence observed: both countdowns
-	// start at 1, then reload to N after each sample. Starting the boundary
-	// countdown at N (as an earlier revision did) meant a run shorter than N
-	// VLIW boundaries produced no boundary events at all and every histogram
-	// missed its cold-start window — the first sample must not wait a full
-	// period from attach.
-	p := &telProbe{
+	// start at 1, then reload to N after each sample, so a run shorter than
+	// N still yields a sample and no histogram misses its cold start.
+	o := &telObserver{
+		m:           m,
 		tel:         tel,
-		sampleEvery: n,
-		dispatchCD:  1,
+		sampleEvery: uint64(tel.SampleEvery()),
+		runCD:       1,
 		boundaryCD:  1,
 		attached:    time.Now(),
 
 		hILP:      tel.Histogram(telemetry.HILPPerGroup, telemetry.BoundsILP),
 		hVLIWs:    tel.Histogram(telemetry.HVLIWsPerGroup, telemetry.BoundsVLIWs),
 		hTransNs:  tel.TimeHistogram(telemetry.HTransNsPerInst, telemetry.BoundsNsPerInst),
-		hChainRun: tel.Histogram(telemetry.HChainRunLen, telemetry.BoundsChainRun),
+		hDepth:    tel.Histogram(telemetry.HChainDepth, telemetry.BoundsChainDepth),
 		hDwell:    tel.Histogram(telemetry.HQuarantineDwell, telemetry.BoundsDwell),
+		hQueue:    tel.TimeHistogram(telemetry.HSpanQueueWaitNs, telemetry.BoundsSpanNs),
+		hWorker:   tel.TimeHistogram(telemetry.HSpanTranslateNs, telemetry.BoundsSpanNs),
+		hPublish:  tel.TimeHistogram(telemetry.HSpanPublishDelayNs, telemetry.BoundsSpanNs),
+		cRuns:     tel.Counter(telemetry.MGroupRunsSampled),
+		cTransNs:  tel.TimeCounter(telemetry.MTranslateNs),
+		cExecNs:   tel.TimeCounter(telemetry.MExecuteNs),
+		gQueue:    tel.Gauge(telemetry.GAsyncQueue),
+		gInflight: tel.Gauge(telemetry.GAsyncInflight),
 
-		cDispatches: tel.Counter(telemetry.MDispatchesSampled),
-		cTransNs:    tel.TimeCounter(telemetry.MTranslateNs),
-		cExecNs:     tel.TimeCounter(telemetry.MExecuteNs),
-
-		gAsyncQueue:    tel.Gauge(telemetry.GAsyncQueue),
-		gAsyncInflight: tel.Gauge(telemetry.GAsyncInflight),
+		spans: make(map[uint32]*pageSpan),
 	}
 	if prof := tel.Profile(); prof != nil {
-		p.prof = prof
+		o.prof = prof
 		prof.SetPageSize(m.Trans.Opt.PageSize)
-		p.profIdx = make(map[uint32]int)
-	}
-	if tel.SpansEnabled() {
-		p.spansOn = true
-		p.spans = make(map[uint32]*pageSpan)
-		p.hQueueWait = tel.TimeHistogram(telemetry.HSpanQueueWaitNs, telemetry.BoundsSpanNs)
-		p.hTranslate = tel.TimeHistogram(telemetry.HSpanTranslateNs, telemetry.BoundsSpanNs)
-		p.hPublishDelay = tel.TimeHistogram(telemetry.HSpanPublishDelayNs, telemetry.BoundsSpanNs)
+		o.profIdx = make(map[uint32]int)
 	}
 	// The executor counters are read live (Machine.Stats.Exec is a copy
 	// refreshed per dispatch run); every other counter is a tagged field.
-	p.mirror = []statMirror{
+	o.mirror = []statMirror{
 		{c: tel.Counter("daisy_base_insts"), v: &m.Exec.Stats.BaseInsts},
 		{c: tel.Counter("daisy_vliws"), v: &m.Exec.Stats.VLIWs},
 	}
@@ -150,53 +155,52 @@ func (m *Machine) AttachTelemetry(tel *telemetry.Telemetry) {
 	for i := 0; i < st.NumField(); i++ {
 		if name := st.Type().Field(i).Tag.Get("metric"); name != "" {
 			v := st.Field(i).Addr().Interface().(*uint64)
-			p.mirror = append(p.mirror, statMirror{c: tel.Counter(name), v: v})
+			o.mirror = append(o.mirror, statMirror{c: tel.Counter(name), v: v})
 		}
 	}
-	m.tp = p
+	m.Observe(o)
+}
+
+// telObs returns the attached telemetry observer, or nil.
+func (m *Machine) telObs() *telObserver {
+	for _, o := range m.obs {
+		if t, ok := o.(*telObserver); ok {
+			return t
+		}
+	}
+	return nil
 }
 
 // Telemetry returns the attached instance, or nil.
 func (m *Machine) Telemetry() *telemetry.Telemetry {
-	if m.tp == nil {
-		return nil
+	if o := m.telObs(); o != nil {
+		return o.tel
 	}
-	return m.tp.tel
+	return nil
 }
 
-// SyncTelemetry pushes the machine's counters into the attached registry
-// and updates the translate-vs-execute time split. The cmd tools call it
-// after Run (and the periodic snapshotter's readers see whatever the last
-// sampled dispatch pushed in between).
+// SyncTelemetry ends the group run in progress, closes open spans, pushes
+// the machine's counters into the attached registry and updates the
+// translate-vs-execute time split. The cmd tools call it after Run (and the
+// periodic snapshotter's readers see whatever the last sampled group run
+// pushed in between).
 func (m *Machine) SyncTelemetry() {
-	if m.tp == nil {
+	o := m.telObs()
+	if o == nil {
 		return
 	}
-	m.tp.closeSpans(m)
-	m.tp.syncStats()
-	elapsed := uint64(time.Since(m.tp.attached).Nanoseconds())
-	trans := m.tp.cTransNs.Value()
+	o.endRun()
+	o.closeSpans()
+	o.syncStats()
+	elapsed := uint64(time.Since(o.attached).Nanoseconds())
+	trans := o.cTransNs.Value()
 	exec := uint64(0)
 	if elapsed > trans {
 		exec = elapsed - trans
 	}
-	if cur := m.tp.cExecNs.Value(); exec > cur {
-		m.tp.cExecNs.Add(exec - cur)
+	if cur := o.cExecNs.Value(); exec > cur {
+		o.cExecNs.Add(exec - cur)
 	}
-}
-
-// emit records one rare event at pc (see telProbe.event). It inlines, so
-// a detached machine pays only the nil check.
-func (m *Machine) emit(kind telemetry.EventKind, pc uint32, arg uint64) {
-	if m.tp != nil {
-		m.tp.event(m, kind, pc, arg)
-	}
-}
-
-// event appends one trace event at pc, on pc's page, stamped with the
-// virtual instruction clock.
-func (p *telProbe) event(m *Machine, kind telemetry.EventKind, pc uint32, arg uint64) {
-	p.tel.Event(kind, m.instClock(), pc, pc&^(m.Trans.Opt.PageSize-1), arg)
 }
 
 // instClock is the machine's deterministic virtual clock: total completed
@@ -206,9 +210,9 @@ func (m *Machine) instClock() uint64 {
 	return m.Exec.Stats.BaseInsts + m.Stats.InterpInsts
 }
 
-func (p *telProbe) syncStats() {
-	for i := range p.mirror {
-		s := &p.mirror[i]
+func (o *telObserver) syncStats() {
+	for i := range o.mirror {
+		s := &o.mirror[i]
 		if cur := *s.v; cur > s.prev {
 			s.c.Add(cur - s.prev)
 			s.prev = cur
@@ -216,195 +220,160 @@ func (p *telProbe) syncStats() {
 	}
 }
 
-// sampleDispatch decides whether this dispatch is the 1-in-N observed one.
-func (p *telProbe) sampleDispatch() bool {
-	p.dispatchCD--
-	if p.dispatchCD > 0 {
-		return false
-	}
-	p.dispatchCD = p.sampleEvery
-	return true
+// trace appends one event at pc, on pc's page, stamped with the virtual
+// instruction clock.
+func (o *telObserver) trace(kind telemetry.EventKind, pc uint32, arg uint64) {
+	o.tel.Event(kind, o.m.instClock(), pc, pc&^(o.m.Trans.Opt.PageSize-1), arg)
 }
 
-// dispatchRun records one sampled dispatch run: the group(s) executed
-// between entering runGroupLoop and returning to the VMM. delta* are the
-// executor-stat deltas across the run.
-func (p *telProbe) dispatchRun(m *Machine, startPC uint32, dBase, dVLIWs, dFollows uint64) {
-	p.cDispatches.Inc()
-	base := startPC &^ (m.Trans.Opt.PageSize - 1)
-	p.tel.NotePage(base)
-	p.tel.NoteGroup(startPC)
+// DispatchStart ends the group run the machine has left and publishes the
+// async pipeline's backlog: queued is the job channel's depth, inflight the
+// pages a worker owns.
+func (o *telObserver) DispatchStart(uint32) {
+	o.endRun()
+	o.depth = 0
+	if p := o.m.pipe; p != nil {
+		queued, inflight := len(p.jobs), len(p.inflight)
+		o.gQueue.Set(float64(queued))
+		o.gInflight.Set(float64(max(inflight, queued) - queued))
+	}
+}
+
+// GroupEnter ends the run of the group being left and starts g's, sampled
+// 1-in-N. The countdown keeps an unsampled entry to a few stores.
+func (o *telObserver) GroupEnter(g *vliw.Group) {
+	o.endRun()
+	o.depth++
+	o.entry, o.entryInsts = g.Entry, o.m.Exec.Stats.BaseInsts
+	o.runCD--
+	if o.runCD > 0 {
+		return
+	}
+	o.runCD = o.sampleEvery
+	o.run, o.runGroup, o.runVLIWs = true, g, o.m.Exec.Stats.VLIWs
+	if o.prof != nil {
+		o.runT0 = time.Now()
+	}
+}
+
+// endRun records the sampled group run in progress, if any: its histograms,
+// hot-page and hot-group counts, a trace event and, with the profiler on,
+// its attribution.
+func (o *telObserver) endRun() {
+	if !o.run {
+		return
+	}
+	o.run = false
+	m := o.m
+	dBase, dVLIWs := m.Exec.Stats.BaseInsts-o.entryInsts, m.Exec.Stats.VLIWs-o.runVLIWs
+	o.cRuns.Inc()
+	o.tel.NotePage(o.entry &^ (m.Trans.Opt.PageSize - 1))
+	o.tel.NoteGroup(o.entry)
 	if dVLIWs > 0 {
-		p.hILP.Observe(float64(dBase) / float64(dVLIWs))
-		p.hVLIWs.Observe(float64(dVLIWs))
+		o.hILP.Observe(float64(dBase) / float64(dVLIWs))
+		o.hVLIWs.Observe(float64(dVLIWs))
 	}
-	p.hChainRun.Observe(float64(1 + dFollows))
-	p.tel.Event(telemetry.EvDispatch, m.instClock(), startPC, base, p.sampleEvery)
-	if dFollows > 0 {
-		p.tel.Event(telemetry.EvChainFollow, m.instClock(), startPC, base, dFollows)
+	o.hDepth.Observe(float64(o.depth))
+	o.trace(telemetry.EvGroupRun, o.entry, o.depth)
+	o.syncStats()
+	if o.prof != nil {
+		o.profileRun(o.runGroup)
 	}
-	p.syncStats()
 }
 
-// boundary records a sampled precise-boundary event from the per-VLIW loop.
-// The countdown keeps the unsampled cost to one decrement.
-func (p *telProbe) boundary(m *Machine, pc uint32, groupInsts uint64) {
-	p.boundaryCD--
-	if p.boundaryCD > 0 {
+// Boundary records a sampled precise-boundary event.
+func (o *telObserver) Boundary(uint64) {
+	o.boundaryCD--
+	if o.boundaryCD > 0 {
 		return
 	}
-	p.boundaryCD = p.sampleEvery
-	p.tel.Event(telemetry.EvBoundary, m.instClock(), pc, pc&^(m.Trans.Opt.PageSize-1), groupInsts)
+	o.boundaryCD = o.sampleEvery
+	o.trace(telemetry.EvBoundary, o.entry, o.m.Exec.Stats.BaseInsts-o.entryInsts)
 }
 
-// translated records one translation burst (a page build or an entry
-// extension): dNanos host-nanoseconds spent translating dInsts base
-// instructions into groups.
-func (p *telProbe) translated(m *Machine, addr uint32, before core.Stats) {
-	d := m.Trans.Stats.Sub(before)
-	p.cTransNs.Add(uint64(d.Nanos))
-	if d.BaseInsts > 0 {
-		p.hTransNs.Observe(float64(d.Nanos) / float64(d.BaseInsts))
+// Translated accounts one translation's host cost: work.Nanos spent
+// translating work.BaseInsts base instructions, plus an async result's
+// trip through the worker pool.
+func (o *telObserver) Translated(_ *core.PageTranslation, work core.Stats, lat AsyncLatency) {
+	o.cTransNs.Add(work.Nanos)
+	if work.BaseInsts > 0 {
+		o.hTransNs.Observe(float64(work.Nanos) / float64(work.BaseInsts))
 	}
-	p.event(m, telemetry.EvTranslate, addr, d.BaseInsts)
-	p.syncStats()
-}
-
-func (p *telProbe) quarantined(m *Machine, base uint32, backoff uint64) {
-	p.event(m, telemetry.EvQuarantine, base, backoff)
-	// The engaging invalidate already closed the live span; quarantine is a
-	// fresh journey on the page's track.
-	p.spanBegin(m, base, telemetry.StageQuarantine, true)
-}
-
-func (p *telProbe) quarantineReleased(m *Machine, base uint32, dwell uint64) {
-	p.hDwell.Observe(float64(dwell))
-	p.event(m, telemetry.EvQuarantineOff, base, dwell)
-	p.spanEnd(m, base, telemetry.StageQuarantine, telemetry.OutcomeReleased)
-}
-
-// Async-pipeline events are rare (page-granular, not instruction-granular)
-// and recorded unconditionally, like the robustness events above.
-
-func (p *telProbe) asyncEnqueue(m *Machine, base uint32) {
-	p.event(m, telemetry.EvAsyncEnqueue, base, 0)
-	p.spanEnd(m, base, telemetry.StageWarmup, telemetry.OutcomeNone)
-	p.spanBegin(m, base, telemetry.StageTranslate, false)
-}
-
-func (p *telProbe) asyncPublish(m *Machine, base uint32) {
-	p.event(m, telemetry.EvAsyncPublish, base, 0)
-	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomePublished)
-	p.spanBegin(m, base, telemetry.StageLive, false)
-}
-
-func (p *telProbe) asyncStale(m *Machine, base uint32) {
-	p.event(m, telemetry.EvAsyncStale, base, 0)
-	// No-op when the invalidation that staled the result already closed the
-	// translate span.
-	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomeStale)
-}
-
-// Crash-safety events (async.go watchdog and retry). Page-granular and
-// failure-path only, so recorded unconditionally.
-
-func (p *telProbe) asyncAbandon(m *Machine, base uint32) {
-	p.event(m, telemetry.EvAsyncAbandon, base, 0)
-	// An abandoned job's translate span ends here; the retry (if any)
-	// opens a fresh one at its re-enqueue.
-	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomeNone)
-}
-
-func (p *telProbe) asyncRetry(m *Machine, base uint32, attempt int) {
-	p.event(m, telemetry.EvAsyncRetry, base, uint64(attempt))
-	// A failed worker result also leaves a dangling translate span.
-	p.spanEnd(m, base, telemetry.StageTranslate, telemetry.OutcomeNone)
-}
-
-func (p *telProbe) cacheHit(m *Machine, base uint32) {
-	p.event(m, telemetry.EvCacheHit, base, 0)
-	if !p.spansOn {
+	if lat == (AsyncLatency{}) {
 		return
 	}
-	// On the async path a warmup span is open and the hit cuts it short; a
-	// synchronous machine's hit starts the page's journey directly at live.
-	s := p.spans[base]
-	cont := s != nil && s.open && s.stage == telemetry.StageWarmup
-	if cont {
-		p.spanEnd(m, base, telemetry.StageWarmup, telemetry.OutcomeCached)
-	}
-	p.spanBegin(m, base, telemetry.StageLive, !cont)
-}
-
-// asyncLatency feeds the per-stage pipeline histograms from one published
-// result's host-clock stamps (time-based metrics, zeroed by Canonical).
-func (p *telProbe) asyncLatency(r txResult) {
-	if !p.spansOn {
-		return
-	}
-	if r.startedNs >= r.job.enqueuedNs {
-		p.hQueueWait.Observe(float64(r.startedNs - r.job.enqueuedNs))
-	}
-	if r.doneNs >= r.startedNs {
-		p.hTranslate.Observe(float64(r.doneNs - r.startedNs))
-	}
-	if now := time.Now().UnixNano(); now >= r.doneNs {
-		p.hPublishDelay.Observe(float64(now - r.doneNs))
+	for _, s := range [...]struct {
+		h *telemetry.Histogram
+		d time.Duration
+	}{{o.hQueue, lat.QueueWait}, {o.hWorker, lat.Translate}, {o.hPublish, lat.PublishDelay}} {
+		if s.d >= 0 {
+			s.h.Observe(float64(s.d))
+		}
 	}
 }
 
-// queueDepth publishes the pipeline's current backlog after each drain:
-// queued is the job channel's depth, inflight the pages a worker owns.
-func (p *telProbe) queueDepth(queued, inflight int) {
-	p.gAsyncQueue.Set(float64(queued))
-	if inflight < queued {
-		inflight = queued
+// Event traces one rare event and moves the page-lifecycle span the event
+// marks.
+func (o *telObserver) Event(kind telemetry.EventKind, pc uint32, arg uint64) {
+	o.trace(kind, pc, arg)
+	base := pc &^ (o.m.Trans.Opt.PageSize - 1)
+	switch kind {
+	case telemetry.EvTranslate:
+		// A synchronous build opens the page's journey at live; entry
+		// extensions and async publishes find a span already open.
+		if s := o.spans[base]; s == nil || !s.open {
+			o.spanBegin(base, telemetry.StageLive, true)
+		}
+		o.syncStats()
+	case telemetry.EvAsyncWarmup:
+		o.spanBegin(base, telemetry.StageWarmup, true)
+	case telemetry.EvAsyncEnqueue:
+		o.spanEnd(base, telemetry.StageWarmup, telemetry.OutcomeNone)
+		o.spanBegin(base, telemetry.StageTranslate, false)
+	case telemetry.EvAsyncPublish:
+		o.spanEnd(base, telemetry.StageTranslate, telemetry.OutcomePublished)
+		o.spanBegin(base, telemetry.StageLive, false)
+	case telemetry.EvAsyncStale:
+		// No-op when the invalidation that staled the result already
+		// closed the translate span.
+		o.spanEnd(base, telemetry.StageTranslate, telemetry.OutcomeStale)
+	case telemetry.EvAsyncAbandon, telemetry.EvAsyncRetry:
+		// The retry (if any) opens a fresh translate span at its re-enqueue.
+		o.spanEnd(base, telemetry.StageTranslate, telemetry.OutcomeNone)
+	case telemetry.EvCacheHit:
+		// On the async path a warmup span is open and the hit cuts it short;
+		// a synchronous machine's hit starts the page's journey at live.
+		s := o.spans[base]
+		cont := s != nil && s.open && s.stage == telemetry.StageWarmup
+		if cont {
+			o.spanEnd(base, telemetry.StageWarmup, telemetry.OutcomeCached)
+		}
+		o.spanBegin(base, telemetry.StageLive, !cont)
+	case telemetry.EvInvalidate:
+		// Closes a live span or an in-flight translate span (the later
+		// stale drop then finds it closed).
+		o.spanEnd(base, spanAnyStage, telemetry.OutcomeInvalidated)
+	case telemetry.EvQuarantine:
+		o.spanBegin(base, telemetry.StageQuarantine, true)
+	case telemetry.EvQuarantineOff:
+		o.hDwell.Observe(float64(arg))
+		o.spanEnd(base, telemetry.StageQuarantine, telemetry.OutcomeReleased)
 	}
-	p.gAsyncInflight.Set(float64(inflight - queued))
-}
-
-// ---- Page-lifecycle spans ----
-//
-// The span methods run only on the machine goroutine and only on the rare
-// page-lifecycle paths; every one starts with the spansOn check, so a
-// machine without -spans pays a single predictable branch.
-
-// spanFirstTouch opens a warmup span when the tiering policy first counts
-// a dispatch into a cold page (groupAsync, hot count 0 -> 1).
-func (p *telProbe) spanFirstTouch(m *Machine, base uint32) {
-	p.spanBegin(m, base, telemetry.StageWarmup, true)
-}
-
-// spanLiveSync opens a live span for a synchronously built page (pageFor);
-// sync machines have no warmup or translate stages.
-func (p *telProbe) spanLiveSync(m *Machine, base uint32) {
-	p.spanBegin(m, base, telemetry.StageLive, true)
-}
-
-// spanInvalidate closes whatever stage is open when a page's translation
-// dies: a live span (SMC, cast-out, quarantine engage, adaptive
-// retranslation) or an in-flight translate span (the later stale drop then
-// finds the span already closed).
-func (p *telProbe) spanInvalidate(m *Machine, base uint32) {
-	p.spanEnd(m, base, spanAnyStage, telemetry.OutcomeInvalidated)
 }
 
 // spanBegin opens a stage span on the page's track. newJourney bumps the
 // page's span generation; stage transitions inside one journey
 // (warmup -> translate -> live) keep it, so the three stages share a
 // Chrome trace span ID and read as one flow.
-func (p *telProbe) spanBegin(m *Machine, base uint32, stage telemetry.SpanStage, newJourney bool) {
-	if !p.spansOn {
-		return
-	}
-	s := p.spans[base]
+func (o *telObserver) spanBegin(base uint32, stage telemetry.SpanStage, newJourney bool) {
+	s := o.spans[base]
 	if s == nil {
 		s = &pageSpan{}
-		p.spans[base] = s
+		o.spans[base] = s
 	}
 	if s.open {
 		// Defensive: never stack an unmatched begin on an open span.
-		p.event(m, telemetry.EvSpanEnd, base, telemetry.SpanArg(s.gen, s.stage, telemetry.OutcomeNone))
+		o.trace(telemetry.EvSpanEnd, base, telemetry.SpanArg(s.gen, s.stage, telemetry.OutcomeNone))
 		s.open = false
 	}
 	if newJourney || s.gen == 0 {
@@ -412,17 +381,14 @@ func (p *telProbe) spanBegin(m *Machine, base uint32, stage telemetry.SpanStage,
 	}
 	s.stage = stage
 	s.open = true
-	p.event(m, telemetry.EvSpanBegin, base, telemetry.SpanArg(s.gen, stage, telemetry.OutcomeNone))
+	o.trace(telemetry.EvSpanBegin, base, telemetry.SpanArg(s.gen, stage, telemetry.OutcomeNone))
 }
 
 // spanEnd closes the page's open span when it is in wantStage (or
 // unconditionally for spanAnyStage). Closing a closed span is a no-op, so
 // the invalidate/stale and invalidate/invalidate orderings stay balanced.
-func (p *telProbe) spanEnd(m *Machine, base uint32, wantStage telemetry.SpanStage, outcome telemetry.SpanOutcome) {
-	if !p.spansOn {
-		return
-	}
-	s := p.spans[base]
+func (o *telObserver) spanEnd(base uint32, wantStage telemetry.SpanStage, outcome telemetry.SpanOutcome) {
+	s := o.spans[base]
 	if s == nil || !s.open {
 		return
 	}
@@ -430,17 +396,14 @@ func (p *telProbe) spanEnd(m *Machine, base uint32, wantStage telemetry.SpanStag
 		return
 	}
 	s.open = false
-	p.event(m, telemetry.EvSpanEnd, base, telemetry.SpanArg(s.gen, s.stage, outcome))
+	o.trace(telemetry.EvSpanEnd, base, telemetry.SpanArg(s.gen, s.stage, outcome))
 }
 
 // closeSpans ends every still-open span with OutcomeOpen (in page order,
 // for deterministic traces) so an exported trace never has an unmatched
 // begin. SyncTelemetry calls it once the run is over.
-func (p *telProbe) closeSpans(m *Machine) {
-	if !p.spansOn {
-		return
-	}
-	for _, b := range sortedKeys(p.spans) {
-		p.spanEnd(m, b, spanAnyStage, telemetry.OutcomeOpen) // no-op on a closed span
+func (o *telObserver) closeSpans() {
+	for _, b := range sortedKeys(o.spans) {
+		o.spanEnd(b, spanAnyStage, telemetry.OutcomeOpen) // no-op on a closed span
 	}
 }

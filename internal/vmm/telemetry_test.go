@@ -1,9 +1,10 @@
 package vmm
 
-// Tests for the counter mirror (telemetry.go): every `metric`-tagged Stats
-// field reaches the registry under its tag with the machine's exact value,
-// no name is declared twice, and the untagged fields stay machine-local so
-// the exporter goldens keep their shape.
+// Tests for the telemetry observer (telemetry.go): attaching it changes
+// nothing the machine does, and every `metric`-tagged Stats field reaches
+// the registry under its tag with the machine's exact value, no name is
+// declared twice, and the untagged fields stay machine-local so the
+// exporter goldens keep their shape.
 
 import (
 	"reflect"
@@ -75,7 +76,7 @@ func TestStatsMetricTags(t *testing.T) {
 			t.Errorf("counter %s = %v (registered %v), machine has %d", name, g, ok, v)
 		}
 	}
-	owned := []string{telemetry.MTranslateNs, telemetry.MExecuteNs, telemetry.MDispatchesSampled}
+	owned := []string{telemetry.MTranslateNs, telemetry.MExecuteNs, telemetry.MGroupRunsSampled}
 	for name := range got {
 		if _, ok := want[name]; !ok && !slices.Contains(owned, name) {
 			t.Errorf("unexpected counter %s in the registry", name)
@@ -89,6 +90,58 @@ func TestStatsMetricTags(t *testing.T) {
 	for _, name := range []string{"daisy_pages_built", "daisy_txcache_hits", "daisy_tier2_profile_insts"} {
 		if got[name] == 0 {
 			t.Errorf("counter %s is 0: the run did not exercise its path", name)
+		}
+	}
+}
+
+// TestTelemetryNonInterference runs c_sieve and wc on the default machine
+// and on a tier-2 machine, bare and with telemetry attached at its most
+// intrusive (every group run and boundary sampled, the profiler on), and
+// requires identical Stats and architected state.
+func TestTelemetryNonInterference(t *testing.T) {
+	tier2 := DefaultOptions()
+	tier2.Tier2 = true
+	for _, mode := range []struct {
+		name string
+		opt  Options
+	}{{"default", DefaultOptions()}, {"tier2", tier2}} {
+		for _, wl := range []string{"c_sieve", "wc"} {
+			w, err := workload.ByName(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := w.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(tel *telemetry.Telemetry) *Machine {
+				mm := mem.New(8 << 20)
+				if err := prog.Load(mm); err != nil {
+					t.Fatal(err)
+				}
+				m := New(mm, &interp.Env{In: w.Input(1)}, mode.opt)
+				defer m.Close()
+				if tel != nil {
+					m.AttachTelemetry(tel)
+				}
+				if err := m.Run(prog.Entry(), 200_000_000); err != nil {
+					t.Fatalf("%s/%s: %v", mode.name, wl, err)
+				}
+				m.SyncTelemetry()
+				return m
+			}
+			bare := run(nil)
+			tel := telemetry.New(telemetry.Options{SampleEvery: 1, TraceCap: 1 << 10, Profile: true})
+			obs := run(tel)
+			if tel.Profile().TotalCycles() == 0 {
+				t.Errorf("%s/%s: the profiler attributed nothing", mode.name, wl)
+			}
+			if !reflect.DeepEqual(obs.Stats, bare.Stats) {
+				t.Errorf("%s/%s: Stats differ with telemetry attached\nobserved %+v\nbare     %+v", mode.name, wl, obs.Stats, bare.Stats)
+			}
+			if obs.St != bare.St {
+				t.Errorf("%s/%s: architected state differs with telemetry attached", mode.name, wl)
+			}
 		}
 	}
 }

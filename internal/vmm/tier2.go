@@ -28,7 +28,6 @@ package vmm
 
 import (
 	"daisy/internal/core"
-	"daisy/internal/interp"
 	"daisy/internal/telemetry"
 	"daisy/internal/vliw"
 )
@@ -152,12 +151,12 @@ func (m *Machine) promoteSync(base, entry uint32, st *t2State) {
 			return
 		}
 	}
-	pt, err := m.translateTier2(base, entry, profile)
+	pt, work, err := m.translateTier2(base, entry, profile)
 	if err != nil {
 		m.tier2Backoff(base)
 		return
 	}
-	m.installTier2(base, pt)
+	m.installTier2(base, pt, work)
 }
 
 // applyTier2Plan executes the machine-side half of a chaos plan at
@@ -177,20 +176,14 @@ func (m *Machine) applyTier2Plan(plan *TranslationFault, profile map[uint32][2]u
 	}
 }
 
-// tier2Profile interprets ahead from entry on a scratch view of memory and
-// a copy of the I/O environment (the recordTrace pattern of Chapter 6),
-// counting the direction of every conditional branch. The counts become
-// the ProfileProb feedback that steers tier-2 superblock formation down the
-// measured hot path. The view's stores are rolled back before it returns
-// (see recordTrace for why the live image may be borrowed).
+// tier2Profile interprets ahead from entry (the recordTrace pattern of
+// Chapter 6), counting the direction of every conditional branch. The
+// counts become the ProfileProb feedback that steers tier-2 superblock
+// formation down the measured hot path.
 func (m *Machine) tier2Profile(entry uint32) map[uint32][2]uint64 {
-	scratch := m.Mem.Scratch()
-	defer scratch.Rollback()
-	ip := interp.New(scratch, m.Env.Clone(), entry)
-	m.Exec.RF.ToState(&ip.St)
-	ip.St.PC = entry
 	counts := make(map[uint32][2]uint64)
-	ip.OnBranch = func(pc uint32, taken bool) {
+	budget := uint64(tier2ProfileMul * m.t2sched.Derive(m.Trans.Opt, nil).Window)
+	m.Stats.Tier2ProfileInsts += m.interpretAhead(entry, budget, func(pc uint32, taken bool) {
 		c := counts[pc]
 		if taken {
 			c[1]++
@@ -198,10 +191,7 @@ func (m *Machine) tier2Profile(entry uint32) map[uint32][2]uint64 {
 			c[0]++
 		}
 		counts[pc] = c
-	}
-	budget := uint64(tier2ProfileMul * m.t2sched.Derive(m.Trans.Opt, nil).Window)
-	_ = ip.Run(budget) // halt, fault or budget exhaustion all end profiling
-	m.Stats.Tier2ProfileInsts += ip.InstCount
+	})
 	return counts
 }
 
@@ -222,7 +212,7 @@ func profileProb(counts map[uint32][2]uint64) func(pc uint32) (float64, bool) {
 // translateTier2 runs the optimizing translation behind the same recover
 // barrier as every other translator invocation, on a private Translator so
 // a mid-schedule panic cannot leak half-built state into the tier-1 path.
-func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint64) (pt *core.PageTranslation, err error) {
+func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint64) (pt *core.PageTranslation, work core.Stats, err error) {
 	defer guardTranslate(&err)
 	opt := m.t2sched.Derive(m.Trans.Opt, profileProb(profile))
 	if m.inhibit[base] {
@@ -233,14 +223,14 @@ func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint6
 	if err == nil {
 		m.Trans.Stats = m.Trans.Stats.Add(t.Stats)
 	}
-	return pt, err
+	return pt, t.Stats, err
 }
 
 // installTier2 publishes a tier-2 translation. The tier-1 translation must
 // still be live — it is the deoptimization target — or the result is
 // dropped; invalidation since then also reset the promotion policy, so
 // dropping (rather than reinstalling tier 1) is the consistent move.
-func (m *Machine) installTier2(base uint32, pt *core.PageTranslation) {
+func (m *Machine) installTier2(base uint32, pt *core.PageTranslation, work core.Stats) {
 	if m.pages[base] == nil {
 		m.Stats.StaleTranslationsDropped++
 		return
@@ -252,9 +242,7 @@ func (m *Machine) installTier2(base uint32, pt *core.PageTranslation) {
 	}
 	m.Stats.Tier2Promotions++
 	m.emit(telemetry.EvTier2Promote, base, 0)
-	if m.OnTranslate != nil {
-		m.OnTranslate(pt)
-	}
+	m.translated(pt, work, AsyncLatency{})
 }
 
 // demoteTier2 retires a tier-2 translation that keeps deoptimizing or
@@ -303,12 +291,7 @@ func (m *Machine) deoptimize(f *vliw.Fault) (bool, error) {
 	} else if !f.CodeMod {
 		// Not counted in Stats.Exceptions: the fault re-occurs on the tier-1
 		// re-execution and is recovered (and counted) precisely there.
-		if m.OnFault != nil {
-			// Reconstruction must read the rename registers before the
-			// checkpoint restore below destroys them.
-			pc, _, _ := m.ReconstructFault(f)
-			m.OnFault(f, pc)
-		}
+		m.faulted(f)
 	}
 	m.emit(telemetry.EvException, f.Resume, faultArg(f))
 	m.emit(telemetry.EvTier2Deopt, f.VLIW.EntryBase, 0)

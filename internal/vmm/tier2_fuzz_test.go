@@ -139,7 +139,7 @@ func fuzzLockstep(t *testing.T, prog *asm.Program, opt Options, salt uint64, mod
 	// tier-1 fault pc cannot be asserted directly: re-execution starts at
 	// the group-entry checkpoint, so an earlier access whose speculative
 	// tier-2 fault was absorbed may fault first.)
-	ma.OnFault = func(f *vliw.Fault, pc uint32) {
+	ma.Observe(faultObserver{fn: func(f *vliw.Fault, pc uint32) {
 		g := ma.CurrentGroup()
 		if g == nil || g.TierOf() < 2 {
 			return
@@ -166,7 +166,7 @@ func fuzzLockstep(t *testing.T, prog *asm.Program, opt Options, salt uint64, mod
 			}
 		}
 		t.Errorf("exact deopt reconstruction at pc %#x does not lie on the reference path from the last boundary", rpc)
-	}
+	}})
 
 	ma.Start(prog.Entry(), 2_000_000)
 	for {

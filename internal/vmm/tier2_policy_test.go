@@ -194,7 +194,7 @@ hot:	stw r5, 0(r1)
 	}
 
 	exactSeen := 0
-	ma.OnFault = func(f *vliw.Fault, pc uint32) {
+	ma.Observe(faultObserver{fn: func(f *vliw.Fault, pc uint32) {
 		g := ma.CurrentGroup()
 		if g == nil || g.TierOf() < 2 {
 			return
@@ -222,7 +222,7 @@ hot:	stw r5, 0(r1)
 		if st.GPR[1] != 0x80000 {
 			t.Errorf("reconstructed r1 = %#x, want 0x80000", st.GPR[1])
 		}
-	}
+	}})
 
 	if err := ma.Run(prog.Entry(), 10_000_000); err != nil {
 		t.Fatalf("vmm: %v", err)
