@@ -121,12 +121,11 @@ experiments:
 # profiler smoke and output cross-check into a timestamped runs/<stamp>/
 # folder. See EXPERIMENTS.md "Reproduce the paper".
 paper:
-	$(GO) run ./cmd/daisy-paper -plot
+	$(GO) run ./cmd/daisy-paper
 
-# CI gate: a scale-1 grid with trimmed rep counts into a throwaway
+# CI gate: the same scale-1 grid as `make paper`, into a throwaway
 # folder. daisy-paper exits nonzero if any experiment fails, any output
 # digest mismatches the reference interpreter or the goldens, the chaos
 # matrix diverges, or the finished folder fails integrity validation.
 paper-smoke:
-	$(GO) run ./cmd/daisy-paper -reps 2 -fleet-reps 1 -machines 2 -chaos-seeds 1 \
-		-out $${TMPDIR:-/tmp}/daisy-paper-smoke -name ci
+	$(GO) run ./cmd/daisy-paper -out $${TMPDIR:-/tmp}/daisy-paper-smoke -name ci

@@ -1,12 +1,14 @@
 // daisy-paper is the one-command reproduction of the paper's evaluation:
-// it runs the full experiment grid (every table and figure, the pipeline,
-// fleet cold-start and tier-2 wall-clock studies), a chaos-matrix
-// compatibility summary and a profiler smoke run, and archives everything
-// into a timestamped run folder with a machine-readable manifest — git
-// SHA, go version, CPU model, per-experiment wall time — plus raw per-rep
-// samples, each table rendered as text, CSV and markdown, and an output
-// cross-check against the reference interpreter (and the committed
-// goldens at scale 1), so one perf run doubles as a correctness run.
+// it runs the full experiment grid (every table and figure of Chapter 5,
+// the §5.1 cost model, the Chapter 6 studies, the ablations and the
+// tier-2 cycle counts), a chaos-matrix compatibility summary and a
+// profiler smoke run, and archives everything into a timestamped run
+// folder with a machine-readable manifest — git SHA, go version, CPU
+// model, per-experiment wall time — each table rendered as text, CSV and
+// markdown, and an output cross-check against the reference interpreter
+// (and the committed goldens at scale 1), so a reproduction run doubles
+// as a correctness run. The one host-time table is [cost]; host time of
+// the async, cache and AOT machinery is measured by bench/.
 //
 // Each grid table is also printed to stdout as "[id]" followed by the
 // table, so the grid reads like the paper's Chapter 5; progress lines go
@@ -16,14 +18,14 @@
 //
 //	daisy-paper                       # full grid at scale 1 into runs/<stamp>/
 //	daisy-paper -scale 3 -out /tmp/r  # bigger inputs, explicit folder
-//	daisy-paper -only t51,pipeline    # a slice of the grid
-//	daisy-paper -plot                 # also render per-series SVG sparklines
+//	daisy-paper -only t51,tier2       # a slice of the grid
 //	daisy-paper -chaos-seeds 0 -no-profile -out /tmp/r  # the grid tables only
 //
-// The process exits nonzero if any experiment fails, any output digest
-// diverges, the chaos matrix reports a divergence, the profiler payload
-// does not validate, or the finished folder fails integrity validation —
-// a green daisy-paper run is a correctness statement, not just numbers.
+// The process exits nonzero if -only names an id the registry does not
+// know, any experiment fails, any output digest diverges, the chaos
+// matrix reports a divergence, the profiler payload does not validate,
+// or the finished folder fails integrity validation — a green
+// daisy-paper run is a correctness statement, not just numbers.
 package main
 
 import (
@@ -53,27 +55,24 @@ func main() {
 		only       = flag.String("only", "", "comma-separated experiment ids (empty: full grid)")
 		out        = flag.String("out", "runs", "base directory for run folders")
 		name       = flag.String("name", "", "run folder name (default: UTC timestamp)")
-		reps       = flag.Int("reps", 0, "pipeline reps per mode (0: package default)")
-		fleetReps  = flag.Int("fleet-reps", 0, "fleet cold-start reps (0: package default)")
-		machines   = flag.Int("machines", 0, "fleet size (0: package default)")
 		chaosSeeds = flag.Int("chaos-seeds", 1, "seeds per chaos workload/injector cell (0: skip the matrix)")
-		plot       = flag.Bool("plot", false, "render per-series SVG sparklines into plots/")
 		goldens    = flag.String("goldens", "internal/golden/testdata/golden",
 			"golden dir for the scale-1 digest cross-check (empty: skip)")
 		noProfile = flag.Bool("no-profile", false, "skip the profiler smoke run")
 	)
 	flag.Parse()
-	if err := run(*scale, *only, *out, *name, *reps, *fleetReps, *machines,
-		*chaosSeeds, *plot, *goldens, *noProfile); err != nil {
+	if err := run(*scale, *only, *out, *name, *chaosSeeds, *goldens, *noProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "daisy-paper:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scale int, only, out, name string, reps, fleetReps, machines,
-	chaosSeeds int, plot bool, goldens string, noProfile bool) error {
-
+func run(scale int, only, out, name string, chaosSeeds int, goldens string, noProfile bool) error {
 	start := time.Now()
+	sel, err := selection(only)
+	if err != nil {
+		return err
+	}
 	m := perfwall.CollectManifest("daisy-paper")
 	if name == "" {
 		name = time.Now().UTC().Format("20060102-150405")
@@ -86,22 +85,6 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 	fmt.Fprintf(os.Stderr, "[daisy-paper] run folder: %s\n", dir)
 
 	r := experiments.NewRunner(scale)
-	if reps > 0 {
-		r.PipelineReps = reps
-	}
-	if fleetReps > 0 {
-		r.FleetReps = fleetReps
-	}
-	if machines > 0 {
-		r.FleetMachines = machines
-	}
-
-	sel := map[string]bool{}
-	for _, s := range strings.Split(only, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			sel[s] = true
-		}
-	}
 	want := func(id string) bool { return len(sel) == 0 || sel[id] }
 
 	// One failure does not abort the run: the folder archives everything
@@ -116,8 +99,8 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 	// The experiment grid. Full-grid runs warm the memo cache across all
 	// cores first; table generation then replays the cached measurements in
 	// order, so the tables are bit-identical to a serial run and the
-	// per-experiment wall times mostly charge the wall-clock studies
-	// (pipeline, aot, tier2).
+	// per-experiment wall times charge only the runs the memo does not
+	// hold (t52's and t53's baselines, oracle, trace, ablate and tier2).
 	if len(sel) == 0 {
 		if err := r.MeasureAll(experiments.SuiteRequests()); err != nil {
 			return err
@@ -143,8 +126,8 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 
 	// Output cross-check: every workload through the full machine against
 	// the reference interpreter at this scale, and against the committed
-	// goldens at scale 1. This is what makes a perf run double as a
-	// correctness run — a digest mismatch fails the whole invocation.
+	// goldens at scale 1. This is what makes a reproduction run double as
+	// a correctness run — a digest mismatch fails the whole invocation.
 	if t, bad := crossCheck(scale, goldens); t != nil {
 		if err := rf.AddTable("crosscheck", t, 0); err != nil {
 			return err
@@ -179,28 +162,6 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 		}
 	}
 
-	// Raw per-rep distributions behind every reported minimum.
-	var series []perfwall.SampleSeries
-	for _, s := range r.SampleLog() {
-		series = append(series, perfwall.SampleSeries{Name: s.Name, Unit: s.Unit, Values: s.Values})
-	}
-	if err := rf.WriteSamples(series); err != nil {
-		return err
-	}
-	if plot {
-		for _, s := range series {
-			labels := make([]string, len(s.Values))
-			for i := range labels {
-				labels[i] = fmt.Sprintf("r%d", i+1)
-			}
-			svg := perfwall.Sparkline(s.Name+" ("+s.Unit+")", labels, s.Values, 640, 180)
-			if err := rf.WriteFile(filepath.Join("plots", plotName(s.Name)+".svg"), svg); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "[daisy-paper] %d sparklines in %s\n", len(series), filepath.Join(dir, "plots"))
-	}
-
 	if err := rf.Finish(); err != nil {
 		return err
 	}
@@ -212,6 +173,27 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 		return fmt.Errorf("%d failures:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// selection parses -only into a set of registry ids; empty selects the
+// full grid. An id the registry does not know is an error, so a typo
+// cannot pass as a run that wrote only the cross-check.
+func selection(only string) (map[string]bool, error) {
+	sel := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if experiments.ExperimentByID(id) == nil {
+			var ids []string
+			for _, e := range experiments.Experiments() {
+				ids = append(ids, e.ID)
+			}
+			return nil, fmt.Errorf("-only: unknown experiment id %q (known: %s)", id, strings.Join(ids, ","))
+		}
+		sel[id] = true
+	}
+	return sel, nil
 }
 
 // crossCheck runs every workload on the machine and the reference
@@ -267,7 +249,10 @@ func machineAndRefFNV(name string, scale int) (machine, ref uint64, err error) {
 		return 0, 0, err
 	}
 	env := &interp.Env{In: w.Input(scale)}
-	ma := vmm.New(mm, env, vmm.DefaultOptions())
+	ma, err := vmm.NewMachine(mm, env, vmm.DefaultOptions())
+	if err != nil {
+		return 0, 0, err
+	}
 	defer ma.Close()
 	if err := ma.Run(prog.Entry(), 4_000_000_000); err != nil {
 		return 0, 0, fmt.Errorf("machine: %w", err)
@@ -343,7 +328,10 @@ func profileSmoke(rf *perfwall.RunFolder, scale int) error {
 		return err
 	}
 	env := &interp.Env{In: w.Input(scale)}
-	ma := vmm.New(mm, env, vmm.DefaultOptions())
+	ma, err := vmm.NewMachine(mm, env, vmm.DefaultOptions())
+	if err != nil {
+		return err
+	}
 	defer ma.Close()
 	tel := telemetry.New(telemetry.Options{SampleEvery: 1, Profile: true})
 	ma.AttachTelemetry(tel)
@@ -368,15 +356,4 @@ func profileSmoke(rf *perfwall.RunFolder, scale int) error {
 	}
 	fmt.Fprintf(os.Stderr, "[daisy-paper] profiler smoke ok: %s\n", sum)
 	return nil
-}
-
-func plotName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

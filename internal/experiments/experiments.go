@@ -1,15 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Chapter 5 plus the Chapter 6 oracle measurements). The same
-// entry points drive cmd/daisy-paper and the benchmark harness in
-// the repository root; EXPERIMENTS.md records their output next to the
-// paper's numbers.
+// evaluation (Chapter 5 plus the Chapter 6 oracle measurements). The
+// registry drives cmd/daisy-paper; EXPERIMENTS.md records its output
+// next to the paper's numbers.
 package experiments
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"daisy/internal/analytic"
@@ -93,50 +91,9 @@ func (m *M) FiniteILP() float64 {
 type Runner struct {
 	Scale int
 
-	// Repetition knobs of the wall-clock experiments; NewRunner installs
-	// the headline defaults and the paper harness turns them down for
-	// its CI smoke grid.
-	PipelineReps  int
-	FleetReps     int
-	FleetMachines int
-
 	mu      sync.Mutex
 	results map[Key]*measureEntry
 	statics map[string]*staticEntry
-	samples []SampleSeries
-}
-
-// SampleSeries is one named series of raw per-rep measurements a
-// wall-clock experiment retained while generating its table. The tables
-// report the min; the series is the evidence behind it, archived by the
-// paper harness next to the rendered table.
-type SampleSeries struct {
-	Name   string    `json:"name"`
-	Unit   string    `json:"unit"`
-	Values []float64 `json:"values"`
-}
-
-// RecordSamples retains one raw sample series (concurrency-safe; table
-// generation may run on the worker pool).
-func (r *Runner) RecordSamples(name, unit string, values []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples = append(r.samples, SampleSeries{
-		Name: name, Unit: unit, Values: append([]float64(nil), values...),
-	})
-}
-
-// SampleLog returns every retained series, sorted by name, as copies.
-func (r *Runner) SampleLog() []SampleSeries {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SampleSeries, len(r.samples))
-	for i, s := range r.samples {
-		out[i] = SampleSeries{Name: s.Name, Unit: s.Unit,
-			Values: append([]float64(nil), s.Values...)}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // measureEntry is one singleflight cache slot: the Once gates the
@@ -159,11 +116,8 @@ func NewRunner(scale int) *Runner {
 		scale = 2
 	}
 	return &Runner{Scale: scale,
-		PipelineReps:  PipelineReps,
-		FleetReps:     FleetReps,
-		FleetMachines: FleetMachines,
-		results:       make(map[Key]*measureEntry),
-		statics:       make(map[string]*staticEntry)}
+		results: make(map[Key]*measureEntry),
+		statics: make(map[string]*staticEntry)}
 }
 
 // Names lists the benchmarks in the paper's table order.
@@ -223,7 +177,10 @@ func (r *Runner) measure(key Key, name string, cfg vliw.Config, pageSize uint32,
 	opt := vmm.DefaultOptions()
 	opt.Trans.Config = cfg
 	opt.Trans.PageSize = pageSize
-	ma := vmm.New(mm, &interp.Env{In: in}, opt)
+	ma, err := vmm.NewMachine(mm, &interp.Env{In: in}, opt)
+	if err != nil {
+		return nil, err
+	}
 
 	var hier *cache.Hierarchy
 	switch h {
@@ -760,7 +717,10 @@ func (r *Runner) InterpretiveTable() (*stats.Table, error) {
 		}
 		opt := vmm.DefaultOptions()
 		opt.Interpretive = true
-		ma := vmm.New(mm, &interp.Env{In: w.Input(r.Scale)}, opt)
+		ma, err := vmm.NewMachine(mm, &interp.Env{In: w.Input(r.Scale)}, opt)
+		if err != nil {
+			return nil, err
+		}
 		if err := ma.Run(prog.Entry(), 4_000_000_000); err != nil {
 			return nil, err
 		}
@@ -794,7 +754,10 @@ func (r *Runner) Ablations(name string) (*stats.Table, error) {
 		}
 		opt := vmm.DefaultOptions()
 		mod(&opt.Trans)
-		ma := vmm.New(mm, &interp.Env{In: in}, opt)
+		ma, err := vmm.NewMachine(mm, &interp.Env{In: in}, opt)
+		if err != nil {
+			return err
+		}
 		if err := ma.Run(prog.Entry(), 4_000_000_000); err != nil {
 			return err
 		}

@@ -11,8 +11,8 @@ import "daisy/internal/stats"
 type Experiment struct {
 	ID string
 	// Wallclock marks tables whose cells include host wall-clock times
-	// (cost, pipeline, aot): nondeterministic run to run, excluded from
-	// the harness's determinism claims and from golden pinning.
+	// (cost): nondeterministic run to run, excluded from the harness's
+	// determinism claims and from golden pinning.
 	Wallclock bool
 	Run       func(r *Runner) (*stats.Table, error)
 }
@@ -38,8 +38,6 @@ func Experiments() []Experiment {
 		{ID: "oracle", Run: (*Runner).OracleTable},
 		{ID: "trace", Run: (*Runner).InterpretiveTable},
 		{ID: "ablate", Run: func(r *Runner) (*stats.Table, error) { return r.Ablations("c_sieve") }},
-		{ID: "pipeline", Wallclock: true, Run: (*Runner).PipelineTable},
-		{ID: "aot", Wallclock: true, Run: (*Runner).AotTable},
 		{ID: "tier2", Run: (*Runner).Tier2Table},
 	}
 }

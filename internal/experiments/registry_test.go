@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"daisy/internal/txcache"
 )
 
 func TestRegistryWellFormed(t *testing.T) {
@@ -18,21 +16,24 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	// The grid the paper harness promises: every published table id.
-	for _, id := range []string{"t51", "f51", "t52", "t53", "t54", "f52", "t55",
+	// The grid the paper harness promises: every published table id, and
+	// nothing else.
+	want := []string{"t51", "f51", "t52", "t53", "t54", "f52", "t55",
 		"t56", "t57", "f53", "f54", "f55", "t58", "t59", "cost", "oracle",
-		"trace", "ablate", "pipeline", "aot", "tier2"} {
+		"trace", "ablate", "tier2"}
+	for _, id := range want {
 		if !seen[id] {
 			t.Errorf("registry missing %q", id)
 		}
 	}
-	for _, id := range []string{"cost", "pipeline", "aot"} {
-		if e := ExperimentByID(id); e == nil || !e.Wallclock {
-			t.Fatalf("%s must be registered as wall-clock", id)
-		}
+	if len(seen) != len(want) {
+		t.Errorf("registry has %d ids, want %d", len(seen), len(want))
 	}
-	if ExperimentByID("t51") == nil || ExperimentByID("t51").Wallclock {
-		t.Fatal("t51 must be registered as deterministic")
+	// cost (§5.1) is the one table with host wall-clock cells.
+	for _, e := range Experiments() {
+		if e.Wallclock != (e.ID == "cost") {
+			t.Errorf("%s: Wallclock = %v", e.ID, e.Wallclock)
+		}
 	}
 	if ExperimentByID("nope") != nil {
 		t.Fatal("unknown id resolved")
@@ -82,55 +83,8 @@ func TestOutputFNV(t *testing.T) {
 	}
 }
 
-// TestSampleRetention runs a tiny pipeline set and checks the per-rep
-// walls survive alongside the min, and land in the runner's sample log.
-func TestSampleRetention(t *testing.T) {
-	store := txcache.OpenMemory()
-	if err := PrimeCache("wc", 1, store); err != nil {
-		t.Fatal(err)
-	}
-	const reps = 3
-	ms, err := MeasurePipelineSet("wc", 1, PipelineModes(), store, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range PipelineModes() {
-		m := ms[mode]
-		if len(m.WallsMS) != reps {
-			t.Fatalf("%s: retained %d walls, want %d", mode, len(m.WallsMS), reps)
-		}
-		min := m.WallsMS[0]
-		for _, w := range m.WallsMS {
-			if w < min {
-				min = w
-			}
-			if w <= 0 {
-				t.Fatalf("%s: non-positive wall %v", mode, w)
-			}
-		}
-		if got := float64(m.Wall.Microseconds()) / 1000; got != min {
-			t.Fatalf("%s: summary wall %v is not the min of %v", mode, got, m.WallsMS)
-		}
-	}
-
-	r := NewRunner(1)
-	r.RecordSamples("b/series", "ms", []float64{2, 1})
-	r.RecordSamples("a/series", "ms", []float64{3})
-	log := r.SampleLog()
-	if len(log) != 2 || log[0].Name != "a/series" || log[1].Name != "b/series" {
-		t.Fatalf("sample log order: %+v", log)
-	}
-	// The log holds copies.
-	log[1].Values[0] = 99
-	if r.SampleLog()[1].Values[0] != 2 {
-		t.Fatal("SampleLog must return copies")
-	}
-}
-
-func TestRunnerRepKnobs(t *testing.T) {
-	r := NewRunner(0)
-	if r.Scale != 2 || r.PipelineReps != PipelineReps ||
-		r.FleetReps != FleetReps || r.FleetMachines != FleetMachines {
-		t.Fatalf("defaults: %+v", r)
+func TestNewRunnerDefaultScale(t *testing.T) {
+	if r := NewRunner(0); r.Scale != 2 {
+		t.Fatalf("NewRunner(0).Scale = %d, want the default 2", r.Scale)
 	}
 }

@@ -4,8 +4,8 @@ package experiments
 // workload on the same machine, with and without the profile→retranslate
 // loop, as dispatch cycles per base instruction (the unit-latency VLIW
 // machine retires one tree instruction per cycle, so VLIWs/inst is
-// cycles/inst). Unlike the pipeline table these are deterministic modeled
-// counts, not host wall-clock, so the rows are stable run to run.
+// cycles/inst). These are deterministic modeled counts, not host
+// wall-clock, so the rows are stable run to run.
 
 import (
 	"fmt"
@@ -47,9 +47,14 @@ func MeasureTier2(name string, scale int) (*Tier2M, error) {
 		}
 		env := &interp.Env{In: w.Input(scale)}
 		opt := vmm.DefaultOptions()
-		opt.Tier2 = tier2
-		opt.Tier2Threshold = 2
-		ma := vmm.New(mm, env, opt)
+		if tier2 {
+			opt.Tier2 = true
+			opt.Tier2Threshold = 2
+		}
+		ma, err := vmm.NewMachine(mm, env, opt)
+		if err != nil {
+			return nil, 0, err
+		}
 		defer ma.Close()
 		if err := ma.Run(prog.Entry(), 4_000_000_000); err != nil {
 			return nil, 0, fmt.Errorf("experiments: tier2 %s: %w", name, err)

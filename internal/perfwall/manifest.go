@@ -1,7 +1,6 @@
 // Package perfwall archives paper-harness runs: the manifest that stamps
-// each run with its provenance (git SHA, toolchain, host), the run-folder
-// writer cmd/daisy-paper archives experiment grids into, and the SVG
-// sparkline it renders per-rep sample series with.
+// each run with its provenance (git SHA, toolchain, host) and the
+// run-folder writer cmd/daisy-paper archives experiment grids into.
 package perfwall
 
 import (

@@ -30,18 +30,8 @@ type ExperimentRecord struct {
 	WallMS float64 `json:"wall_ms"`
 }
 
-// SampleSeries is one named series of raw per-rep measurements retained
-// by an experiment (pipeline and fleet wall times, chiefly), dumped into
-// the run folder so the rendered minimum is auditable against its
-// underlying distribution.
-type SampleSeries struct {
-	Name   string    `json:"name"`
-	Unit   string    `json:"unit"`
-	Values []float64 `json:"values"`
-}
-
 // RunFolder writes one timestamped paper-harness run: tables as text,
-// CSV and markdown, the manifest, raw samples and auxiliary payloads.
+// CSV and markdown, the manifest and auxiliary payloads.
 type RunFolder struct {
 	Dir      string
 	manifest RunManifest
@@ -83,15 +73,6 @@ func (rf *RunFolder) AddTable(id string, t *stats.Table, wallMS float64) error {
 	return nil
 }
 
-// WriteJSON writes v as indented JSON under the run folder.
-func (rf *RunFolder) WriteJSON(name string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(rf.Dir, name), append(b, '\n'), 0o644)
-}
-
 // WriteFile writes raw bytes under the run folder, creating subdirs.
 func (rf *RunFolder) WriteFile(name string, b []byte) error {
 	path := filepath.Join(rf.Dir, name)
@@ -101,14 +82,13 @@ func (rf *RunFolder) WriteFile(name string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// WriteSamples dumps the retained raw sample series.
-func (rf *RunFolder) WriteSamples(series []SampleSeries) error {
-	return rf.WriteJSON("samples.json", series)
-}
-
 // Finish writes the manifest and a human index of the run.
 func (rf *RunFolder) Finish() error {
-	if err := rf.WriteJSON("manifest.json", rf.manifest); err != nil {
+	mb, err := json.MarshalIndent(rf.manifest, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := rf.WriteFile("manifest.json", append(mb, '\n')); err != nil {
 		return err
 	}
 	var b strings.Builder

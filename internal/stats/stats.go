@@ -1,5 +1,6 @@
 // Package stats renders the experiment tables: fixed-width text tables in
-// the shape of the paper's, plus small helpers for means and histograms.
+// the shape of the paper's, also as CSV and markdown, plus the Mean and
+// GeoMean helpers.
 package stats
 
 import (

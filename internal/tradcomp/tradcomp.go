@@ -97,7 +97,10 @@ func Measure(prog *asm.Program, input []byte, cfg vliw.Config, memSize uint32) (
 		return Result{}, err
 	}
 	opt := vmm.Options{Trans: Options(cfg, pr), InterpBudget: 64, AdaptiveSpeculation: true}
-	ma := vmm.New(m, &interp.Env{In: input}, opt)
+	ma, err := vmm.NewMachine(m, &interp.Env{In: input}, opt)
+	if err != nil {
+		return Result{}, err
+	}
 	if err := ma.Run(prog.Entry(), 2_000_000_000); err != nil {
 		return Result{}, fmt.Errorf("tradcomp: measured run: %w", err)
 	}

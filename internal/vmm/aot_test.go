@@ -139,6 +139,53 @@ func TestPrecompileThenRunAllWorkloads(t *testing.T) {
 	}
 }
 
+// TestPrecompileFleetHotTier brings four async machines up over one
+// precompiled on-disk store, as a fleet booting one image would. Every
+// machine must match a synchronous cold machine, and once the fleet's
+// entry set settles the hot tier must absorb every load: machine 0 may
+// extend precompiled pages with entry points it discovers (each
+// write-through rewrite drops the hot copy, by design), machine 1
+// re-decodes those entries once, and from then on the store decodes
+// nothing. Four is the smallest fleet in which a hot tier that forgets an
+// entry after serving it shows up as a late decode.
+func TestPrecompileFleetHotTier(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, coldOut := runWorkloadVMM(t, w, 1, DefaultOptions())
+	store, err := txcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := precompiled(t, w, store); rep.Stored == 0 {
+		t.Fatalf("precompile stored nothing: %v", rep)
+	}
+	var settled uint64
+	for i := 0; i < 4; i++ {
+		opt := DefaultOptions()
+		opt.Cache = store
+		opt.AsyncTranslate = true
+		m, out := runWorkloadVMM(t, w, 1, opt)
+		if string(out) != string(coldOut) {
+			t.Errorf("machine %d: output differs from sync cold (%d vs %d bytes)", i, len(out), len(coldOut))
+		}
+		if m.St != cold.St {
+			t.Errorf("machine %d: final state differs\nfleet %+v\ncold  %+v", i, m.St, cold.St)
+		}
+		if i == 1 {
+			settled = store.Stats().Decodes
+		}
+	}
+	st := store.Stats()
+	if st.HotHits == 0 {
+		t.Fatalf("hot tier never served the fleet: %+v", st)
+	}
+	if late := st.Decodes - settled; late != 0 {
+		t.Fatalf("hot tier leaked to disk after the fleet settled: %d late decodes (%d total)", late, st.Decodes)
+	}
+}
+
 // TestPrecompileComposesWithLiveMachine pins the publish-safety rule on a
 // live machine: precompiling between runs of a machine that already has
 // pages installed must not disturb them, and a page whose bytes changed
