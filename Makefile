@@ -17,12 +17,16 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
+# CI's one race-detector pass: every test of the module under -race. The
+# four targets below (race-hot, race-async, tier2-soak, aot-soak) re-run
+# subsets of it with the same flags; they are standalone targets for
+# focused work, not CI steps.
 race:
 	$(GO) test -race ./...
 
 # The hot-path packages under the race detector: the parallel experiment
 # runner and the chaos harness are the two places goroutines touch shared
-# machinery, so they get an explicit -race pass in CI.
+# machinery.
 race-hot:
 	$(GO) test -race ./internal/chaos/... ./internal/experiments/...
 
@@ -104,7 +108,7 @@ cover-update:
 	$(GO) run ./cmd/daisy-cover -profile cover.out -update
 	@echo "commit COVERAGE.txt to ratchet the floor"
 
-ci: fmt vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke paper-smoke cover
+ci: fmt vet build race chaos-smoke chaos-soak bench-smoke bench-test profile-smoke paper-smoke cover
 
 # The end-to-end benchmark (bench/, see bench/README.md) on all five
 # workloads; pass flags through bench/run.sh directly for one workload,

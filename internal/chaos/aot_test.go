@@ -10,34 +10,18 @@ import (
 )
 
 // aotPrepare returns a Scenario.Prepare that pre-translates the whole
-// workload image into the machine's cache before the run starts — the
-// chaos-side mirror of daisy.Precompile. It runs on every machine the
-// scenario builds (lockstep run and bisection replays), exactly like an
-// injector fault, so divergence localization still works.
+// workload image into the machine's cache before the run starts, as
+// daisy.Precompile does. It runs on every machine the scenario builds
+// (lockstep run and bisection replays), exactly like an injector fault,
+// so divergence localization still works.
 func aotPrepare(t *testing.T, w workload.Workload) func(m *vmm.Machine) {
 	t.Helper()
 	prog, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := prog.Entry()
 	return func(m *vmm.Machine) {
-		ps := m.Trans.Opt.PageSize
-		var entries []uint32
-		for _, c := range prog.Chunks {
-			if len(c.Data) == 0 {
-				continue
-			}
-			end := c.Addr + uint32(len(c.Data))
-			for base := c.Addr &^ (ps - 1); base < end; base += ps {
-				e := base
-				if entry >= base && entry < base+ps {
-					e = entry
-				}
-				entries = append(entries, e)
-			}
-		}
-		if _, err := m.Precompile(entries); err != nil {
+		if _, err := m.Precompile(prog); err != nil {
 			panic(err) // Prepare has no error path; a refused pass is a bug here
 		}
 	}

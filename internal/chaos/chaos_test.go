@@ -2,8 +2,12 @@ package chaos
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"daisy/internal/interp"
+	"daisy/internal/mem"
+	"daisy/internal/vmm"
 	"daisy/internal/workload"
 )
 
@@ -106,5 +110,55 @@ func TestInjectorRegistry(t *testing.T) {
 	}
 	if _, err := ByName("no-such-injector"); err == nil {
 		t.Error("ByName(no-such-injector) succeeded")
+	}
+}
+
+// TestSharedCacheInjectorArmsItsOwnMachine pins that one cache injector
+// instance serves interleaved scenarios, as TestLockstepMatrix's parallel
+// subtests share it: tuned for scenario A and then for scenario B, and
+// armed on A's machine, it must damage A's store, not B's.
+func TestSharedCacheInjectorArmsItsOwnMachine(t *testing.T) {
+	for _, tc := range []struct {
+		injector, workload string
+		fired              func(s *vmm.Stats) bool
+	}{
+		{"cache-bitflip", "gcc", func(s *vmm.Stats) bool { return s.InjectedFaults > 0 }},
+		{"cache-skew", "gcc", func(s *vmm.Stats) bool { return s.InjectedFaults > 0 }},
+		// Flapping A's store lets some saves through and fails others.
+		{"cache-enospc", "gcc", func(s *vmm.Stats) bool { return s.CacheStores > 0 && s.CacheSaveErrors > 0 }},
+		// sort reads its own torn entries back; gcc at scale 1 never does.
+		{"cache-shortwrite", "sort", func(s *vmm.Stats) bool { return s.CacheMissCorrupt > 0 }},
+	} {
+		inj, err := ByName(tc.injector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := workload.ByName(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		optA, optB := DefaultOptions(), DefaultOptions()
+		inj.Tune(&optA)
+		inj.Tune(&optB)
+		mm := mem.New(defaultMemSize)
+		if err := prog.Load(mm); err != nil {
+			t.Fatal(err)
+		}
+		ma, err := vmm.NewMachine(mm, &interp.Env{In: w.Input(1)}, optA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.Arm(ma, rand.New(rand.NewSource(1)))
+		if err := ma.Run(prog.Entry(), defaultMaxInsts); err != nil {
+			t.Fatalf("%s: %v", tc.injector, err)
+		}
+		ma.Close()
+		if !tc.fired(&ma.Stats) {
+			t.Errorf("%s on %s never reached scenario A's store: %+v", tc.injector, tc.workload, ma.Stats)
+		}
 	}
 }

@@ -17,6 +17,10 @@ import (
 // *rand.Rand they are armed with: the lockstep bisector replays a scenario
 // from scratch and every injection must land on the same dynamic event.
 //
+// One instance may serve concurrent scenarios (the lockstep matrix shares
+// each one across parallel workloads), so an injector keeps no state of
+// its own: whatever Tune builds, Arm finds again in the machine's options.
+//
 // Injections are deliberately confined to the translated-execution side
 // of the machine (executor hooks, translation-cache surgery). The
 // interpreter is the reference semantics, so the VMM's recovery paths —
@@ -47,10 +51,10 @@ func Injectors() []Injector {
 		stalePublish{},
 		tier2DeoptStorm{},
 		tier2StaleProfile{},
-		&cacheBitFlip{},
-		&cacheSkew{},
-		&cacheENOSPC{},
-		&cacheShortWrite{},
+		cacheBitFlip{},
+		cacheSkew{},
+		cacheENOSPC{},
+		cacheShortWrite{},
 	}
 }
 
@@ -349,28 +353,33 @@ func (tier2StaleProfile) Arm(m *vmm.Machine, rng *rand.Rand) {
 
 // ---- Persistent-cache I/O injectors ----
 //
-// Each build gets a fresh in-memory store (Tune runs once per machine
-// construction), so the lockstep run and both bisection replays see
-// identical cache state evolution. MaxPages=2 keeps cast-outs frequent,
-// so evicted pages keep coming back through the cache-load path and
-// damaged entries are actually read, not just written.
+// Each build gets a fresh in-memory store (freshCache.Tune runs once per
+// machine construction), so the lockstep run and both bisection replays
+// see identical cache state evolution. Arm attacks the store of the
+// machine it arms, read from its options. MaxPages=2 keeps cast-outs
+// frequent, so evicted pages keep coming back through the cache-load path
+// and damaged entries are actually read, not just written.
+
+// freshCache is the Tune the four cache injectors share.
+type freshCache struct{}
+
+func (freshCache) Tune(opt *vmm.Options) {
+	opt.Cache = txcache.OpenMemory()
+	opt.MaxPages = 2
+}
 
 // cacheBitFlip flips bytes inside stored entries. Every read of a damaged
 // entry must degrade to a counted corrupt miss and a fresh translation.
-type cacheBitFlip struct{ store *txcache.Store }
+type cacheBitFlip struct{ freshCache }
 
-func (*cacheBitFlip) Name() string { return "cache-bitflip" }
-func (c *cacheBitFlip) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	opt.Cache = c.store
-	opt.MaxPages = 2
-}
-func (c *cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheBitFlip) Name() string { return "cache-bitflip" }
+func (cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
+	store := m.Opt.Cache
 	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(64) != 0 {
 			return
 		}
-		if n := c.store.Corrupt(); n > 0 {
+		if n := store.Corrupt(); n > 0 {
 			m.Stats.InjectedFaults++
 		}
 	}})
@@ -379,20 +388,16 @@ func (c *cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
 // cacheSkew rewrites stored entries to a foreign format version,
 // simulating a cache directory shared with a different translator build.
 // Reads must degrade to counted version-skew misses.
-type cacheSkew struct{ store *txcache.Store }
+type cacheSkew struct{ freshCache }
 
-func (*cacheSkew) Name() string { return "cache-skew" }
-func (c *cacheSkew) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	opt.Cache = c.store
-	opt.MaxPages = 2
-}
-func (c *cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheSkew) Name() string { return "cache-skew" }
+func (cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
+	store := m.Opt.Cache
 	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(64) != 0 {
 			return
 		}
-		if n := c.store.SkewVersion(txcache.Version + 1); n > 0 {
+		if n := store.SkewVersion(txcache.Version + 1); n > 0 {
 			m.Stats.InjectedFaults++
 		}
 	}})
@@ -403,16 +408,12 @@ func (c *cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
 // (Stats.CacheSaveErrors, then the store's own write-bypass) and clearing
 // the condition must re-arm the write path; translation itself is never
 // affected.
-type cacheENOSPC struct{ store *txcache.Store }
+type cacheENOSPC struct{ freshCache }
 
-func (*cacheENOSPC) Name() string { return "cache-enospc" }
-func (c *cacheENOSPC) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	c.store.SetFailMode(txcache.FailENOSPC)
-	opt.Cache = c.store
-	opt.MaxPages = 2
-}
-func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheENOSPC) Name() string { return "cache-enospc" }
+func (cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
+	store := m.Opt.Cache
+	store.SetFailMode(txcache.FailENOSPC)
 	full := true
 	m.Observe(dispatchObserver{fn: func() {
 		if rng.Intn(48) != 0 {
@@ -420,9 +421,9 @@ func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
 		}
 		full = !full
 		if full {
-			c.store.SetFailMode(txcache.FailENOSPC)
+			store.SetFailMode(txcache.FailENOSPC)
 		} else {
-			c.store.SetFailMode(txcache.FailNone)
+			store.SetFailMode(txcache.FailNone)
 		}
 		m.Stats.InjectedFaults++
 	}})
@@ -430,18 +431,12 @@ func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
 
 // cacheShortWrite tears every cache write: the entry lands truncated, as
 // if the process had died mid-write after the rename. Subsequent reads
-// must fail the checksum and degrade to counted corrupt misses.
-type cacheShortWrite struct{ store *txcache.Store }
+// must fail the checksum and degrade to counted corrupt misses. No
+// randomness is needed, and the injected-fault counter rides on the
+// store's own corrupt-miss counter instead.
+type cacheShortWrite struct{ freshCache }
 
-func (*cacheShortWrite) Name() string { return "cache-shortwrite" }
-func (c *cacheShortWrite) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	c.store.SetFailMode(txcache.FailShortWrite)
-	opt.Cache = c.store
-	opt.MaxPages = 2
-}
-func (c *cacheShortWrite) Arm(m *vmm.Machine, rng *rand.Rand) {
-	// No randomness needed: every write is torn; every read of a torn
-	// entry must miss cleanly. The injected-fault counter rides on the
-	// store's own corrupt-miss counter instead.
+func (cacheShortWrite) Name() string { return "cache-shortwrite" }
+func (cacheShortWrite) Arm(m *vmm.Machine, rng *rand.Rand) {
+	m.Opt.Cache.SetFailMode(txcache.FailShortWrite)
 }

@@ -237,11 +237,6 @@ func (m *Memory) CheckWrite(addr uint32, size int) error {
 	return m.check(addr, size, true)
 }
 
-// CheckRead is CheckWrite for loads.
-func (m *Memory) CheckRead(addr uint32, size int) error {
-	return m.check(addr, size, false)
-}
-
 func (m *Memory) noteStore(addr uint32, size int) {
 	if m.trackWrites {
 		m.dirtyUnits[addr>>ProtectShift] = struct{}{}

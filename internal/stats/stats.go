@@ -1,6 +1,5 @@
 // Package stats renders the experiment tables: fixed-width text tables in
-// the shape of the paper's, also as CSV and markdown, plus the Mean and
-// GeoMean helpers.
+// the shape of the paper's, also as CSV and markdown, plus the Mean helper.
 package stats
 
 import (
@@ -180,22 +179,6 @@ func (t *Table) Markdown() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// GeoMean returns the geometric mean of positive values (the paper's MEAN
-// rows are arithmetic; both are provided).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Mean returns the arithmetic mean.

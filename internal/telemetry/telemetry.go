@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer of the DAISY reproduction:
 // a metrics registry (counters, gauges, bounded histograms), a ring-buffer
-// structured event tracer, and exporters (Prometheus text, expvar JSON,
-// JSONL and Chrome trace_event dumps) threaded through the translator,
-// executor and VMM.
+// structured event tracer, and exporters (Prometheus text, JSON, JSONL
+// and Chrome trace_event dumps) threaded through the translator, executor
+// and VMM.
 //
 // Design constraints, in order:
 //
@@ -32,7 +32,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -261,16 +260,6 @@ func (t *Telemetry) Event(kind EventKind, insts uint64, pc, page uint32, arg uin
 	}
 	t.trace.Append(Event{Kind: kind, Insts: insts, PC: pc, Page: page, Arg: arg})
 }
-
-// Publish registers the instance with the expvar registry under name, so
-// an embedding process's /debug/vars endpoint exposes the live snapshot.
-// Publishing twice under one name panics (an expvar property), so the cmd
-// tools publish once at startup.
-func (t *Telemetry) Publish(name string) { expvar.Publish(name, t) }
-
-// String renders the current snapshot as JSON; it makes Telemetry an
-// expvar.Var so the registry is expvar-compatible.
-func (t *Telemetry) String() string { return t.Snapshot().JSON() }
 
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -85,8 +85,8 @@ func RenderTop(s Snapshot, wall time.Duration, opt TopOptions) string {
 	// something, so tier-1-only runs keep the previous screen byte-for-byte.
 	prom := ctr("daisy_tier2_promotions")
 	if prom+ctr("daisy_tier2_dispatches")+ctr("daisy_tier2_profile_insts") > 0 {
-		fmt.Fprintf(&b, "tier2: promoted=%d pub=%d dispatches=%d deopts=%d departures=%d demoted=%d\n",
-			prom, ctr("daisy_tier2_publishes"), ctr("daisy_tier2_dispatches"), ctr("daisy_tier2_deopts"),
+		fmt.Fprintf(&b, "tier2: promoted=%d dispatches=%d deopts=%d departures=%d demoted=%d\n",
+			prom, ctr("daisy_tier2_dispatches"), ctr("daisy_tier2_deopts"),
 			ctr("daisy_tier2_path_departures"), ctr("daisy_tier2_demotions"))
 	}
 

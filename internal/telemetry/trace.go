@@ -28,8 +28,7 @@ const (
 	EvTranslatorPanic                  // translator panic recovered; page quarantined interpret-only
 	EvAsyncAbandon                     // in-flight translation abandoned by the worker watchdog
 	EvAsyncRetry                       // failed worker translation rescheduled; Arg = retry attempt
-	EvTier2Promote                     // page retranslated at tier-2 effort (sync promotion or async publish)
-	EvTier2Publish                     // async tier-2 result installed at a precise boundary
+	EvTier2Promote                     // page retranslated at tier-2 effort and installed (inline on every machine)
 	EvTier2Deopt                       // tier-2 fault deoptimized to the retained tier-1 translation
 	EvTier2Demote                      // tier-2 translation retired (deopt/departure storm); backoff engaged
 	EvInvalidate                       // page translation (and any in-flight one) invalidated
@@ -43,7 +42,7 @@ var eventKindNames = [numEventKinds]string{
 	"async-enqueue", "async-publish", "async-stale", "cache-hit",
 	"span-begin", "span-end",
 	"translator-panic", "async-abandon", "async-retry",
-	"tier2-promote", "tier2-publish", "tier2-deopt", "tier2-demote",
+	"tier2-promote", "tier2-deopt", "tier2-demote",
 	"invalidate", "async-warmup",
 }
 

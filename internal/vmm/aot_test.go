@@ -8,34 +8,12 @@ package vmm
 import (
 	"testing"
 
-	"daisy/internal/asm"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
+	"daisy/internal/telemetry"
 	"daisy/internal/txcache"
 	"daisy/internal/workload"
 )
-
-// precompileEntries mirrors the daisy.Precompile facade (which this
-// in-package test cannot import): every page a program chunk touches,
-// translated from the program entry when it lives in that page.
-func precompileEntries(prog *asm.Program, pageSize uint32) []uint32 {
-	entry := prog.Entry()
-	var entries []uint32
-	for _, c := range prog.Chunks {
-		if len(c.Data) == 0 {
-			continue
-		}
-		end := c.Addr + uint32(len(c.Data))
-		for base := c.Addr &^ (pageSize - 1); base < end; base += pageSize {
-			e := base
-			if entry >= base && entry < base+pageSize {
-				e = entry
-			}
-			entries = append(entries, e)
-		}
-	}
-	return entries
-}
 
 // precompiled builds a machine over the workload image and runs the AOT
 // pass against store, returning the report.
@@ -53,7 +31,7 @@ func precompiled(t *testing.T, w workload.Workload, store *txcache.Store) Precom
 	opt.Cache = store
 	ma := New(mm, &interp.Env{}, opt)
 	defer ma.Close()
-	rep, err := ma.Precompile(precompileEntries(prog, opt.Trans.PageSize))
+	rep, err := ma.Precompile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +48,7 @@ func TestPrecompileReport(t *testing.T) {
 	}
 	store := txcache.OpenMemory()
 	rep := precompiled(t, w, store)
-	if rep.Stored == 0 || rep.Translated != rep.Stored+rep.Stale {
+	if rep.Stored == 0 || rep.Translated != rep.Stored {
 		t.Fatalf("first pass stored nothing: %v", rep)
 	}
 	if rep.AlreadyCached != 0 {
@@ -84,10 +62,70 @@ func TestPrecompileReport(t *testing.T) {
 		t.Fatalf("second pass retranslated: %v", rep2)
 	}
 	// No cache, no pass.
+	prog, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	mm := mem.New(1 << 20)
 	ma := New(mm, &interp.Env{}, DefaultOptions())
-	if _, err := ma.Precompile([]uint32{0}); err != ErrNoCache {
+	if _, err := ma.Precompile(prog); err != ErrNoCache {
 		t.Fatalf("precompile without a cache: err=%v, want ErrNoCache", err)
+	}
+}
+
+// TestPrecompilePlantedPanic plants a translator panic on one c_sieve page
+// through the chaos seam. The pass must count it like every other
+// recovered panic (one TranslatorPanics, one translator-panic event), fail
+// only that page, and store every other page.
+func TestPrecompilePlantedPanic(t *testing.T) {
+	w, err := workload.ByName("c_sieve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(8 << 20)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Cache = txcache.OpenMemory()
+	ma := New(mm, &interp.Env{}, opt)
+	defer ma.Close()
+	tel := telemetry.New(telemetry.DefaultOptions())
+	ma.AttachTelemetry(tel)
+	victim := prog.Entry() &^ (opt.Trans.PageSize - 1)
+	draws := 0
+	ma.FaultTranslation = func(base uint32) *TranslationFault {
+		draws++
+		if base == victim {
+			return &TranslationFault{Panic: true}
+		}
+		return nil
+	}
+	rep, err := ma.Precompile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pages < 2 || draws != rep.Pages {
+		t.Fatalf("%d plans drawn for %d pages; the test needs a second page: %v", draws, rep.Pages, rep)
+	}
+	if rep.Failed != 1 || ma.Stats.TranslatorPanics != 1 {
+		t.Fatalf("failed %d, TranslatorPanics %d; want 1 and 1: %v", rep.Failed, ma.Stats.TranslatorPanics, rep)
+	}
+	events := 0
+	for _, e := range tel.Tracer().Events() {
+		if e.Kind == telemetry.EvTranslatorPanic && e.PC == victim {
+			events++
+		}
+	}
+	if events != 1 {
+		t.Fatalf("%d translator-panic events for page %#x, want 1", events, victim)
+	}
+	if rep.Stored != rep.Pages-1 {
+		t.Fatalf("stored %d of the %d pages the panic spared: %v", rep.Stored, rep.Pages-1, rep)
 	}
 }
 
@@ -212,7 +250,7 @@ func TestPrecompileComposesWithLiveMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	livePages := ma.Stats.PagesBuilt
-	rep, err := ma.Precompile(precompileEntries(prog, opt.Trans.PageSize))
+	rep, err := ma.Precompile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

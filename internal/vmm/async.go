@@ -3,7 +3,8 @@ package vmm
 // The asynchronous tiered translation pipeline. DAISY's dominant cost is
 // translation itself — §4.4 measures ~4315 host instructions per base
 // instruction, paid synchronously on first touch of every page. This file
-// takes translation off the critical path:
+// takes tier-1 demand translation off the critical path (tier-2 promotion
+// stays inline on every machine, tier2.go):
 //
 //   - Tiering: a cold page is interpreted; only after it has been
 //     dispatched HotThreshold times does the VMM spend translation effort
@@ -58,9 +59,7 @@ import (
 	"time"
 
 	"daisy/internal/core"
-	"daisy/internal/mem"
 	"daisy/internal/telemetry"
-	"daisy/internal/tradcomp/sched"
 	"daisy/internal/txcache"
 	"daisy/internal/vliw"
 )
@@ -82,15 +81,6 @@ type txJob struct {
 	// machine goroutine at enqueue time (so seeded injectors stay
 	// deterministic) and executed by the worker inside its barriers.
 	plan *TranslationFault
-
-	// tier2 marks an optimizing retranslation of an already-live page: the
-	// worker derives the tier-2 recipe from profile (the promotion-time
-	// branch counts, measured on the machine goroutine) and the result is
-	// published through publishTier2 rather than publish. noSpec carries
-	// the page's adaptive-speculation inhibit into the recipe.
-	tier2   bool
-	profile map[uint32][2]uint64
-	noSpec  bool
 
 	// enqueuedNs stamps the handoff for the pipeline latency histograms
 	// (host clock; one stamp per page translation, never per instruction).
@@ -114,7 +104,6 @@ type txResult struct {
 type inflightJob struct {
 	seq        uint64
 	deadlineNs int64 // wall clock past which the watchdog abandons it
-	tier2      bool  // failure feeds tier-2 backoff, never the quarantine
 }
 
 // retryState tracks the failure history of one page's async translation.
@@ -203,52 +192,12 @@ func (p *txPipeline) spawnWorker() {
 			if job.plan != nil && job.plan.Hang > 0 {
 				time.Sleep(job.plan.Hang)
 			}
-			started := time.Now().UnixNano()
-			r := workerTranslate(job, p.opt)
-			r.startedNs = started
+			r := txResult{job: job, startedNs: time.Now().UnixNano()}
+			r.pt, r.stats, r.err = translateSnapshot(job.base, job.entry, job.snap, job.plan, p.opt)
 			r.doneNs = time.Now().UnixNano()
 			p.done <- r
 		}
 	}()
-}
-
-// workerTranslate runs one translation behind the recover barrier: a
-// panicking translator (real or chaos-planted) becomes an error result,
-// never a dead worker. Runs on a worker goroutine.
-func workerTranslate(job txJob, opt core.Options) (r txResult) {
-	r.job = job
-	defer guardTranslate(&r.err)
-	if job.plan != nil {
-		if job.plan.Err != nil {
-			r.err = job.plan.Err
-			return r
-		}
-		if job.plan.Panic {
-			panic("chaos: planted translator panic")
-		}
-	}
-	return translateSnapshot(job, opt)
-}
-
-// translateSnapshot runs on a worker goroutine: it rebuilds the page's
-// bytes in a private memory image and translates with a private
-// Translator, so nothing it reads or writes is shared with the machine.
-func translateSnapshot(job txJob, opt core.Options) txResult {
-	mm := mem.New(job.base + uint32(len(job.snap)))
-	if err := mm.LoadImage(job.base, job.snap); err != nil {
-		return txResult{job: job, err: err}
-	}
-	if job.tier2 {
-		// An optimizing retranslation: the recipe and the promotion-time
-		// profile ride in the job, so the worker needs no machine state.
-		opt = sched.Tier2().Derive(opt, profileProb(job.profile))
-		if job.noSpec {
-			opt.SpeculateLoads = false
-		}
-	}
-	t := core.New(mm, opt)
-	pt, err := t.TranslatePage(job.entry)
-	return txResult{job: job, pt: pt, stats: t.Stats, err: err}
 }
 
 // closeGrace is how long Close waits for workers to finish. A worker hung
@@ -353,101 +302,42 @@ func (m *Machine) groupAsync(addr uint32) (*vliw.Group, error) {
 }
 
 // enqueue offers the tier-1 translation of a hot, untranslated page to
-// the worker pool. Fault plans are drawn here, on the machine goroutine,
-// so a seeded injector's random draws happen in deterministic order
-// regardless of worker scheduling.
+// the worker pool. A full queue is backpressure, not an error: it counts
+// AsyncQueueFull and the page retries at a later dispatch. It is checked
+// first, so a full queue costs no snapshot, hash or chaos-plan draw that
+// would only be thrown away. Fault plans are drawn here, on the machine
+// goroutine, so a seeded injector's random draws happen in deterministic
+// order regardless of worker scheduling.
 func (m *Machine) enqueue(base, entry uint32) {
-	if !m.submit(base, entry, func(job *txJob) { job.plan = m.plantedFault(base) }) {
-		return
-	}
-	m.Stats.AsyncEnqueues++
-	m.emit(telemetry.EvAsyncEnqueue, base, 0)
-}
-
-// enqueueTier2 offers an optimizing retranslation of a live page to the
-// worker pool: the machine goroutine draws the chaos plan and measures the
-// promotion-time branch profile (both deterministic), and the snapshot
-// pins the bytes the tier-2 schedule is valid for. On a full queue the
-// page keeps running its tier-1 translation and a later dispatch retries
-// (the promotion gates are already met).
-func (m *Machine) enqueueTier2(base, entry uint32, st *t2State) {
-	if _, ok := m.pipe.inflight[base]; ok {
-		// One attempt at a time: the promotion gates stay met, so every
-		// dispatch while a job is in flight would otherwise re-enqueue it.
-		return
-	}
-	m.submit(base, entry, func(job *txJob) {
-		job.plan = m.plantedFault(base)
-		job.profile = m.tier2Profile(entry)
-		if job.plan != nil {
-			m.applyTier2Plan(job.plan, job.profile, st)
-		}
-		job.tier2 = true
-		job.noSpec = m.inhibit[base]
-	})
-}
-
-// submit is the one way a job reaches the worker pool. A full queue is
-// backpressure, not an error: it counts AsyncQueueFull and the page
-// retries at a later dispatch. It is checked first, so a full queue costs
-// no snapshot, hash, chaos-plan draw or profile that would only be thrown
-// away. Otherwise fill adds the job's plan (and tier-2 profile), the page
-// is snapshotted and the job sent. Reports whether the job was sent.
-func (m *Machine) submit(base, entry uint32, fill func(*txJob)) bool {
 	if len(m.pipe.jobs) == cap(m.pipe.jobs) {
 		m.Stats.AsyncQueueFull++
-		return false
+		return
 	}
 	src := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
 	if src == nil {
 		// Page extends past physical memory; nothing translatable.
-		return false
+		return
 	}
-	job := txJob{base: base, entry: entry}
-	fill(&job)
 	m.pipe.nextSeq++
-	job.epoch = m.epoch[base]
-	job.seq = m.pipe.nextSeq
-	job.digest = sha256.Sum256(src)
-	job.snap = append([]byte(nil), src...)
-	job.enqueuedNs = time.Now().UnixNano()
+	job := txJob{
+		base:       base,
+		entry:      entry,
+		epoch:      m.epoch[base],
+		seq:        m.pipe.nextSeq,
+		digest:     sha256.Sum256(src),
+		snap:       append([]byte(nil), src...),
+		plan:       m.plantedFault(base),
+		enqueuedNs: time.Now().UnixNano(),
+	}
 	// Cannot block: the queue had room, and the machine goroutine is its
 	// only sender.
 	m.pipe.jobs <- job
 	m.pipe.inflight[base] = inflightJob{
 		seq:        job.seq,
 		deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
-		tier2:      job.tier2,
 	}
-	return true
-}
-
-// publishTier2 installs one finished optimizing retranslation, unless the
-// page changed underneath it (epoch bump or byte digest mismatch) — then
-// the result is dropped and the reset promotion policy decides whether
-// promotion is attempted again. A failed result backs the page's promotion
-// off; it can never quarantine the page, whose tier-1 translation is fine.
-func (m *Machine) publishTier2(r txResult) {
-	base := r.job.base
-	cur := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
-	if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
-		m.Stats.StaleTranslationsDropped++
-		return
-	}
-	if r.err != nil {
-		var pf *panicFault
-		if errors.As(r.err, &pf) {
-			m.notePanic(base)
-		}
-		m.tier2Backoff(base)
-		return
-	}
-	m.Trans.Stats = m.Trans.Stats.Add(r.stats)
-	m.installTier2(base, r.pt, r.stats)
-	if m.tier2[base] == r.pt {
-		m.Stats.Tier2Publishes++
-		m.emit(telemetry.EvTier2Publish, base, 0)
-	}
+	m.Stats.AsyncEnqueues++
+	m.emit(telemetry.EvAsyncEnqueue, base, 0)
 }
 
 // drainAsync publishes every finished translation waiting on the done
@@ -475,11 +365,7 @@ func (m *Machine) drainAsync() {
 				continue
 			}
 			delete(m.pipe.inflight, r.job.base)
-			if r.job.tier2 {
-				m.publishTier2(r)
-			} else {
-				m.publish(r)
-			}
+			m.publish(r)
 		default:
 			m.watchdog()
 			return
@@ -511,14 +397,7 @@ func (m *Machine) watchdog() {
 			m.pipe.spawnWorker()
 			m.Stats.AsyncRespawns++
 		}
-		if inf.tier2 {
-			// A hung optimizing retranslation costs only the optimization:
-			// back the promotion off. The page's tier-1 translation is live
-			// and must not be quarantined by a tier-2 failure.
-			m.tier2Backoff(base)
-		} else {
-			m.noteAsyncFailure(base, nil)
-		}
+		m.noteAsyncFailure(base, nil)
 	}
 }
 
@@ -716,13 +595,19 @@ func (m *Machine) cacheStore(pt *core.PageTranslation) {
 	if !ok {
 		return
 	}
-	groups := make([]*vliw.Group, 0, len(pt.Order))
-	for _, e := range pt.Order {
-		groups = append(groups, pt.Groups[e])
-	}
-	if stored, err := m.Opt.Cache.Save(key, groups); err != nil {
+	if stored, err := m.Opt.Cache.Save(key, layoutGroups(pt)); err != nil {
 		m.Stats.CacheSaveErrors++
 	} else if stored {
 		m.Stats.CacheStores++
 	}
+}
+
+// layoutGroups lists the page's groups in layout order, the order a cache
+// entry stores them in so installCached lays the page out the same way.
+func layoutGroups(pt *core.PageTranslation) []*vliw.Group {
+	groups := make([]*vliw.Group, 0, len(pt.Order))
+	for _, e := range pt.Order {
+		groups = append(groups, pt.Groups[e])
+	}
+	return groups
 }

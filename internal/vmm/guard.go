@@ -4,9 +4,9 @@ package vmm
 // is unconditional: a bug (or a chaos-planted fault) inside the translator
 // must never become a guest-visible failure, because the interpreter can
 // always carry the page at reduced speed. This file wraps every translator
-// invocation — the synchronous page build, entry extension, and (via
-// async.go) the worker pool — in a recover barrier. A panic is converted
-// into:
+// invocation — the synchronous page build, entry extension, tier-2
+// promotion, and (via translateSnapshot) the async worker pool and
+// Precompile — in a recover barrier. A panic is converted into:
 //
 //   - a counted, traced event (Stats.TranslatorPanics, EvTranslatorPanic),
 //   - an interpret-only quarantine of the offending page through the
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"daisy/internal/core"
+	"daisy/internal/mem"
 	"daisy/internal/telemetry"
 	"daisy/internal/vliw"
 )
@@ -34,16 +35,18 @@ import (
 // file and async.go implement; all fields are exercised inside the
 // recover/watchdog barriers, so every plant is survivable by construction.
 //
-// Panic fires on every translation path (the synchronous page build and
-// entry extension as well as the async workers). Hang and Err apply only
-// to async worker jobs, whose watchdog/retry machinery is built to absorb
-// them; the synchronous path ignores them, because a synchronous
-// translation error keeps its historical fatal semantics. Deopt and
-// StaleProfile apply only to tier-2 promotions (tier2.go), where the
-// deopt/demotion machinery absorbs them: a plan drawn at promotion time
-// forces the first tier-2 dispatch to deoptimize, or inverts the measured
-// branch profile so the optimizing translation compiles exactly the cold
-// path — both must leave guest output byte-identical.
+// Panic fires on every translation path: the synchronous page build and
+// entry extension, tier-2 promotion, the async workers and Precompile.
+// Hang applies only to async worker jobs, whose watchdog is built to absorb
+// it. Err applies to async worker jobs, whose retry machinery absorbs it,
+// and to Precompile, which counts the page failed; the synchronous path
+// ignores it, because a synchronous translation error keeps its historical
+// fatal semantics. Deopt and StaleProfile apply only to tier-2 promotions
+// (tier2.go), where the deopt/demotion machinery absorbs them: a plan drawn
+// at promotion time forces the first tier-2 dispatch to deoptimize, or
+// inverts the measured branch profile so the optimizing translation
+// compiles exactly the cold path — both must leave guest output
+// byte-identical.
 type TranslationFault struct {
 	Panic        bool          // the translator panics mid-schedule
 	Hang         time.Duration // an async worker stalls this long before translating
@@ -68,8 +71,9 @@ func (p *panicFault) Error() string {
 var errTranslationUnavailable = errors.New("vmm: translation unavailable; interpreting")
 
 // plantedFault consults the chaos seam for the page at base. Runs only on
-// the machine goroutine (sync translation sites and the async enqueue), so
-// a seeded injector's random draws stay in deterministic order.
+// the machine goroutine (sync translation sites, the async enqueue and
+// Precompile's job list), so a seeded injector's random draws stay in
+// deterministic order.
 func (m *Machine) plantedFault(base uint32) *TranslationFault {
 	if m.FaultTranslation == nil {
 		return nil
@@ -96,6 +100,31 @@ func (m *Machine) safeEnsureEntry(pt *core.PageTranslation, addr uint32, guided 
 		return m.Trans.EnsureEntryGuided(pt, addr, m.recordTrace(addr))
 	}
 	return m.Trans.EnsureEntry(pt, addr)
+}
+
+// translateSnapshot translates one page from a private copy of its bytes,
+// behind the recover barrier. It rebuilds the bytes in a private memory
+// image and translates from entry with a private Translator, so nothing it
+// reads or writes is shared with the machine; a panicking translator (real
+// or planted by plan) becomes an error, never a dead goroutine. The async
+// workers and Precompile run it off the machine goroutine.
+func translateSnapshot(base, entry uint32, snap []byte, plan *TranslationFault, opt core.Options) (pt *core.PageTranslation, work core.Stats, err error) {
+	defer guardTranslate(&err)
+	if plan != nil {
+		if plan.Err != nil {
+			return nil, work, plan.Err
+		}
+		if plan.Panic {
+			panic("chaos: planted translator panic")
+		}
+	}
+	mm := mem.New(base + uint32(len(snap)))
+	if err := mm.LoadImage(base, snap); err != nil {
+		return nil, work, err
+	}
+	t := core.New(mm, opt)
+	pt, err = t.TranslatePage(entry)
+	return pt, t.Stats, err
 }
 
 // guardTranslate converts a panic escaping a translator call into a
@@ -127,8 +156,8 @@ func (m *Machine) translatorFailed(base uint32, err error) error {
 
 // notePanic counts and traces one recovered translator panic on the page
 // at base. Every path that recovers one — the synchronous build, an async
-// worker, a tier-1 or tier-2 result, a synchronous tier-2 promotion —
-// funnels through here.
+// worker's result, a tier-2 promotion, a Precompile page — funnels
+// through here.
 func (m *Machine) notePanic(base uint32) {
 	m.Stats.TranslatorPanics++
 	m.emit(telemetry.EvTranslatorPanic, base, 0)

@@ -78,10 +78,11 @@ type Options struct {
 	// (exponential backoff before translation is retried).
 	QuarantineBackoff uint64
 
-	// AsyncTranslate moves page translation off the execution path: hot
-	// pages are translated by a bounded worker pool while the machine
+	// AsyncTranslate moves tier-1 page translation off the execution path:
+	// hot pages are translated by a bounded worker pool while the machine
 	// keeps interpreting, and finished translations are published at
-	// precise boundaries (see async.go). Off by default — the golden and
+	// precise boundaries (see async.go). Tier-2 promotion stays inline.
+	// Off by default — the golden and
 	// lockstep walls pin the synchronous machine. Ignored in Interpretive
 	// mode, whose trace-guided translation is inherently inline.
 	AsyncTranslate bool
@@ -167,7 +168,7 @@ type Stats struct {
 	Quarantines        uint64 `metric:"daisy_quarantines"`         // pages degraded to interpret-only mode
 	QuarantineReleases uint64 `metric:"daisy_quarantine_releases"` // quarantines expired (translation retried)
 	InjectedFaults     uint64 // chaos-harness injections observed
-	TranslatorPanics   uint64 `metric:"daisy_translator_panics"` // translator panics recovered (sync path and workers)
+	TranslatorPanics   uint64 `metric:"daisy_translator_panics"` // translator panics recovered (every translation path)
 
 	// Asynchronous translation pipeline (async.go).
 	AsyncEnqueues            uint64 `metric:"daisy_async_enqueues"`      // pages handed to the worker pool
@@ -198,7 +199,6 @@ type Stats struct {
 
 	// Optimizing retranslation tier (tier2.go).
 	Tier2Promotions     uint64 `metric:"daisy_tier2_promotions"`      // pages retranslated at tier-2 effort
-	Tier2Publishes      uint64 `metric:"daisy_tier2_publishes"`       // async tier-2 results installed
 	Tier2Dispatches     uint64 `metric:"daisy_tier2_dispatches"`      // dispatches served by a tier-2 group
 	Tier2Deopts         uint64 `metric:"daisy_tier2_deopts"`          // tier-2 faults deoptimized to tier-1
 	Tier2PathDepartures uint64 `metric:"daisy_tier2_path_departures"` // dispatches that left the tier-2 hot path
@@ -254,11 +254,12 @@ type Machine struct {
 
 	// FaultTranslation, if non-nil, is consulted on the machine goroutine
 	// once per translation attempt of the page at base, before the
-	// translator runs (synchronous path) or as the job is enqueued (async
-	// path, where the plan rides in the job to the worker). Chaos
-	// injectors return a TranslationFault to plant panics, hangs, and
-	// errors inside the recover/watchdog barriers of guard.go and
-	// async.go; nil means translate normally.
+	// translator runs (synchronous path and tier-2 promotion) or as the job
+	// is built (async enqueue and Precompile, where the plan rides in the
+	// job to the translating goroutine). Chaos injectors return a
+	// TranslationFault to plant panics, hangs, and errors inside the
+	// recover/watchdog barriers of guard.go and async.go; nil means
+	// translate normally.
 	FaultTranslation func(base uint32) *TranslationFault
 
 	// obs is the observer slot (observer.go), attached telemetry included.

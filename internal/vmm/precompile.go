@@ -4,32 +4,30 @@ package vmm
 // machines over one shared persistent cache pays the full translation
 // cost once per page — but still serially, on whichever machine touches
 // the page first, interleaved with interpretation while the hot-threshold
-// dues are paid. Precompile removes even that: it scans a span of the
-// loaded image and translates every page in one parallel pass over a
-// transient worker pool, populating the persistent cache before any guest
-// instruction runs.
+// dues are paid. Precompile removes even that: it lists every page of the
+// loaded program and translates them all in one bounded parallel loop,
+// populating the persistent cache before any guest instruction runs.
 //
-// The publish-safety argument is by construction: precompilation shares
-// the async pipeline's worker primitives (private snapshots, private
-// translators, panic isolation) but NEVER installs a result into the
-// machine — the only sink is the content-addressed cache, and the only
-// reader of that cache re-keys every page by its current bytes at install
-// time (installCached). A precompiled translation can therefore never
-// reach execution on a page whose bytes have changed: the digest in the
-// key would differ and the load would miss. The epoch/digest staleness
-// re-check before each Save is an economy, not a correctness requirement
-// — it avoids writing entries a concurrent invalidation already made
-// unreachable.
+// The publish-safety argument is by construction: each page is translated
+// from a private snapshot by a private translator behind the recover
+// barrier, and the result is NEVER installed into the machine — the only
+// sink is the content-addressed cache, and the only reader of that cache
+// re-keys every page by its current bytes at install time
+// (installCached). A precompiled translation can therefore never reach
+// execution on a page whose bytes have changed: the digest in the key
+// would differ and the load would miss. Precompile holds the machine
+// goroutine from snapshot to Save, so the bytes cannot change in between.
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
+	"sync"
+	"sync/atomic"
 
+	"daisy/internal/asm"
+	"daisy/internal/core"
 	"daisy/internal/txcache"
-	"daisy/internal/vliw"
 )
 
 // PrecompileReport summarizes one pre-translation pass.
@@ -40,134 +38,122 @@ type PrecompileReport struct {
 	Translated    int // pages translated by the pass
 	Stored        int // translations written to the cache
 	Failed        int // pages whose translation errored (data pages, faults)
-	Stale         int // results dropped by the epoch/digest re-check
 	SaveErrors    int // cache writes that failed (store counts the reasons)
 }
 
 func (r PrecompileReport) String() string {
-	return fmt.Sprintf("precompile: %d pages: %d cached, %d translated, %d stored, %d failed, %d stale, %d skipped, %d save-errors",
-		r.Pages, r.AlreadyCached, r.Translated, r.Stored, r.Failed, r.Stale, r.Skipped, r.SaveErrors)
+	return fmt.Sprintf("precompile: %d pages: %d cached, %d translated, %d stored, %d failed, %d skipped, %d save-errors",
+		r.Pages, r.AlreadyCached, r.Translated, r.Stored, r.Failed, r.Skipped, r.SaveErrors)
+}
+
+// aotJob is one page of a Precompile pass: its cache key (whose digest
+// pins the snapshot's bytes), translation entry, private snapshot and
+// chaos plan, and the result its translating goroutine fills in.
+type aotJob struct {
+	key   txcache.Key
+	entry uint32
+	snap  []byte
+	plan  *TranslationFault
+
+	pt   *core.PageTranslation
+	work core.Stats
+	err  error
 }
 
 // ErrNoCache is returned by Precompile on a machine without a persistent
 // cache: the pass has no sink, so running it would only burn CPU.
 var ErrNoCache = errors.New("vmm: precompile needs Options.Cache")
 
-// Precompile translates every page named by entries (each entry address
-// names the page containing it and is used as that page's translation
-// entry point) and writes the results to the persistent cache. It runs on
-// the machine goroutine — like every translation entry point — and must
-// not race Run; pages already cached are skipped without being read.
+// Precompile translates every page the loaded program's chunks touch and
+// writes the results to the persistent cache. Each page is translated
+// from the program entry when the entry lies in it (the one entry point
+// known without execution), otherwise from the page base. It runs on the
+// machine goroutine — like every translation entry point — and must not
+// race Run; pages already cached are skipped without being read.
 //
 // Failures are per-page and final for the pass: a page that does not
 // translate (a data page, a planted fault) is counted and skipped — it
 // will be handled by the normal interpret/translate path if it is ever
 // actually executed. Precompile never quarantines, never retries, and
 // never touches the machine's page table, hotness or retry state.
-func (m *Machine) Precompile(entries []uint32) (PrecompileReport, error) {
+func (m *Machine) Precompile(prog *asm.Program) (PrecompileReport, error) {
 	var rep PrecompileReport
 	if m.Opt.Cache == nil {
 		return rep, ErrNoCache
 	}
 	ps := m.Trans.Opt.PageSize
-
-	// Dedupe by page, preserving first-seen entry for each.
-	seen := make(map[uint32]bool, len(entries))
-	jobs := make([]txJob, 0, len(entries))
-	for _, entry := range entries {
-		base := entry &^ (ps - 1)
-		if seen[base] {
+	entry := prog.Entry()
+	seen := make(map[uint32]bool)
+	var jobs []aotJob
+	for _, c := range prog.Chunks {
+		if len(c.Data) == 0 {
 			continue
 		}
-		seen[base] = true
-		rep.Pages++
-		if !m.cacheUsable(base) {
-			rep.Skipped++
-			continue
+		end := c.Addr + uint32(len(c.Data))
+		for base := c.Addr &^ (ps - 1); base < end; base += ps {
+			if seen[base] {
+				continue
+			}
+			seen[base] = true
+			rep.Pages++
+			if !m.cacheUsable(base) {
+				rep.Skipped++
+				continue
+			}
+			key, ok := m.cacheKey(base)
+			if !ok {
+				rep.Skipped++
+				continue
+			}
+			if m.Opt.Cache.Has(key) {
+				rep.AlreadyCached++
+				continue
+			}
+			job := aotJob{key: key, entry: base, snap: append([]byte(nil), m.Mem.Bytes(base, ps)...)}
+			if entry >= base && entry < base+ps {
+				job.entry = entry
+			}
+			// Drawn here, on the machine goroutine and in page order, as
+			// enqueue draws it, so seeded injectors stay deterministic.
+			job.plan = m.plantedFault(base)
+			jobs = append(jobs, job)
 		}
-		key, ok := m.cacheKey(base)
-		if !ok {
-			rep.Skipped++
-			continue
-		}
-		if m.Opt.Cache.Has(key) {
-			rep.AlreadyCached++
-			continue
-		}
-		src := m.Mem.Bytes(base, ps)
-		if src == nil {
-			rep.Skipped++
-			continue
-		}
-		jobs = append(jobs, txJob{
-			base:       base,
-			entry:      entry,
-			epoch:      m.epoch[base], // nil-map read is 0 on sync machines
-			digest:     sha256.Sum256(src),
-			snap:       append([]byte(nil), src...),
-			enqueuedNs: time.Now().UnixNano(),
-		})
-	}
-	if len(jobs) == 0 {
-		return rep, nil
 	}
 
-	// A transient pool over the async pipeline's worker primitives. It is
-	// independent of m.pipe (which may not exist, or may be busy with a
-	// live machine's jobs): precompilation must not compete with demand
-	// translation for queue slots, and a synchronous machine can precompile
-	// too.
-	workers := m.Opt.AsyncWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// At most GOMAXPROCS goroutines translate at once, each taking the next
+	// job index and filling in that job's result, so the order below is
+	// the page order whatever the scheduling.
+	opt := m.Opt.Trans
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				j := &jobs[i]
+				j.pt, j.work, j.err = translateSnapshot(j.key.PageBase, j.entry, j.snap, j.plan, opt)
+			}
+		}()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	p := &txPipeline{
-		jobs:    make(chan txJob, len(jobs)),
-		done:    make(chan txResult, len(jobs)),
-		opt:     m.Opt.Trans,
-		workers: workers,
-	}
-	for i := 0; i < workers; i++ {
-		p.spawnWorker()
-	}
+	wg.Wait()
+
 	for _, j := range jobs {
-		p.jobs <- j
-	}
-	close(p.jobs)
-	p.wg.Wait()
-	close(p.done)
-
-	for r := range p.done {
-		if r.err != nil {
+		if j.err != nil {
 			rep.Failed++
 			var pf *panicFault
-			if errors.As(r.err, &pf) {
-				m.Stats.TranslatorPanics++
+			if errors.As(j.err, &pf) {
+				m.notePanic(j.key.PageBase)
 			}
 			continue
 		}
 		rep.Translated++
-		// The same staleness rule publish applies: if the page's bytes or
-		// epoch moved while the worker ran, the result describes a page
-		// that no longer exists. (Content addressing would keep a stale
-		// entry unreachable anyway; dropping it keeps the cache clean.)
-		base := r.job.base
-		cur := m.Mem.Bytes(base, ps)
-		if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
-			rep.Stale++
-			m.Stats.StaleTranslationsDropped++
-			continue
-		}
-		m.Trans.Stats = m.Trans.Stats.Add(r.stats)
-		key := txcache.Key{PageBase: base, OptFP: m.optFP, Digest: r.job.digest}
-		groups := make([]*vliw.Group, 0, len(r.pt.Order))
-		for _, e := range r.pt.Order {
-			groups = append(groups, r.pt.Groups[e])
-		}
-		if stored, err := m.Opt.Cache.Save(key, groups); err != nil {
+		m.Trans.Stats = m.Trans.Stats.Add(j.work)
+		if stored, err := m.Opt.Cache.Save(j.key, layoutGroups(j.pt)); err != nil {
 			rep.SaveErrors++
 			m.Stats.CacheSaveErrors++
 		} else if stored {

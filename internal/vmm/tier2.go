@@ -16,7 +16,7 @@ package vmm
 // journaled stores are undone, the register file returns to the group-entry
 // checkpoint, and the next dispatch of the page runs the *retained tier-1
 // translation* (never a fresh inline translation, and never the
-// interpreter: tier 1 is always still installed, because installTier2
+// interpreter: tier 1 is always still installed, because maybePromote
 // requires it and invalidation tears both tiers down together).
 //
 // Policy state is per page: promotion needs Tier2Threshold dispatches since
@@ -116,7 +116,8 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 
 // maybePromote counts one tier-1 dispatch into the page and retranslates
 // at tier-2 effort once the page is hot (Tier2Threshold dispatches) and any
-// demotion backoff has expired.
+// demotion backoff has expired. Promotion is inline on every machine: the
+// async pipeline carries tier-1 demand translation only.
 func (m *Machine) maybePromote(base uint32, st *t2State) {
 	st.dispatches++
 	if st.dispatches < m.tier2Threshold() || m.instClock() < st.notBefore {
@@ -125,19 +126,14 @@ func (m *Machine) maybePromote(base uint32, st *t2State) {
 	if m.pages[base] == nil {
 		return // no tier-1 translation to deoptimize to
 	}
-	entry := m.St.PC
-	if m.pipe != nil {
-		m.enqueueTier2(base, entry, st)
-		return
-	}
-	m.promoteSync(base, entry, st)
+	m.promoteSync(base, m.St.PC, st)
 }
 
-// promoteSync profiles and retranslates the page inline (synchronous
-// machines). Promotion failures — a planted or real translator panic, a
-// translation error — cost only the attempt: the page keeps running
-// tier 1 and promotion backs off, because tier 2 is an optimization, not a
-// service the guest depends on.
+// promoteSync profiles and retranslates the page inline. Promotion
+// failures — a planted or real translator panic, a translation error —
+// cost only the attempt: the page keeps running tier 1 and promotion backs
+// off, because tier 2 is an optimization, not a service the guest depends
+// on.
 func (m *Machine) promoteSync(base, entry uint32, st *t2State) {
 	plan := m.plantedFault(base)
 	profile := m.tier2Profile(entry)
@@ -226,15 +222,11 @@ func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint6
 	return pt, t.Stats, err
 }
 
-// installTier2 publishes a tier-2 translation. The tier-1 translation must
-// still be live — it is the deoptimization target — or the result is
-// dropped; invalidation since then also reset the promotion policy, so
-// dropping (rather than reinstalling tier 1) is the consistent move.
+// installTier2 publishes a tier-2 translation. The page's tier-1
+// translation, the deoptimization target, is live: maybePromote checked
+// it, and the inline promotion in between invalidates nothing (the
+// profiler's scratch view raises no code-modification interrupt).
 func (m *Machine) installTier2(base uint32, pt *core.PageTranslation, work core.Stats) {
-	if m.pages[base] == nil {
-		m.Stats.StaleTranslationsDropped++
-		return
-	}
 	m.tier2[base] = pt
 	if st := m.t2[base]; st != nil {
 		st.deopts = 0

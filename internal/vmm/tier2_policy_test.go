@@ -350,3 +350,51 @@ hot:	mullw. r3, r5, r8
 		t.Fatalf("no alias was ever detected; the verify discipline was not exercised")
 	}
 }
+
+// TestTier2PromotesInlineOnAsyncMachine pins that tier-2 promotion is
+// inline on every machine: on an async machine the StepGroup whose
+// dispatch reaches Tier2Threshold installs the tier-2 translation itself,
+// and leaves nothing in flight for the worker pool.
+func TestTier2PromotesInlineOnAsyncMachine(t *testing.T) {
+	prog, err := asm.Assemble("_start:\taddi r1, r1, 1\n\tb _start\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(1 << 16)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.AsyncTranslate = true
+	opt.HotThreshold = 1
+	opt.Tier2 = true
+	opt.Tier2Threshold = 4
+	m := New(mm, &interp.Env{}, opt)
+	defer m.Close()
+	m.Start(prog.Entry(), 0)
+	stepUntil(t, m, "tier-1 translation published", func() bool {
+		return m.Stats.AsyncPublishes > 0
+	})
+	base := prog.Entry() &^ (m.Trans.Opt.PageSize - 1)
+	for step := 0; ; step++ {
+		if step == 100 {
+			t.Fatal("the page never reached the tier-2 threshold")
+		}
+		if _, err := m.StepGroup(); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.t2[base]; st != nil && st.dispatches >= opt.Tier2Threshold {
+			break
+		}
+		if m.Stats.Tier2Promotions != 0 {
+			t.Fatalf("promoted after %d of %d dispatches", m.t2[base].dispatches, opt.Tier2Threshold)
+		}
+	}
+	if m.Stats.Tier2Promotions != 1 || len(m.Tier2Pages()) != 1 {
+		t.Fatalf("the threshold dispatch did not promote (promotions %d, tier-2 pages %v)",
+			m.Stats.Tier2Promotions, m.Tier2Pages())
+	}
+	if p := m.InflightPages(); len(p) != 0 {
+		t.Fatalf("pages still in flight after the promotion: %v", p)
+	}
+}

@@ -2,14 +2,13 @@ package vmm
 
 // Tests for the promotion-time profiler (tier2Profile): it interprets ahead
 // on a scratch view of the live guest image, so it must leave no trace in
-// memory or in the code-modification machinery, must not copy the image,
-// and must not run at all when the promotion could not be enqueued.
+// memory or in the code-modification machinery and must not copy the
+// image.
 
 import (
 	"crypto/sha256"
 	"runtime"
 	"testing"
-	"time"
 
 	"daisy/internal/asm"
 	"daisy/internal/interp"
@@ -95,79 +94,5 @@ hot:	addi r5, r5, 3
 	}
 	if got, want := ma.Stats.Tier2ProfileInsts-profiled, ma.Stats.BaseInsts()-at; got != want {
 		t.Fatalf("profile interpreted %d insts, the rest of the run took %d", got, want)
-	}
-}
-
-// TestTier2QueueFullSkipsProfile pins the order in enqueueTier2: with the
-// worker held and the queue full, a promotion-ready page must be pushed
-// back before it is profiled or a chaos plan is drawn for it, on every
-// dispatch, and must still promote once the queue drains.
-func TestTier2QueueFullSkipsProfile(t *testing.T) {
-	prog, err := asm.Assemble("_start:\taddi r1, r1, 1\n\tb _start\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm := mem.New(1 << 16)
-	if err := prog.Load(mm); err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.AsyncTranslate = true
-	opt.AsyncWorkers = 1
-	opt.AsyncQueueDepth = 1
-	opt.HotThreshold = 1
-	opt.Tier2 = true
-	opt.Tier2Threshold = 1 << 30 // lowered once the queue is full
-	m := New(mm, &interp.Env{}, opt)
-	defer m.Close()
-	m.pipe.testHold = make(chan struct{}, 16)
-	m.Start(prog.Entry(), 0)
-	m.pipe.testHold <- struct{}{} // the loop page's tier-1 job
-	stepUntil(t, m, "tier-1 translation published", func() bool {
-		return m.Stats.AsyncPublishes > 0
-	})
-
-	// Fill the pipeline: the worker takes one job and waits on testHold,
-	// the second sits in the depth-1 queue.
-	m.enqueue(0x8000, 0x8000)
-	deadline := time.Now().Add(10 * time.Second)
-	for len(m.pipe.jobs) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the first filler job")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	m.enqueue(0x9000, 0x9000)
-	if len(m.pipe.jobs) != cap(m.pipe.jobs) {
-		t.Fatalf("queue not full: %d of %d", len(m.pipe.jobs), cap(m.pipe.jobs))
-	}
-
-	draws := 0
-	m.FaultTranslation = func(uint32) *TranslationFault { draws++; return nil }
-	m.Opt.Tier2Threshold = 1
-	full := m.Stats.AsyncQueueFull
-	for i := 0; i < 20; i++ {
-		if _, err := m.StepGroup(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.Stats.AsyncQueueFull - full; got < 20 {
-		t.Fatalf("only %d of 20 dispatches were pushed back", got)
-	}
-	if m.Stats.Tier2ProfileInsts != 0 {
-		t.Fatalf("a full queue still profiled %d insts", m.Stats.Tier2ProfileInsts)
-	}
-	if draws != 0 {
-		t.Fatalf("a full queue still drew %d chaos plans", draws)
-	}
-
-	for i := 0; i < 16; i++ {
-		m.pipe.testHold <- struct{}{}
-	}
-	stepUntil(t, m, "page promoted after the queue drained", func() bool {
-		return m.Stats.Tier2Promotions > 0
-	})
-	if m.Stats.Tier2ProfileInsts == 0 {
-		t.Fatal("promotion happened without a profile")
 	}
 }

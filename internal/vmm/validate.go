@@ -2,8 +2,9 @@ package vmm
 
 // Options validation. New keeps its historical trusting signature (the
 // in-package tests construct machines by the hundred and rely on zero
-// values being normalized), but production entry points — the daisy
-// facade, the cmd tools, the chaos and golden harnesses — go through
+// values being normalized), but every non-test caller — the daisy
+// facade, the commands and examples, the chaos, golden, experiment and
+// traditional-compiler harnesses, and the benchmark — goes through
 // NewMachine, which rejects configurations that would otherwise be
 // silently normalized into something the caller did not ask for, or
 // worse, misbehave at runtime.
