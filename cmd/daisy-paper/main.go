@@ -42,7 +42,6 @@ import (
 	"daisy/internal/golden"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
-	"daisy/internal/perfwall"
 	"daisy/internal/stats"
 	"daisy/internal/telemetry"
 	"daisy/internal/vmm"
@@ -73,12 +72,11 @@ func run(scale int, only, out, name string, chaosSeeds int, goldens string, noPr
 	if err != nil {
 		return err
 	}
-	m := perfwall.CollectManifest("daisy-paper")
 	if name == "" {
 		name = time.Now().UTC().Format("20060102-150405")
 	}
 	dir := filepath.Join(out, name)
-	rf, err := perfwall.NewRunFolder(dir, m, scale, os.Args[1:])
+	rf, err := newRunFolder(dir, scale, os.Args[1:])
 	if err != nil {
 		return err
 	}
@@ -117,7 +115,7 @@ func run(scale int, only, out, name string, chaosSeeds int, goldens string, noPr
 			fail("experiment %s: %v", e.ID, err)
 			continue
 		}
-		if err := rf.AddTable(e.ID, t, wallMS); err != nil {
+		if err := rf.addTable(e.ID, t, wallMS); err != nil {
 			return err
 		}
 		fmt.Printf("[%s]\n%s\n", e.ID, t)
@@ -129,7 +127,7 @@ func run(scale int, only, out, name string, chaosSeeds int, goldens string, noPr
 	// goldens at scale 1. This is what makes a reproduction run double as
 	// a correctness run — a digest mismatch fails the whole invocation.
 	if t, bad := crossCheck(scale, goldens); t != nil {
-		if err := rf.AddTable("crosscheck", t, 0); err != nil {
+		if err := rf.addTable("crosscheck", t, 0); err != nil {
 			return err
 		}
 		if bad > 0 {
@@ -145,7 +143,7 @@ func run(scale int, only, out, name string, chaosSeeds int, goldens string, noPr
 		if err != nil {
 			fail("chaos matrix: %v", err)
 		} else {
-			if err := rf.AddTable("chaos", t, float64(time.Since(t0).Microseconds())/1000); err != nil {
+			if err := rf.addTable("chaos", t, float64(time.Since(t0).Microseconds())/1000); err != nil {
 				return err
 			}
 			if div > 0 {
@@ -162,10 +160,10 @@ func run(scale int, only, out, name string, chaosSeeds int, goldens string, noPr
 		}
 	}
 
-	if err := rf.Finish(); err != nil {
+	if err := rf.finish(); err != nil {
 		return err
 	}
-	if err := perfwall.Validate(dir); err != nil {
+	if err := validate(dir); err != nil {
 		fail("run folder validation: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "[daisy-paper] done in %.1fs: %s\n", time.Since(start).Seconds(), dir)
@@ -314,7 +312,7 @@ func chaosSummary(scale, seeds int) (*stats.Table, int, error) {
 // profileSmoke runs one workload with the attribution profiler attached,
 // validates the pprof payload, and archives it with the telemetry
 // snapshot in both JSON and Prometheus form.
-func profileSmoke(rf *perfwall.RunFolder, scale int) error {
+func profileSmoke(rf *runFolder, scale int) error {
 	w, err := workload.ByName("c_sieve")
 	if err != nil {
 		return err
@@ -348,10 +346,10 @@ func profileSmoke(rf *perfwall.RunFolder, scale int) error {
 	if err != nil {
 		return fmt.Errorf("pprof payload invalid: %w", err)
 	}
-	if err := rf.WriteFile(filepath.Join("profile", "c_sieve.pb"), []byte(pprof.String())); err != nil {
+	if err := rf.writeFile(filepath.Join("profile", "c_sieve.pb"), []byte(pprof.String())); err != nil {
 		return err
 	}
-	if err := tel.Snapshot().WriteFiles(filepath.Join(rf.Dir, "profile")); err != nil {
+	if err := tel.Snapshot().WriteFiles(filepath.Join(rf.dir, "profile")); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "[daisy-paper] profiler smoke ok: %s\n", sum)

@@ -10,7 +10,7 @@
 //
 //	daisy-txcache stat -dir DIR [-deep]         # entry count, compression, health summary
 //	daisy-txcache fsck -dir DIR [-repair]       # validate every entry; -repair deletes bad ones
-//	daisy-txcache gc   -dir DIR -max-bytes N    # evict least-recently-used entries past N bytes
+//	daisy-txcache gc   -dir DIR -max-bytes N    # shrink to N bytes, removing the oldest writes first
 package main
 
 import (
@@ -54,7 +54,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   daisy-txcache stat -dir DIR [-deep]        # entry count, compression, health; -deep adds per-tier service
   daisy-txcache fsck -dir DIR [-repair]      # validate every entry against the Load path
-  daisy-txcache gc   -dir DIR -max-bytes N   # evict least-recently-used entries past N bytes`)
+  daisy-txcache gc   -dir DIR -max-bytes N   # shrink to N bytes, removing the oldest writes first`)
 }
 
 // open validates and opens the cache directory. Unlike a machine run —

@@ -1,12 +1,13 @@
 package txcache
 
 // Crash-safety and maintenance for the persistent store: injected I/O
-// failure modes for the chaos harness, a size bound with LRU eviction, a
-// generation-safe garbage collector, and an fsck that validates (and
-// optionally repairs) every entry on disk. The design rule is the same
-// one the Load path already obeys: the cache is an accelerator, never a
-// dependency — every failure here degrades to counted misses or bypassed
-// writes, and nothing in this file can fail the guest.
+// failure modes for the chaos harness, a generation-safe garbage
+// collector — the store's one size bound, removing the oldest writes
+// first — and an fsck that validates (and optionally repairs) every entry
+// on disk. The design rule is the same one the Load path already obeys:
+// the cache is an accelerator, never a dependency — every failure here
+// degrades to counted misses or bypassed writes, and nothing in this file
+// can fail the guest.
 
 import (
 	"encoding/binary"
@@ -55,184 +56,77 @@ func (s *Store) SetFailMode(f FailMode) {
 	}
 }
 
-// Bypassed reports whether repeated write failures have disabled the
-// write path (reads still work).
-func (s *Store) Bypassed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bypassed
-}
-
-// SetMaxBytes bounds the store's total payload bytes; the least recently
-// used entries are evicted when a write pushes it past the bound
-// (0 restores the default: unbounded). Recency is process-local order,
-// seeded from file modification times on the first need, and Load
-// freshens a disk entry's mtime so recency survives across processes.
-func (s *Store) SetMaxBytes(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxBytes = n
-	s.ensureIndex()
-	s.evict()
-}
-
-// ---- LRU index (all methods run under s.mu) ----
-
-// ensureIndex builds the entry index on first use: names, sizes, and an
-// LRU order seeded from modification times (memory stores sort by name —
-// they have no times, and determinism matters more than a guess).
-func (s *Store) ensureIndex() {
-	if s.indexed {
-		return
-	}
-	s.indexed = true
-	s.sizes = make(map[string]int64)
-	s.order = s.order[:0]
-	if s.dir == "" {
-		for name, b := range s.mem {
-			s.sizes[name] = int64(len(b))
-			s.order = append(s.order, name)
-			s.total += int64(len(b))
-		}
-		sort.Strings(s.order)
-		return
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type rec struct {
-		name string
-		mod  time.Time
-	}
-	var recs []rec
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".dtx" {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec{e.Name(), info.ModTime()})
-		s.sizes[e.Name()] = info.Size()
-		s.total += info.Size()
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if !recs[i].mod.Equal(recs[j].mod) {
-			return recs[i].mod.Before(recs[j].mod)
-		}
-		return recs[i].name < recs[j].name
-	})
-	for _, r := range recs {
-		s.order = append(s.order, r.name)
-	}
-}
-
-// noteWrite records a (re)written entry as most recently used.
-func (s *Store) noteWrite(name string, size int64) {
-	s.ensureIndex()
-	if old, ok := s.sizes[name]; ok {
-		s.total -= old
-		s.removeFromOrder(name)
-	}
-	s.sizes[name] = size
-	s.total += size
-	s.order = append(s.order, name)
-}
-
-// touch marks an entry most recently used (a Load hit). Disk entries get
-// their mtime freshened best-effort, so the next process's seeded order
-// agrees with this one's.
-func (s *Store) touch(name string) {
-	if !s.indexed {
-		return // no size bound has ever been set; skip the bookkeeping
-	}
-	if _, ok := s.sizes[name]; !ok {
-		return
-	}
-	s.removeFromOrder(name)
-	s.order = append(s.order, name)
-	if s.dir != "" {
-		now := time.Now()
-		_ = os.Chtimes(filepath.Join(s.dir, name), now, now)
-	}
-}
-
-func (s *Store) removeFromOrder(name string) {
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// evict removes least-recently-used entries until the store fits its
-// bound. Each eviction is counted; a failed file removal just leaves the
-// entry for the next pass (or for GC).
-func (s *Store) evict() {
-	if s.maxBytes <= 0 {
-		return
-	}
-	s.ensureIndex()
-	for s.total > s.maxBytes && len(s.order) > 0 {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		if s.dir == "" {
-			delete(s.mem, victim)
-		} else if err := os.Remove(filepath.Join(s.dir, victim)); err != nil && !os.IsNotExist(err) {
-			continue
-		}
-		s.total -= s.sizes[victim]
-		delete(s.sizes, victim)
-		s.dropHot(victim) // the hot tier stays a subset of the backing tier
-		s.st.Evictions++
-	}
-}
-
 // ---- Garbage collection ----
 
-// GC shrinks the store to at most maxBytes of entry payload, removing
-// least-recently-used entries first (by modification time for disk
-// stores). It is generation-safe: only entries that existed when the scan
-// started are candidates, so entries written concurrently by a live
-// machine — which rename into place atomically — are never collected by
-// the sweep that missed their birth. Returns the number of entries
-// removed and the bytes freed.
+// GC shrinks the store to at most maxBytes of entry payload, removing the
+// oldest writes first: disk entries by modification time, ties broken by
+// name, and memory entries (which have no times) by name. Only Save sets
+// an entry's time — Load never writes to the directory — so the order is
+// the same from every process that reads the store. GC is
+// generation-safe: an entry whose time is after the scan started was
+// written by a live machine (writes rename into place atomically) and is
+// skipped rather than collected by the sweep that missed its birth.
+// Returns the number of entries removed and the bytes freed.
 func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
-	// Rebuild the index from the source of truth: GC is a maintenance
-	// entry point and may run against a directory other processes wrote.
-	s.indexed = false
-	s.total = 0
-	s.ensureIndex()
-	for s.total > maxBytes && len(s.order) > 0 {
-		victim := s.order[0]
+	type entry struct {
+		name string
+		size int64
+		mod  time.Time
+	}
+	var ents []entry
+	var total int64
+	if s.dir == "" {
+		for name, b := range s.mem {
+			ents = append(ents, entry{name: name, size: int64(len(b))})
+			total += int64(len(b))
+		}
+	} else {
+		des, err := os.ReadDir(s.dir)
+		if err != nil {
+			return 0, 0, fmt.Errorf("txcache: gc: %w", err)
+		}
+		for _, e := range des {
+			if filepath.Ext(e.Name()) != ".dtx" {
+				continue
+			}
+			info, err := e.Info()
+			if err != nil {
+				continue // removed since the listing
+			}
+			ents = append(ents, entry{e.Name(), info.Size(), info.ModTime()})
+			total += info.Size()
+		}
+	}
+	sort.Slice(ents, func(i, j int) bool {
+		if !ents[i].mod.Equal(ents[j].mod) {
+			return ents[i].mod.Before(ents[j].mod)
+		}
+		return ents[i].name < ents[j].name
+	})
+	for _, e := range ents {
+		if total <= maxBytes {
+			break
+		}
 		if s.dir != "" {
-			path := filepath.Join(s.dir, victim)
-			info, statErr := os.Stat(path)
-			if statErr == nil && info.ModTime().After(start) {
+			path := filepath.Join(s.dir, e.name)
+			if info, statErr := os.Stat(path); statErr == nil && info.ModTime().After(start) {
 				// Born after the scan started: a live writer owns it.
 				// Skip it this cycle rather than collect a newborn.
-				s.order = s.order[1:]
-				s.total -= s.sizes[victim]
-				delete(s.sizes, victim)
+				total -= e.size
 				continue
 			}
 			if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
 				return removed, freed, fmt.Errorf("txcache: gc: %w", rmErr)
 			}
 		} else {
-			delete(s.mem, victim)
+			delete(s.mem, e.name)
 		}
-		s.order = s.order[1:]
-		freed += s.sizes[victim]
-		s.total -= s.sizes[victim]
-		delete(s.sizes, victim)
-		s.dropHot(victim)
+		freed += e.size
+		total -= e.size
+		s.dropHot(e.name)
 		removed++
 		s.st.Evictions++
 	}
@@ -352,13 +246,6 @@ func (s *Store) Fsck(repair bool) FsckReport {
 		} else if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
 			return
 		}
-		if s.indexed {
-			if sz, ok := s.sizes[name]; ok {
-				s.total -= sz
-				delete(s.sizes, name)
-				s.removeFromOrder(name)
-			}
-		}
 		s.dropHot(name)
 		rep.Removed++
 	}
@@ -371,9 +258,9 @@ func (s *Store) Fsck(repair bool) FsckReport {
 			return
 		}
 		switch _, _, reason := decodeEntry(k, payload); reason {
-		case missNone:
+		case MissNone:
 			rep.OK++
-		case missVersion, missOptions:
+		case MissVersion, MissOptions:
 			rep.VersionSkew++
 			remove(name)
 		default:

@@ -2,19 +2,21 @@ package txcache_test
 
 // Tests for the crash-safety and maintenance layer (maintenance.go):
 // write-failure bypass, torn writes degrading to counted corrupt misses,
-// the size bound with LRU eviction, GC, and fsck detection/repair.
+// GC's oldest-write-first order and newborn rule, and fsck
+// detection/repair.
 
 import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"daisy/internal/txcache"
 )
 
 // keyAt returns a distinct content-address per page index (same groups,
 // different PageBase — entries all have identical payload size, which the
-// eviction tests rely on).
+// GC tests rely on).
 func keyAt(base txcache.Key, i int) txcache.Key {
 	k := base
 	k.PageBase += uint32(i) * 0x1000
@@ -35,9 +37,6 @@ func TestSaveFailureBypass(t *testing.T) {
 			t.Fatalf("save %d: stored=%v err=%v, want false, error", i, stored, err)
 		}
 	}
-	if !s.Bypassed() {
-		t.Fatal("write path not bypassed after 3 consecutive failures")
-	}
 	if stored, err := s.Save(k, groups); stored || err != nil {
 		t.Fatalf("bypassed save: stored=%v err=%v, want false, nil (degraded, not failed)", stored, err)
 	}
@@ -47,9 +46,6 @@ func TestSaveFailureBypass(t *testing.T) {
 	}
 	// The volume comes back: clearing the mode re-arms the write path.
 	s.SetFailMode(txcache.FailNone)
-	if s.Bypassed() {
-		t.Fatal("still bypassed after the failure cleared")
-	}
 	if stored, err := s.Save(k, groups); !stored || err != nil {
 		t.Fatalf("save after recovery: stored=%v err=%v", stored, err)
 	}
@@ -92,53 +88,10 @@ func TestShortWriteDegradesToCorruptMiss(t *testing.T) {
 	}
 }
 
-// TestMaxBytesEviction pins the size bound: writes past SetMaxBytes evict
-// the least recently used entries, and a Load hit refreshes recency.
-func TestMaxBytesEviction(t *testing.T) {
-	pt, groups := translated(t)
-	base := key(pt)
-
-	// Measure one entry's payload size with a throwaway store: GC(0)
-	// reports the bytes it freed.
-	probe := txcache.OpenMemory()
-	if _, err := probe.Save(base, groups); err != nil {
-		t.Fatal(err)
-	}
-	removed, entrySize, err := probe.GC(0)
-	if err != nil || removed != 1 || entrySize <= 0 {
-		t.Fatalf("probe GC: removed=%d freed=%d err=%v", removed, entrySize, err)
-	}
-
-	s := txcache.OpenMemory()
-	s.SetMaxBytes(4 * entrySize)
-	for i := 0; i < 4; i++ {
-		if _, err := s.Save(keyAt(base, i), groups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch entry 0: it becomes most recently used, so the fifth save must
-	// evict entry 1, the oldest untouched one.
-	if _, ok := s.Load(keyAt(base, 0)); !ok {
-		t.Fatal("entry 0 missing before eviction")
-	}
-	if _, err := s.Save(keyAt(base, 4), groups); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	if _, ok := s.Load(keyAt(base, 1)); ok {
-		t.Fatal("LRU entry 1 survived the eviction")
-	}
-	for _, i := range []int{0, 2, 3, 4} {
-		if _, ok := s.Load(keyAt(base, i)); !ok {
-			t.Fatalf("entry %d was evicted; only the LRU entry should be", i)
-		}
-	}
-}
-
 // TestGC pins the maintenance sweep on a disk store: shrinking to zero
-// removes everything and reports what it freed; a second pass is a no-op.
+// removes everything but a newborn — an entry whose time is after the
+// sweep started, as if a live machine wrote it mid-sweep — and reports
+// what it freed; a second pass is a no-op.
 func TestGC(t *testing.T) {
 	pt, groups := translated(t)
 	dir := t.TempDir()
@@ -147,20 +100,76 @@ func TestGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := key(pt)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		if _, err := s.Save(keyAt(base, i), groups); err != nil {
 			t.Fatal(err)
 		}
+	}
+	newborn := filepath.Join(dir, txcacheFilename(keyAt(base, 0)))
+	future := time.Now().Add(time.Hour)
+	if err := os.Chtimes(newborn, future, future); err != nil {
+		t.Fatal(err)
 	}
 	removed, freed, err := s.GC(0)
 	if err != nil || removed != 3 || freed <= 0 {
 		t.Fatalf("GC: removed=%d freed=%d err=%v, want 3 removals", removed, freed, err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("%d entries survived GC(0)", s.Len())
+	if _, err := os.Stat(newborn); err != nil || s.Len() != 1 {
+		t.Fatalf("GC(0) left %d entries, want only the newborn (stat: %v)", s.Len(), err)
+	}
+	if st := s.Stats(); st.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", st.Evictions)
 	}
 	if removed, freed, err := s.GC(0); err != nil || removed != 0 || freed != 0 {
 		t.Fatalf("second GC: removed=%d freed=%d err=%v, want no-op", removed, freed, err)
+	}
+}
+
+// TestGCOldestWriteFirst pins GC's order and that reads leave the store
+// alone: a Load does not touch the entry's time, so GC still removes the
+// entry written longest ago even right after that entry was loaded. The
+// older entry sorts last by name, so a name-ordered sweep would fail too.
+func TestGCOldestWriteFirst(t *testing.T) {
+	pt, groups := translated(t)
+	dir := t.TempDir()
+	s, err := txcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := key(pt)
+	older, newer := keyAt(base, 1), keyAt(base, 0)
+	path := func(k txcache.Key) string { return filepath.Join(dir, txcacheFilename(k)) }
+	now := time.Now()
+	for k, age := range map[txcache.Key]time.Duration{older: 2 * time.Hour, newer: time.Hour} {
+		if _, err := s.Save(k, groups); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path(k), now.Add(-age), now.Add(-age)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.Stat(path(older))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Load(older); !ok {
+		t.Fatal("older entry missed")
+	}
+	after, err := os.Stat(path(older))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(before.ModTime()) {
+		t.Fatalf("Load moved the entry's time from %v to %v", before.ModTime(), after.ModTime())
+	}
+	if removed, _, err := s.GC(after.Size()); err != nil || removed != 1 {
+		t.Fatalf("GC to one entry: removed=%d err=%v, want 1", removed, err)
+	}
+	if _, err := os.Stat(path(older)); !os.IsNotExist(err) {
+		t.Fatalf("GC kept the oldest write (stat: %v)", err)
+	}
+	if _, err := os.Stat(path(newer)); err != nil {
+		t.Fatalf("GC removed the newer write: %v", err)
 	}
 }
 

@@ -298,72 +298,9 @@ func TestSingleFlightDecode(t *testing.T) {
 	}
 }
 
-// TestHotTierBound pins the hot tier's size bound and LRU eviction, and
-// that a negative bound disables the tier entirely.
-func TestHotTierBound(t *testing.T) {
-	pt, groups := translated(t)
-	base := key(pt)
-	s := txcache.OpenMemory()
-	for i := 0; i < 4; i++ {
-		if _, err := s.Save(keyAt(base, i), groups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Size one resident entry, then bound the tier to two of them.
-	if _, ok := s.Load(keyAt(base, 0)); !ok {
-		t.Fatal("load missed")
-	}
-	_, one := s.HotTier()
-	if one <= 0 {
-		t.Fatal("no hot occupancy after a load")
-	}
-	s.SetHotMaxBytes(2 * one)
-	for i := 0; i < 4; i++ {
-		if _, ok := s.Load(keyAt(base, i)); !ok {
-			t.Fatalf("load %d missed", i)
-		}
-	}
-	n, b := s.HotTier()
-	if n != 2 || b > 2*one {
-		t.Fatalf("hot tier %d entries / %d bytes, want 2 entries <= %d bytes", n, b, 2*one)
-	}
-	if st := s.Stats(); st.HotEvictions == 0 {
-		t.Fatalf("no hot evictions counted: %+v", st)
-	}
-	// LRU: entries 2 and 3 are resident; 0 must re-read the backing tier.
-	before := s.Stats().DiskReads
-	if _, ok := s.Load(keyAt(base, 3)); !ok {
-		t.Fatal("resident load missed")
-	}
-	if got := s.Stats().DiskReads; got != before {
-		t.Fatalf("resident key read the backing tier (%d -> %d)", before, got)
-	}
-	if _, ok := s.Load(keyAt(base, 0)); !ok {
-		t.Fatal("evicted load missed")
-	}
-	if got := s.Stats().DiskReads; got != before+1 {
-		t.Fatalf("evicted key served without a backing read")
-	}
-
-	// Disable: the tier flushes and stays empty.
-	s.SetHotMaxBytes(-1)
-	if n, b := s.HotTier(); n != 0 || b != 0 {
-		t.Fatalf("disabled tier still holds %d entries / %d bytes", n, b)
-	}
-	r0 := s.Stats().DiskReads
-	for i := 0; i < 3; i++ {
-		if _, ok := s.Load(keyAt(base, 1)); !ok {
-			t.Fatal("load missed with tier disabled")
-		}
-	}
-	if got := s.Stats().DiskReads; got != r0+3 {
-		t.Fatalf("disabled tier absorbed reads: %d -> %d, want +3", r0, got)
-	}
-}
-
-// TestBackingEvictionDropsHotCopy pins tier coherence: when the size
-// bound evicts a backing entry, its decoded copy leaves the hot tier too,
-// so the hot tier can never serve a key the backing tier has dropped.
+// TestBackingEvictionDropsHotCopy pins tier coherence: when GC removes a
+// backing entry, its decoded copy leaves the hot tier too, so the hot
+// tier can never serve a key the backing tier has dropped.
 func TestBackingEvictionDropsHotCopy(t *testing.T) {
 	pt, groups := translated(t)
 	base := key(pt)
@@ -375,7 +312,6 @@ func TestBackingEvictionDropsHotCopy(t *testing.T) {
 	if err != nil || one <= 0 {
 		t.Fatalf("probe GC: freed=%d err=%v", one, err)
 	}
-	s.SetMaxBytes(2 * one)
 	for i := 0; i < 2; i++ {
 		if _, err := s.Save(keyAt(base, i), groups); err != nil {
 			t.Fatal(err)
@@ -387,9 +323,9 @@ func TestBackingEvictionDropsHotCopy(t *testing.T) {
 	if n, _ := s.HotTier(); n != 2 {
 		t.Fatalf("hot tier has %d entries, want 2", n)
 	}
-	// Third save evicts the LRU backing entry (key 0) — and its hot copy.
-	if _, err := s.Save(keyAt(base, 2), groups); err != nil {
-		t.Fatal(err)
+	// GC to one entry removes the first by name (key 0) — and its hot copy.
+	if removed, _, err := s.GC(one); err != nil || removed != 1 {
+		t.Fatalf("GC: removed=%d err=%v, want 1", removed, err)
 	}
 	if n, _ := s.HotTier(); n != 1 {
 		t.Fatalf("hot tier has %d entries after backing eviction, want 1", n)
@@ -400,8 +336,8 @@ func TestBackingEvictionDropsHotCopy(t *testing.T) {
 }
 
 // TestConcurrentSharedStore is the fleet soak: goroutine-machines Load
-// and Save a shared key set while maintenance (GC, size bounds, fsck)
-// runs against them. Run under -race by CI; the assertions here are the
+// and Save a shared key set while GC runs against them, then fsck checks
+// what they left. Run under -race by CI; the assertions here are the
 // invariants that must hold whatever the interleaving.
 func TestConcurrentSharedStore(t *testing.T) {
 	pt, groups := translated(t)
@@ -438,15 +374,11 @@ func TestConcurrentSharedStore(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			s.SetHotMaxBytes(int64(1 + i*1024))
-			s.SetMaxBytes(int64(4096 * (i + 1)))
 			if _, _, err := s.GC(int64(2048 * (i + 1))); err != nil {
 				t.Errorf("gc: %v", err)
 				return
 			}
-			s.SetMaxBytes(0)
 		}
-		s.SetHotMaxBytes(0)
 	}()
 	wg.Wait()
 

@@ -60,11 +60,11 @@ const (
 // key echo, codec byte, raw body length.
 const headerSize = 4 + 2 + 8 + 4 + 32 + 1 + 4
 
-// defaultHotMaxBytes bounds the decoded hot tier when SetHotMaxBytes was
-// never called: 64 MiB of raw entry payload, enough for the decoded
-// working set of every workload in the repo many times over while staying
-// irrelevant next to the guest memory image.
-const defaultHotMaxBytes = 64 << 20
+// hotMaxBytes bounds the decoded hot tier: 64 MiB of raw entry payload,
+// enough for the decoded working set of every workload in the repo many
+// times over while staying irrelevant next to the guest memory image. It
+// is a variable only so the package's tests can shrink it.
+var hotMaxBytes int64 = 64 << 20
 
 // Key addresses one page translation. Translation output is a pure
 // function of the three fields (given a fixed translator version), which
@@ -106,7 +106,7 @@ type Stats struct {
 	Decodes         uint64
 	BytesServedHot  uint64
 	BytesServedDisk uint64
-	HotEvictions    uint64 // hot-tier entries dropped (size bound or backing eviction)
+	HotEvictions    uint64 // hot-tier entries dropped: past the bound, or their backing entry rewritten, damaged or removed
 
 	// Compression accounting for written entries: raw body bytes in,
 	// stored bytes out (header and checksum excluded on both sides).
@@ -116,8 +116,8 @@ type Stats struct {
 	// Crash-safety counters (maintenance.go). SaveErrors are writes that
 	// failed (disk full, unwritable dir); SaveBypassed are writes skipped
 	// after repeated failures disabled the write path; Evictions are
-	// backing entries removed by the size bound. None of them is ever an
-	// error on the execution path.
+	// backing entries removed by GC. None of them is ever an error on the
+	// execution path.
 	SaveErrors   uint64
 	SaveBypassed uint64
 	Evictions    uint64
@@ -137,7 +137,7 @@ type flightCall struct {
 	done   chan struct{}
 	groups []*vliw.Group // pristine decoded set; nil if the leader missed
 	bytes  int64
-	reason missReason // the leader's miss reason when groups is nil
+	reason MissReason // the leader's miss reason when groups is nil
 }
 
 // Store is a translation cache. With a directory it persists across
@@ -153,28 +153,20 @@ type Store struct {
 	st  Stats
 
 	// Hot tier: pristine decoded groups over the backing tier, LRU by
-	// raw payload bytes. hotMax 0 means defaultHotMaxBytes; negative
-	// disables the tier.
+	// raw payload bytes, bounded by hotMaxBytes.
 	hot      map[string]*hotEntry
 	hotOrder []string // LRU order, least recently used first
 	hotBytes int64
-	hotMax   int64
 
 	// flight holds in-progress backing-tier loads for single-flight
 	// decode.
 	flight map[string]*flightCall
 
-	// Crash-safety state (maintenance.go): the injected failure mode, the
-	// consecutive-failure streak that trips the write bypass, and the LRU
-	// index enforcing the size bound.
+	// Crash-safety state (maintenance.go): the injected failure mode and
+	// the consecutive-failure streak that trips the write bypass.
 	fail       FailMode
 	failStreak int
 	bypassed   bool
-	maxBytes   int64
-	indexed    bool
-	order      []string         // LRU order, least recently used first
-	sizes      map[string]int64 // payload bytes per entry
-	total      int64
 }
 
 // Open returns a persistent store rooted at dir, creating it if needed.
@@ -312,8 +304,6 @@ func (s *Store) Save(k Key, groups []*vliw.Group) (stored bool, err error) {
 	// A rewrite of the same content address can carry a larger group set
 	// (write-through after entry extension): never serve the stale copy.
 	s.dropHot(name)
-	s.noteWrite(name, int64(len(payload)))
-	s.evict()
 	return true, nil
 }
 
@@ -360,8 +350,8 @@ func (s *Store) writeEntry(name string, payload []byte) error {
 // promoted. The returned groups are always a private copy: machines
 // mutate what they install.
 func (s *Store) Load(k Key) (groups []*vliw.Group, ok bool) {
-	g, _, reason := s.loadReason(k)
-	return g, reason == missNone
+	g, _, reason := s.LoadReason(k)
+	return g, reason == MissNone
 }
 
 // Has reports whether an entry exists under k, without reading, decoding
@@ -411,11 +401,6 @@ func (r MissReason) String() string {
 // never touched the backing tier, and reason classifies a miss so callers
 // (the VMM's per-machine stats, telemetry) can export the taxonomy.
 func (s *Store) LoadReason(k Key) (groups []*vliw.Group, hot bool, reason MissReason) {
-	g, hot, r := s.loadReason(k)
-	return g, hot, r.exported()
-}
-
-func (s *Store) loadReason(k Key) ([]*vliw.Group, bool, missReason) {
 	name := k.filename()
 	s.mu.Lock()
 	if h, ok := s.hot[name]; ok {
@@ -423,9 +408,8 @@ func (s *Store) loadReason(k Key) ([]*vliw.Group, bool, missReason) {
 		s.st.HotHits++
 		s.st.BytesServedHot += uint64(h.bytes)
 		s.hotTouch(name)
-		s.touch(name)
 		s.mu.Unlock()
-		return cloneGroups(h.groups), true, missNone
+		return cloneGroups(h.groups), true, MissNone
 	}
 	if f, ok := s.flight[name]; ok {
 		// Another Load is decoding this key right now: wait for it and
@@ -438,7 +422,7 @@ func (s *Store) loadReason(k Key) ([]*vliw.Group, bool, missReason) {
 			s.st.HotHits++
 			s.st.BytesServedHot += uint64(f.bytes)
 			s.mu.Unlock()
-			return cloneGroups(f.groups), true, missNone
+			return cloneGroups(f.groups), true, MissNone
 		}
 		s.countMiss(f.reason)
 		s.mu.Unlock()
@@ -461,8 +445,7 @@ func (s *Store) loadReason(k Key) ([]*vliw.Group, bool, missReason) {
 	}
 	s.mu.Unlock()
 
-	reason := missAbsent
-	var groups []*vliw.Group
+	reason = MissAbsent
 	var raw int
 	if payload != nil {
 		groups, raw, reason = decodeEntry(k, payload)
@@ -473,7 +456,7 @@ func (s *Store) loadReason(k Key) ([]*vliw.Group, bool, missReason) {
 	if payload != nil {
 		s.st.Decodes++
 	}
-	if reason != missNone {
+	if reason != MissNone {
 		f.reason = reason
 		s.countMiss(reason)
 		s.mu.Unlock()
@@ -482,14 +465,13 @@ func (s *Store) loadReason(k Key) ([]*vliw.Group, bool, missReason) {
 	}
 	s.st.Hits++
 	s.st.BytesServedDisk += uint64(raw)
-	s.touch(name)
 	f.groups, f.bytes = groups, int64(raw)
 	s.hotAdd(name, groups, int64(raw))
 	s.mu.Unlock()
 	close(f.done)
 	// groups is now owned by the hot tier (and visible to waiters): serve
 	// the caller a private copy like every other path.
-	return cloneGroups(groups), false, missNone
+	return cloneGroups(groups), false, MissNone
 }
 
 func cloneGroups(gs []*vliw.Group) []*vliw.Group {
@@ -502,28 +484,6 @@ func cloneGroups(gs []*vliw.Group) []*vliw.Group {
 
 // ---- Hot tier (all methods run under s.mu) ----
 
-// SetHotMaxBytes bounds the decoded hot tier by raw entry payload bytes:
-// 0 restores the default (64 MiB), a negative value disables the tier
-// entirely and flushes it (every Load then pays the backing read+decode —
-// the pre-tier behavior, used as the benchmark baseline).
-func (s *Store) SetHotMaxBytes(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hotMax = n
-	if n < 0 {
-		for _, name := range s.hotOrder {
-			if h, ok := s.hot[name]; ok {
-				s.hotBytes -= h.bytes
-				delete(s.hot, name)
-				s.st.HotEvictions++
-			}
-		}
-		s.hotOrder = s.hotOrder[:0]
-		return
-	}
-	s.hotEvict()
-}
-
 // HotTier reports the hot tier's current occupancy: resident entries and
 // their raw payload bytes.
 func (s *Store) HotTier() (entries int, bytes int64) {
@@ -533,9 +493,6 @@ func (s *Store) HotTier() (entries int, bytes int64) {
 }
 
 func (s *Store) hotAdd(name string, groups []*vliw.Group, raw int64) {
-	if s.hotMax < 0 {
-		return
-	}
 	if _, ok := s.hot[name]; ok {
 		return
 	}
@@ -545,15 +502,7 @@ func (s *Store) hotAdd(name string, groups []*vliw.Group, raw int64) {
 	s.hot[name] = &hotEntry{groups: groups, bytes: raw}
 	s.hotOrder = append(s.hotOrder, name)
 	s.hotBytes += raw
-	s.hotEvict()
-}
-
-func (s *Store) hotEvict() {
-	max := s.hotMax
-	if max == 0 {
-		max = defaultHotMaxBytes
-	}
-	for s.hotBytes > max && len(s.hotOrder) > 0 {
+	for s.hotBytes > hotMaxBytes && len(s.hotOrder) > 0 {
 		victim := s.hotOrder[0]
 		s.hotOrder = s.hotOrder[1:]
 		if h, ok := s.hot[victim]; ok {
@@ -575,8 +524,8 @@ func (s *Store) hotTouch(name string) {
 }
 
 // dropHot removes one key's decoded copy, keeping the hot tier a subset
-// of the backing tier (called when eviction, GC or fsck removes the
-// backing entry, and on rewrite).
+// of the backing tier (called when GC or fsck removes the backing entry,
+// when a damage injector rewrites it, and on Save).
 func (s *Store) dropHot(name string) {
 	h, ok := s.hot[name]
 	if !ok {
@@ -593,60 +542,35 @@ func (s *Store) dropHot(name string) {
 	s.st.HotEvictions++
 }
 
-type missReason int
-
-const (
-	missNone missReason = iota
-	missAbsent
-	missCorrupt
-	missVersion
-	missOptions
-)
-
-// exported converts the internal reason to the public taxonomy.
-func (r missReason) exported() MissReason {
-	switch r {
-	case missAbsent:
-		return MissAbsent
-	case missCorrupt:
-		return MissCorrupt
-	case missVersion:
-		return MissVersion
-	case missOptions:
-		return MissOptions
-	}
-	return MissNone
-}
-
-func (s *Store) countMiss(r missReason) {
+func (s *Store) countMiss(r MissReason) {
 	s.st.Misses++
 	switch r {
-	case missAbsent:
+	case MissAbsent:
 		s.st.Absent++
-	case missCorrupt:
+	case MissCorrupt:
 		s.st.Corrupt++
-	case missVersion:
+	case MissVersion:
 		s.st.VersionSkew++
-	case missOptions:
+	case MissOptions:
 		s.st.OptionsMismatch++
 	}
 }
 
 // decodeEntry parses and fully validates one serialized entry, returning
 // the decoded groups and the raw (uncompressed) body size.
-func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, missReason) {
+func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, MissReason) {
 	if len(payload) < headerSize+4 {
-		return nil, 0, missCorrupt
+		return nil, 0, MissCorrupt
 	}
 	body, sum := payload[:len(payload)-4], payload[len(payload)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(sum) {
-		return nil, 0, missCorrupt
+		return nil, 0, MissCorrupt
 	}
 	if binary.BigEndian.Uint32(body) != magic {
-		return nil, 0, missCorrupt
+		return nil, 0, MissCorrupt
 	}
 	if binary.BigEndian.Uint16(body[4:]) != Version {
-		return nil, 0, missVersion
+		return nil, 0, MissVersion
 	}
 	if binary.BigEndian.Uint64(body[6:]) != k.OptFP ||
 		binary.BigEndian.Uint32(body[14:]) != k.PageBase ||
@@ -655,7 +579,7 @@ func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, missReason) {
 		// was loaded under: a renamed or cross-copied entry, classified
 		// as an options/key mismatch (the fingerprint is the only echo
 		// field the filename cannot verify by construction).
-		return nil, 0, missOptions
+		return nil, 0, MissOptions
 	}
 	codec := body[50]
 	rawLen := int(binary.BigEndian.Uint32(body[51:]))
@@ -664,7 +588,7 @@ func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, missReason) {
 	switch codec {
 	case codecRaw:
 		if len(blob) != rawLen {
-			return nil, 0, missCorrupt
+			return nil, 0, MissCorrupt
 		}
 		raw = blob
 	case codecFlate:
@@ -672,21 +596,21 @@ func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, missReason) {
 		b, err := io.ReadAll(io.LimitReader(fr, int64(rawLen)+1))
 		fr.Close()
 		if err != nil || len(b) != rawLen {
-			return nil, 0, missCorrupt
+			return nil, 0, MissCorrupt
 		}
 		raw = b
 	default:
-		return nil, 0, missCorrupt
+		return nil, 0, MissCorrupt
 	}
 	if len(raw) < 2 {
-		return nil, 0, missCorrupt
+		return nil, 0, MissCorrupt
 	}
 	count := int(binary.BigEndian.Uint16(raw))
 	i := 2
 	groups := make([]*vliw.Group, 0, count)
 	for n := 0; n < count; n++ {
 		if len(raw) < i+16 {
-			return nil, 0, missCorrupt
+			return nil, 0, MissCorrupt
 		}
 		entry := binary.BigEndian.Uint32(raw[i:])
 		baseInsts := binary.BigEndian.Uint32(raw[i+4:])
@@ -694,22 +618,22 @@ func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, missReason) {
 		codeLen := int(binary.BigEndian.Uint32(raw[i+12:]))
 		i += 16
 		if codeLen < 0 || len(raw) < i+codeLen {
-			return nil, 0, missCorrupt
+			return nil, 0, MissCorrupt
 		}
 		code := raw[i : i+codeLen]
 		i += codeLen
 		g, err := vliw.DecodeGroup(code)
 		if err != nil || g.Entry != entry {
-			return nil, 0, missCorrupt
+			return nil, 0, MissCorrupt
 		}
 		g.BaseInsts = int(baseInsts)
 		g.Parcels = int(parcels)
 		groups = append(groups, g)
 	}
 	if i != len(raw) {
-		return nil, 0, missCorrupt
+		return nil, 0, MissCorrupt
 	}
-	return groups, rawLen, missNone
+	return groups, rawLen, MissNone
 }
 
 // SkewVersion rewrites every stored entry's format version to v and

@@ -73,6 +73,27 @@ func TestPrecompileReport(t *testing.T) {
 	}
 }
 
+// TestPrecompileAccountsEveryPage pins that a report accounts for every
+// page it translates, stored or counted in SaveErrors, also after three
+// failed writes turn the store's write path off and Save skips pages
+// without an error: c_sieve's writes fail, wc's last is skipped.
+func TestPrecompileAccountsEveryPage(t *testing.T) {
+	store := txcache.OpenMemory()
+	store.SetFailMode(txcache.FailENOSPC)
+	for _, name := range []string{"c_sieve", "wc"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := precompiled(t, w, store); rep.Translated == 0 || rep.Translated != rep.Stored+rep.SaveErrors {
+			t.Fatalf("%s: %v: a translated page is neither stored nor a save error", name, rep)
+		}
+	}
+	if st := store.Stats(); st.SaveBypassed == 0 {
+		t.Fatalf("the store never skipped a write: %+v", st)
+	}
+}
+
 // TestPrecompilePlantedPanic plants a translator panic on one c_sieve page
 // through the chaos seam. The pass must count it like every other
 // recovered panic (one TranslatorPanics, one translator-panic event), fail

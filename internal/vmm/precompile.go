@@ -38,7 +38,7 @@ type PrecompileReport struct {
 	Translated    int // pages translated by the pass
 	Stored        int // translations written to the cache
 	Failed        int // pages whose translation errored (data pages, faults)
-	SaveErrors    int // cache writes that failed (store counts the reasons)
+	SaveErrors    int // translated pages the cache did not keep: failed writes and writes the store bypassed
 }
 
 func (r PrecompileReport) String() string {
@@ -153,12 +153,15 @@ func (m *Machine) Precompile(prog *asm.Program) (PrecompileReport, error) {
 		}
 		rep.Translated++
 		m.Trans.Stats = m.Trans.Stats.Add(j.work)
-		if stored, err := m.Opt.Cache.Save(j.key, layoutGroups(j.pt)); err != nil {
-			rep.SaveErrors++
+		stored, err := m.Opt.Cache.Save(j.key, layoutGroups(j.pt))
+		if err != nil {
 			m.Stats.CacheSaveErrors++
-		} else if stored {
+		}
+		if stored {
 			rep.Stored++
 			m.Stats.CacheStores++
+		} else {
+			rep.SaveErrors++
 		}
 	}
 	return rep, nil
