@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak bench-smoke bench-test profile-smoke cover cover-update ci bench experiments paper paper-smoke
+.PHONY: all build test vet fmt race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak fuzz-smoke bench-smoke bench-test profile-smoke cover cover-update ci bench experiments paper paper-smoke
 
 all: build
 
@@ -55,6 +55,15 @@ chaos-smoke:
 chaos-soak:
 	$(GO) run -race ./cmd/daisy-chaos -seed 1 -seeds 4
 
+# Run each native fuzzer for a short while, beyond its seed corpus (which
+# every `go test` replays as unit cases): the sparse-memory model, the
+# §3.5 scan mapping and the tier-2 lockstep. -fuzz takes one package and
+# one target per command.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScratchRollback$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMapping$$' -fuzztime 10s ./internal/vmm
+	$(GO) test -run '^$$' -fuzz '^FuzzTier2Lockstep$$' -fuzztime 10s ./internal/vmm
+
 # Compile and exercise the executor layer benchmark once so a regression
 # that breaks it is caught in CI, not at the next perf investigation.
 # BenchmarkExec is the executor layer alone; it fails if Exec allocates.
@@ -78,8 +87,9 @@ profile-smoke:
 # Tier-2 soak: the optimizing-retranslation gates under the race detector —
 # the deopt/quarantine policy tests, the deferred-commit reconstruction
 # wall (the FuzzTier2Lockstep seed corpus replays as unit cases), the
-# promotion profiler's scratch-view rollback (FuzzScratchRollback's seed
-# corpus), and the tier-2 golden equivalence + determinism suite.
+# promotion profiler's scratch-view rollback (the seed corpus of
+# FuzzScratchRollback, the sparse-memory model fuzzer), and the tier-2
+# golden equivalence + determinism suite.
 # Byte-identical output against the tier-1 goldens is the bar.
 tier2-soak:
 	$(GO) test -race ./internal/vmm -run 'TestTier2|FuzzTier2Lockstep'
@@ -108,7 +118,7 @@ cover-update:
 	$(GO) run ./cmd/daisy-cover -profile cover.out -update
 	@echo "commit COVERAGE.txt to ratchet the floor"
 
-ci: fmt vet build race chaos-smoke chaos-soak bench-smoke bench-test profile-smoke paper-smoke cover
+ci: fmt vet build race chaos-smoke chaos-soak fuzz-smoke bench-smoke bench-test profile-smoke paper-smoke cover
 
 # The end-to-end benchmark (bench/, see bench/README.md) on all five
 # workloads; pass flags through bench/run.sh directly for one workload,

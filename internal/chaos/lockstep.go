@@ -130,23 +130,17 @@ func compare(ma *vmm.Machine, ref *interp.Interp, lastGood, now uint64, skipPC b
 		}
 	}
 	for _, u := range units {
-		mb, rb := ma.Mem.UnitBytes(u), ref.Mem.UnitBytes(u)
-		if bytes.Equal(mb, rb) {
+		off := ma.Mem.UnitDiff(ref.Mem, u)
+		if off < 0 {
 			continue
-		}
-		off := 0
-		for i := range rb {
-			if mb[i] != rb[i] {
-				off = i
-				break
-			}
 		}
 		addr := u<<mem.ProtectShift + uint32(off)
 		return &Divergence{
 			Window:  [2]uint64{lastGood, now},
 			MemAddr: addr,
 			MemDiff: true,
-			Detail:  fmt.Sprintf("memory differs at inst %d, addr %#x (ref %#x != machine %#x)", now, addr, rb[off], mb[off]),
+			Detail: fmt.Sprintf("memory differs at inst %d, addr %#x (ref %#x != machine %#x)",
+				now, addr, ref.Mem.Bytes(addr, 1)[0], ma.Mem.Bytes(addr, 1)[0]),
 		}
 	}
 

@@ -96,7 +96,7 @@ type pendVerify struct {
 }
 
 func newPath(c *groupCtx, cont uint32) *path {
-	return &path{c: c, cont: cont, prob: 1, lastStore: -1}
+	return &path{c: c, vs: c.takeVS(), cont: cont, prob: 1, lastStore: -1}
 }
 
 func (p *path) last() int      { return len(p.vs) - 1 }
@@ -166,7 +166,7 @@ func markBusy(v *vliw.VLIW, r vliw.RegRef) {
 func (p *path) clone() *path {
 	p.c.t.Stats.PathClones++
 	q := *p
-	q.vs = append([]pvliw(nil), p.vs...)
+	q.vs = append(p.c.takeVS(), p.vs...)
 	q.scratch = append([]vliw.RegRef(nil), p.scratch...)
 	q.deopt = append([]vliw.DeoptRec(nil), p.deopt...)
 	q.pendVer = append([]pendVerify(nil), p.pendVer...)
@@ -733,11 +733,13 @@ func minFlushIdx(p *path, rec *renameRec) int {
 	return rec.ready
 }
 
-// close terminates the path with the given exit.
+// close terminates the path with the given exit and frees its VLIW list.
 func (p *path) close(exit vliw.Exit) {
 	p.flushDeferredCommits()
 	p.lastPV().tip.Exit = exit
 	p.c.removePath(p)
+	p.c.putVS(p.vs)
+	p.vs = nil
 }
 
 // closeToEntry terminates the path with a branch to a same-page entry

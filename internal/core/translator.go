@@ -164,6 +164,7 @@ type Translator struct {
 
 	Stats Stats
 
+	arena  arena  // record storage shared by every group this translator builds
 	encBuf []byte // reused encoding buffer for size accounting
 }
 
@@ -197,6 +198,7 @@ func New(m *mem.Memory, opt Options) *Translator {
 // groupCtx is the per-group translation state (CreateVLIWGroupForEntry).
 type groupCtx struct {
 	t        *Translator
+	*arena   // the translator's, shared by all its groups
 	g        *vliw.Group
 	pageBase uint32
 	paths    []*path
@@ -204,14 +206,19 @@ type groupCtx struct {
 	loopHead map[uint32]bool
 	worklist []uint32 // same-page entry points discovered at path exits
 	wlSeen   map[uint32]bool
+}
 
-	// Arena storage. The scheduler allocates small linked records —
-	// rename records, deferred commit parcels, tree nodes — at a rate
-	// that dominates the translator's heap traffic, so they are carved
-	// out of chunks owned by the group context. Chunks are never grown
-	// in place: when one fills, a fresh chunk is started, so pointers
-	// into earlier chunks stay valid while the records keep being
-	// mutated through them.
+// arena is a translator's record storage. The scheduler allocates small
+// linked records — rename records, deferred commit parcels, tree nodes —
+// at a rate that dominates the translator's heap traffic, so they are
+// carved out of chunks owned by the translator and shared by every group
+// it builds: a group that uses a few nodes no longer keeps whole fresh
+// chunks alive. Chunks are never grown in place: when one fills, a fresh
+// chunk is started, so pointers into earlier chunks stay valid while the
+// records keep being mutated through them. A translator runs on one
+// goroutine, so its arena needs no lock; after a translator panic the VMM
+// rebuilds the translator, dropping a half-built arena with it.
+type arena struct {
 	recChunk  []renameRec
 	parChunk  []vliw.Parcel // deferred commit parcels
 	nodeChunk []vliw.Node
@@ -219,70 +226,91 @@ type groupCtx struct {
 	condChunk []vliw.Cond
 	opsChunk  []vliw.Parcel // initial Ops backing for tree nodes
 
+	freeVS [][]pvliw // closed paths' VLIW lists, cleared, for reuse
+
 	memoOld []*renameRec // clone's rename-aliasing scratch
 	memoNew []*renameRec
 }
 
-func (c *groupCtx) newRec(r renameRec) *renameRec {
-	if len(c.recChunk) == cap(c.recChunk) {
-		c.recChunk = make([]renameRec, 0, 128)
+func (a *arena) newRec(r renameRec) *renameRec {
+	if len(a.recChunk) == cap(a.recChunk) {
+		a.recChunk = make([]renameRec, 0, 128)
 	}
-	c.recChunk = append(c.recChunk, r)
-	return &c.recChunk[len(c.recChunk)-1]
+	a.recChunk = append(a.recChunk, r)
+	return &a.recChunk[len(a.recChunk)-1]
 }
 
-func (c *groupCtx) newCommit(par vliw.Parcel) *vliw.Parcel {
-	if len(c.parChunk) == cap(c.parChunk) {
-		c.parChunk = make([]vliw.Parcel, 0, 128)
+func (a *arena) newCommit(par vliw.Parcel) *vliw.Parcel {
+	if len(a.parChunk) == cap(a.parChunk) {
+		a.parChunk = make([]vliw.Parcel, 0, 128)
 	}
-	c.parChunk = append(c.parChunk, par)
-	return &c.parChunk[len(c.parChunk)-1]
+	a.parChunk = append(a.parChunk, par)
+	return &a.parChunk[len(a.parChunk)-1]
 }
 
-func (c *groupCtx) newNode() *vliw.Node {
-	if len(c.nodeChunk) == cap(c.nodeChunk) {
-		c.nodeChunk = make([]vliw.Node, 0, 64)
+func (a *arena) newNode() *vliw.Node {
+	if len(a.nodeChunk) == cap(a.nodeChunk) {
+		a.nodeChunk = make([]vliw.Node, 0, 64)
 	}
-	c.nodeChunk = append(c.nodeChunk, vliw.Node{})
-	n := &c.nodeChunk[len(c.nodeChunk)-1]
-	n.Ops = c.newOps()
+	a.nodeChunk = append(a.nodeChunk, vliw.Node{})
+	n := &a.nodeChunk[len(a.nodeChunk)-1]
+	n.Ops = a.newOps()
 	return n
 }
 
-func (c *groupCtx) newCond(cd vliw.Cond) *vliw.Cond {
-	if len(c.condChunk) == cap(c.condChunk) {
-		c.condChunk = make([]vliw.Cond, 0, 32)
+func (a *arena) newCond(cd vliw.Cond) *vliw.Cond {
+	if len(a.condChunk) == cap(a.condChunk) {
+		a.condChunk = make([]vliw.Cond, 0, 32)
 	}
-	c.condChunk = append(c.condChunk, cd)
-	return &c.condChunk[len(c.condChunk)-1]
+	a.condChunk = append(a.condChunk, cd)
+	return &a.condChunk[len(a.condChunk)-1]
 }
 
 // newOps returns an empty parcel slice with a small fixed capacity carved
 // from the ops chunk. Nodes that outgrow it fall back to an ordinary heap
 // append; most never do.
-func (c *groupCtx) newOps() []vliw.Parcel {
+func (a *arena) newOps() []vliw.Parcel {
 	const opsCap = 8
-	if cap(c.opsChunk)-len(c.opsChunk) < opsCap {
-		c.opsChunk = make([]vliw.Parcel, 0, 64*opsCap)
+	if cap(a.opsChunk)-len(a.opsChunk) < opsCap {
+		a.opsChunk = make([]vliw.Parcel, 0, 64*opsCap)
 	}
-	n := len(c.opsChunk)
-	c.opsChunk = c.opsChunk[:n+opsCap]
-	return c.opsChunk[n : n : n+opsCap]
+	n := len(a.opsChunk)
+	a.opsChunk = a.opsChunk[:n+opsCap]
+	return a.opsChunk[n : n : n+opsCap]
 }
 
-// newVLIW is vliw.NewVLIW backed by the group arena.
-func (c *groupCtx) newVLIW(id int, entryBase uint32) *vliw.VLIW {
-	if len(c.vliwChunk) == cap(c.vliwChunk) {
-		c.vliwChunk = make([]vliw.VLIW, 0, 64)
+// newVLIW is vliw.NewVLIW backed by the arena.
+func (a *arena) newVLIW(id int, entryBase uint32) *vliw.VLIW {
+	if len(a.vliwChunk) == cap(a.vliwChunk) {
+		a.vliwChunk = make([]vliw.VLIW, 0, 64)
 	}
-	c.vliwChunk = append(c.vliwChunk, vliw.VLIW{
+	a.vliwChunk = append(a.vliwChunk, vliw.VLIW{
 		ID:        id,
-		Root:      c.newNode(),
+		Root:      a.newNode(),
 		EntryBase: entryBase,
 		FreeGPR:   0xffffffff,
 		FreeCRF:   0xff,
 	})
-	return &c.vliwChunk[len(c.vliwChunk)-1]
+	return &a.vliwChunk[len(a.vliwChunk)-1]
+}
+
+// takeVS returns an empty VLIW list for a new or cloned path, reusing a
+// closed path's list when one is free.
+func (a *arena) takeVS() []pvliw {
+	n := len(a.freeVS)
+	if n == 0 {
+		return nil
+	}
+	vs := a.freeVS[n-1]
+	a.freeVS = a.freeVS[:n-1]
+	return vs
+}
+
+// putVS frees a closed path's VLIW list. It is cleared first, so the free
+// list keeps no group's VLIWs or rename records alive.
+func (a *arena) putVS(vs []pvliw) {
+	clear(vs)
+	a.freeVS = append(a.freeVS, vs[:0])
 }
 
 // TranslateGroup translates the group of base instructions reachable from
@@ -294,6 +322,7 @@ func (t *Translator) TranslateGroup(entry uint32) (*vliw.Group, []uint32, error)
 	defer func() { t.Stats.Nanos += uint64(time.Since(start)) }()
 	c := &groupCtx{
 		t:        t,
+		arena:    &t.arena,
 		g:        &vliw.Group{Entry: entry, Tier: t.Opt.Tier},
 		pageBase: entry &^ (t.Opt.PageSize - 1),
 		sched:    make(map[uint32]int),

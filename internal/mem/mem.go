@@ -9,6 +9,11 @@
 // the interrupt to correspond to the point just after the modifying
 // instruction.
 //
+// Memory is sparse at the same granularity: a unit's bytes are allocated
+// when a store or LoadImage first writes into it, and an untouched unit
+// reads as zeros. A job's image therefore costs what the guest touches,
+// not the configured memory size.
+//
 // The package also supports injecting data storage faults at chosen
 // addresses, which drives the precise-exception experiments.
 package mem
@@ -22,6 +27,14 @@ import (
 // ProtectShift is log2 of the protection unit size (4K, as the paper
 // suggests for PowerPC).
 const ProtectShift = 12
+
+const (
+	unitSize = 1 << ProtectShift
+	unitMask = unitSize - 1
+)
+
+// unit holds one protection unit's bytes.
+type unit = [unitSize]byte
 
 // Fault describes a storage exception raised by a memory access.
 type Fault struct {
@@ -55,11 +68,12 @@ func (f *Fault) Error() string {
 //
 // The zero value is unusable; call New.
 type Memory struct {
-	data []byte
-	ro   []bool // read-only bit per protection unit
+	units []*unit // nil until first written; reads as zeros
+	ro    []bool  // read-only bit per protection unit
 
 	// OnProtectedStore, if non-nil, is called after a store writes into a
-	// unit whose read-only bit is set. addr is the store address.
+	// unit whose read-only bit is set (StoreProtected: either end of a
+	// store straddling two units). addr is the store address.
 	OnProtectedStore func(addr uint32, size int)
 
 	// FaultHook, if non-nil, may veto any access before it is performed:
@@ -87,26 +101,35 @@ type undoRec struct {
 	addr, n uint32
 }
 
-// New allocates size bytes of zeroed physical memory. size is rounded up to
-// a whole protection unit.
+// New returns size bytes of zeroed physical memory. size is rounded up to
+// a whole protection unit. No unit's bytes are allocated until written.
 func New(size uint32) *Memory {
-	units := (size + (1 << ProtectShift) - 1) >> ProtectShift
+	units := (size + unitSize - 1) >> ProtectShift
 	return &Memory{
-		data: make([]byte, units<<ProtectShift),
-		ro:   make([]bool, units),
+		units: make([]*unit, units),
+		ro:    make([]bool, units),
 	}
 }
 
 // Size returns the size of physical memory in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+func (m *Memory) Size() uint32 { return uint32(len(m.units)) << ProtectShift }
+
+// limit is Size, widened so bounds checks cannot overflow.
+func (m *Memory) limit() uint64 { return uint64(len(m.units)) << ProtectShift }
 
 // Clone returns an independent copy of the memory image (hooks and
-// injected faults are not copied). Used to compare final memory images of
-// the interpreter and the VMM.
+// injected faults are not copied). Only the units that exist are copied.
+// Used to compare final memory images of the interpreter and the VMM.
 func (m *Memory) Clone() *Memory {
 	n := &Memory{
-		data: append([]byte(nil), m.data...),
-		ro:   append([]bool(nil), m.ro...),
+		units: make([]*unit, len(m.units)),
+		ro:    append([]bool(nil), m.ro...),
+	}
+	for i, u := range m.units {
+		if u != nil {
+			c := *u
+			n.units[i] = &c
+		}
 	}
 	return n
 }
@@ -114,19 +137,21 @@ func (m *Memory) Clone() *Memory {
 // Scratch returns a throwaway view of the memory image for interpreting
 // ahead: it behaves as Clone does (no OnProtectedStore, no FaultHook, no
 // injected faults, no write tracking, and SetReadOnly on the view leaves
-// m's read-only bits alone), but it shares m's bytes instead of copying
-// them. Every store through the view logs the bytes it overwrites, and
-// Rollback restores them, so the cost is proportional to the stores made
-// rather than to the size of the image.
+// m's read-only bits alone), but it shares m's unit table instead of
+// copying it. Every store through the view logs the bytes it overwrites,
+// and Rollback restores them, so the cost is proportional to the stores
+// made rather than to the size of the image. A store into a unit that was
+// never written allocates the unit in the shared table and logs zeros, so
+// after Rollback the unit exists and reads as zeros, as it did before.
 //
 // Until Rollback, m's bytes include the view's stores. The caller must
 // therefore ensure nothing else reads m (or stores into it) while the view
 // is live, and should defer Rollback so a panic also restores the image.
 func (m *Memory) Scratch() *Memory {
 	return &Memory{
-		data: m.data,
-		ro:   append([]bool(nil), m.ro...),
-		undo: &undoLog{},
+		units: m.units,
+		ro:    append([]bool(nil), m.ro...),
+		undo:  &undoLog{},
 	}
 }
 
@@ -143,7 +168,7 @@ func (m *Memory) Rollback() {
 	for i := len(u.recs) - 1; i >= 0; i-- {
 		r := u.recs[i]
 		end -= int(r.n)
-		copy(m.data[r.addr:r.addr+r.n], u.old[end:])
+		m.put(r.addr, u.old[end:end+int(r.n)])
 	}
 	u.recs = u.recs[:0]
 	u.old = u.old[:0]
@@ -154,16 +179,16 @@ func (m *Memory) Rollback() {
 func (m *Memory) logUndo(addr, n uint32) {
 	u := m.undo
 	u.recs = append(u.recs, undoRec{addr, n})
-	u.old = append(u.old, m.data[addr:addr+n]...)
+	u.old = m.appendBytes(u.old, addr, n)
 }
 
 // EqualData reports whether the two memory images hold identical bytes.
 func (m *Memory) EqualData(o *Memory) bool {
-	if len(m.data) != len(o.data) {
+	if len(m.units) != len(o.units) {
 		return false
 	}
-	for i := range m.data {
-		if m.data[i] != o.data[i] {
+	for i := range m.units {
+		if diffUnits(m.units[i], o.units[i]) >= 0 {
 			return false
 		}
 	}
@@ -173,17 +198,53 @@ func (m *Memory) EqualData(o *Memory) bool {
 // FirstDifference returns the lowest address at which the two images
 // differ, or -1 if they are identical.
 func (m *Memory) FirstDifference(o *Memory) int64 {
-	n := len(m.data)
-	if len(o.data) < n {
-		n = len(o.data)
-	}
+	n := min(len(m.units), len(o.units))
 	for i := 0; i < n; i++ {
-		if m.data[i] != o.data[i] {
-			return int64(i)
+		if d := diffUnits(m.units[i], o.units[i]); d >= 0 {
+			return int64(i)<<ProtectShift + int64(d)
 		}
 	}
-	if len(m.data) != len(o.data) {
-		return int64(n)
+	if len(m.units) != len(o.units) {
+		return int64(n) << ProtectShift
+	}
+	return -1
+}
+
+// UnitDiff compares protection unit u of m and o in place and returns the
+// offset within the unit of the first byte that differs, or -1 if the
+// unit's bytes are identical. A unit past the end of an image reads as
+// zeros.
+func (m *Memory) UnitDiff(o *Memory, u uint32) int {
+	return diffUnits(m.unitAt(u), o.unitAt(u))
+}
+
+func (m *Memory) unitAt(u uint32) *unit {
+	if int(u) < len(m.units) {
+		return m.units[u]
+	}
+	return nil
+}
+
+// diffUnits returns the offset of the first byte at which a and b differ,
+// or -1. A nil unit reads as zeros.
+func diffUnits(a, b *unit) int {
+	if a == b {
+		return -1
+	}
+	var zero unit
+	if a == nil {
+		a = &zero
+	}
+	if b == nil {
+		b = &zero
+	}
+	if *a == *b {
+		return -1
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
 	}
 	return -1
 }
@@ -217,7 +278,7 @@ func (m *Memory) InjectFault(addr uint32, clear bool) {
 }
 
 func (m *Memory) check(addr uint32, size int, write bool) error {
-	if uint64(addr)+uint64(size) > uint64(len(m.data)) {
+	if uint64(addr)+uint64(size) > m.limit() {
 		return &Fault{Addr: addr, Write: write, Kind: FaultOutOfBounds}
 	}
 	if m.injected != nil && m.injected[addr] {
@@ -237,6 +298,13 @@ func (m *Memory) CheckWrite(addr uint32, size int) error {
 	return m.check(addr, size, true)
 }
 
+// StoreProtected reports whether a store of size bytes at addr writes into
+// a read-only unit. A store can straddle two units, so the units of its
+// first and last bytes both count.
+func (m *Memory) StoreProtected(addr uint32, size int) bool {
+	return m.ReadOnly(addr) || m.ReadOnly(addr+uint32(size)-1)
+}
+
 func (m *Memory) noteStore(addr uint32, size int) {
 	if m.trackWrites {
 		m.dirtyUnits[addr>>ProtectShift] = struct{}{}
@@ -244,7 +312,7 @@ func (m *Memory) noteStore(addr uint32, size int) {
 			m.dirtyUnits[(addr+uint32(size)-1)>>ProtectShift] = struct{}{}
 		}
 	}
-	if m.OnProtectedStore != nil && m.ro[addr>>ProtectShift] {
+	if m.OnProtectedStore != nil && m.StoreProtected(addr, size) {
 		m.OnProtectedStore(addr, size)
 	}
 }
@@ -277,18 +345,15 @@ func (m *Memory) TakeDirtyUnits() []uint32 {
 	return units
 }
 
-// UnitBytes returns the raw contents of one protection unit (nil if the
-// unit is out of range).
-func (m *Memory) UnitBytes(unit uint32) []byte {
-	return m.Bytes(unit<<ProtectShift, 1<<ProtectShift)
-}
-
 // Read8 loads one byte.
 func (m *Memory) Read8(addr uint32) (uint32, error) {
 	if err := m.check(addr, 1, false); err != nil {
 		return 0, err
 	}
-	return uint32(m.data[addr]), nil
+	if u := m.units[addr>>ProtectShift]; u != nil {
+		return uint32(u[addr&unitMask]), nil
+	}
+	return 0, nil
 }
 
 // Read16 loads a big-endian halfword.
@@ -296,7 +361,15 @@ func (m *Memory) Read16(addr uint32) (uint32, error) {
 	if err := m.check(addr, 2, false); err != nil {
 		return 0, err
 	}
-	return uint32(binary.BigEndian.Uint16(m.data[addr:])), nil
+	if off := addr & unitMask; off <= unitSize-2 {
+		if u := m.units[addr>>ProtectShift]; u != nil {
+			return uint32(binary.BigEndian.Uint16(u[off:])), nil
+		}
+		return 0, nil
+	}
+	var b [2]byte
+	m.appendBytes(b[:0], addr, 2)
+	return uint32(binary.BigEndian.Uint16(b[:])), nil
 }
 
 // Read32 loads a big-endian word.
@@ -304,7 +377,15 @@ func (m *Memory) Read32(addr uint32) (uint32, error) {
 	if err := m.check(addr, 4, false); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(m.data[addr:]), nil
+	if off := addr & unitMask; off <= unitSize-4 {
+		if u := m.units[addr>>ProtectShift]; u != nil {
+			return binary.BigEndian.Uint32(u[off:]), nil
+		}
+		return 0, nil
+	}
+	var b [4]byte
+	m.appendBytes(b[:0], addr, 4)
+	return binary.BigEndian.Uint32(b[:]), nil
 }
 
 // Write8 stores one byte.
@@ -315,7 +396,7 @@ func (m *Memory) Write8(addr uint32, v uint32) error {
 	if m.undo != nil {
 		m.logUndo(addr, 1)
 	}
-	m.data[addr] = byte(v)
+	m.unitFor(addr)[addr&unitMask] = byte(v)
 	m.noteStore(addr, 1)
 	return nil
 }
@@ -328,7 +409,13 @@ func (m *Memory) Write16(addr uint32, v uint32) error {
 	if m.undo != nil {
 		m.logUndo(addr, 2)
 	}
-	binary.BigEndian.PutUint16(m.data[addr:], uint16(v))
+	if off := addr & unitMask; off <= unitSize-2 {
+		binary.BigEndian.PutUint16(m.unitFor(addr)[off:], uint16(v))
+	} else {
+		var b [2]byte
+		binary.BigEndian.PutUint16(b[:], uint16(v))
+		m.put(addr, b[:])
+	}
 	m.noteStore(addr, 2)
 	return nil
 }
@@ -341,7 +428,13 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 	if m.undo != nil {
 		m.logUndo(addr, 4)
 	}
-	binary.BigEndian.PutUint32(m.data[addr:], v)
+	if off := addr & unitMask; off <= unitSize-4 {
+		binary.BigEndian.PutUint32(m.unitFor(addr)[off:], v)
+	} else {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], v)
+		m.put(addr, b[:])
+	}
 	m.noteStore(addr, 4)
 	return nil
 }
@@ -349,20 +442,59 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 // LoadImage copies raw bytes into memory at addr without triggering
 // protection hooks (used by loaders, not by emulated stores).
 func (m *Memory) LoadImage(addr uint32, b []byte) error {
-	if uint64(addr)+uint64(len(b)) > uint64(len(m.data)) {
+	if uint64(addr)+uint64(len(b)) > m.limit() {
 		return &Fault{Addr: addr, Write: true, Kind: FaultOutOfBounds}
 	}
 	if m.undo != nil {
 		m.logUndo(addr, uint32(len(b)))
 	}
-	copy(m.data[addr:], b)
+	m.put(addr, b)
 	return nil
 }
 
-// Bytes returns the raw byte at addr for inspection (0 if out of range).
+// Bytes returns a copy of the n bytes at addr for inspection (nil if the
+// span runs past the end of memory). The span may cross units; untouched
+// units read as zeros.
 func (m *Memory) Bytes(addr, n uint32) []byte {
-	if uint64(addr)+uint64(n) > uint64(len(m.data)) {
+	if uint64(addr)+uint64(n) > m.limit() {
 		return nil
 	}
-	return m.data[addr : addr+n]
+	return m.appendBytes(make([]byte, 0, n), addr, n)
+}
+
+// unitFor returns the unit holding addr, allocating it on first write.
+func (m *Memory) unitFor(addr uint32) *unit {
+	u := m.units[addr>>ProtectShift]
+	if u == nil {
+		u = new(unit)
+		m.units[addr>>ProtectShift] = u
+	}
+	return u
+}
+
+// put copies b into memory at addr, across units, allocating the units it
+// writes into. The range has already been bounds-checked.
+func (m *Memory) put(addr uint32, b []byte) {
+	for len(b) > 0 {
+		k := copy(m.unitFor(addr)[addr&unitMask:], b)
+		addr += uint32(k)
+		b = b[k:]
+	}
+}
+
+// appendBytes appends the n bytes at addr to dst, across units; untouched
+// units read as zeros. The range has already been bounds-checked.
+func (m *Memory) appendBytes(dst []byte, addr, n uint32) []byte {
+	for n > 0 {
+		off := addr & unitMask
+		k := min(n, unitSize-off)
+		if u := m.units[addr>>ProtectShift]; u != nil {
+			dst = append(dst, u[off:off+k]...)
+		} else {
+			dst = append(dst, make([]byte, k)...)
+		}
+		addr += k
+		n -= k
+	}
+	return dst
 }

@@ -532,7 +532,7 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 			}
 			return ex, flt
 		}
-		if e.Mem.ReadOnly(s.addr) {
+		if e.Mem.StoreProtected(s.addr, int(s.size)) {
 			// A store into translated code: roll back so the VMM can
 			// apply it interpretively and invalidate the stale
 			// translation before the next instruction runs (§3.2).

@@ -325,7 +325,7 @@ func (m *Machine) enqueue(base, entry uint32) {
 		epoch:      m.epoch[base],
 		seq:        m.pipe.nextSeq,
 		digest:     sha256.Sum256(src),
-		snap:       append([]byte(nil), src...),
+		snap:       src,
 		plan:       m.plantedFault(base),
 		enqueuedNs: time.Now().UnixNano(),
 	}

@@ -267,6 +267,50 @@ patch:	addi r31, r31, 100   # immediate grows 101, 102, ...
 	}
 }
 
+// TestStraddlingStoreInvalidatesCode: a misaligned stw at 0x10ffe writes
+// the top half of the instruction at 0x11000 (addi r3,r3,1 becomes
+// addis r3,r3,1), so the store's last bytes land in a protection unit and
+// a page other than its address's. The translation of the routine must be
+// invalidated whether the unit the store starts in holds code (its own
+// read-only bit is set) or only data (it is not), at 4K and at small pages.
+func TestStraddlingStoreInvalidatesCode(t *testing.T) {
+	const caller = `
+_start:	li r3, 0
+	bl routine
+	lis r5, 1
+	addi r5, r5, 0xffe
+	li r6, 0x3c63
+	stw r6, 0(r5)       # bytes 00 00 3c 63 at 0x10ffe..0x11001
+	bl routine
+` + halt
+	const routine = `
+	.org 0x11000
+routine:	addi r3, r3, 1
+	blr
+`
+	layouts := []struct{ name, src string }{
+		// The unit at 0x10000 holds the caller's code: read-only.
+		{"code-unit", "\t.org 0x10000\n" + caller + routine},
+		// The unit at 0x10000 holds only data: never read-only.
+		{"data-unit", "\t.org 0x10ff8\nbuf:\t.word 0, 0\n" + routine + "\t.org 0x12000\n" + caller},
+	}
+	for _, l := range layouts {
+		for _, ps := range []uint32{4096, 256} {
+			t.Run(fmt.Sprintf("%s/%d", l.name, ps), func(t *testing.T) {
+				opt := defOpt()
+				opt.Trans.PageSize = ps
+				ip, ma := runBoth(t, l.src, nil, opt)
+				if ip.St.GPR[3] != 0x10001 {
+					t.Fatalf("interpreter r3 = %#x, want 0x10001 (1 + addis 1)", ip.St.GPR[3])
+				}
+				if ma.Stats.SMCInvalidations == 0 {
+					t.Fatal("the patched routine's translation was never invalidated")
+				}
+			})
+		}
+	}
+}
+
 // TestOverlayProgram loads a second routine over the first at runtime —
 // the overlay programming technique §3.2 calls out.
 func TestOverlayProgram(t *testing.T) {

@@ -353,7 +353,13 @@ func New(m *mem.Memory, env *interp.Env, opt Options) *Machine {
 		inhibit:    make(map[uint32]bool),
 	}
 	m.OnProtectedStore = func(addr uint32, size int) {
-		ma.dirty[addr&^(ma.Trans.Opt.PageSize-1)] = true
+		// A store can straddle two units and two pages: mark each page
+		// its first or last byte lands in whose unit holds code.
+		for _, a := range [2]uint32{addr, addr + uint32(size) - 1} {
+			if m.ReadOnly(a) {
+				ma.dirty[a&^(ma.Trans.Opt.PageSize-1)] = true
+			}
+		}
 	}
 	// The StallFn bridge hooks are installed by Start only when a cache
 	// model is attached, so the common case pays no indirect call per

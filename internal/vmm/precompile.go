@@ -109,7 +109,7 @@ func (m *Machine) Precompile(prog *asm.Program) (PrecompileReport, error) {
 				rep.AlreadyCached++
 				continue
 			}
-			job := aotJob{key: key, entry: base, snap: append([]byte(nil), m.Mem.Bytes(base, ps)...)}
+			job := aotJob{key: key, entry: base, snap: m.Mem.Bytes(base, ps)}
 			if entry >= base && entry < base+ps {
 				job.entry = entry
 			}
