@@ -128,7 +128,7 @@ func (c *groupCtx) scheduleBranch(p *path, addr uint32, in ppc.Inst) error {
 		i := p.last()
 		ctrCommit.EndsInst = false
 		p.emit(i, *ctrCommit)
-		p.recordCommit(ctrCommit, i)
+		p.recordCommit(ctrCommit)
 	}
 
 	if cond == nil {
@@ -157,10 +157,11 @@ func (c *groupCtx) scheduleBranch(p *path, addr uint32, in ppc.Inst) error {
 	// Both arms complete the same branch instruction and so share one
 	// pending-commit record set (take it once, before the path clones).
 	deoptTag := p.takeDeopt()
+	nop := vliw.Parcel{Op: vliw.PNop, EndsInst: true, BaseAddr: addr, Deopt: deoptTag}
 	takenNode := c.newNode()
-	takenNode.Ops = append(takenNode.Ops, vliw.Parcel{Op: vliw.PNop, EndsInst: true, BaseAddr: addr, Deopt: deoptTag})
+	takenNode.Ops = append(c.newOps(), nop)
 	fallNode := c.newNode()
-	fallNode.Ops = append(fallNode.Ops, vliw.Parcel{Op: vliw.PNop, EndsInst: true, BaseAddr: addr, Deopt: deoptTag})
+	fallNode.Ops = append(c.newOps(), nop)
 	tip.Taken = takenNode
 	tip.Fall = fallNode
 

@@ -93,7 +93,7 @@ func (c *groupCtx) scheduleLoad(p *path, addr uint32, in ppc.Inst) {
 		par.BaseAddr = addr
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := &renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1, verify: bypass}
+		rec := p.c.newRec(renameRec{reg: reg, ready: v + 1})
 		p.installGPRRename(dest, rec, v)
 		if !t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.GPR(dest), reg, addr, bypass)
@@ -187,7 +187,7 @@ func (c *groupCtx) scheduleLoadUpdate(p *path, addr uint32, in ppc.Inst) error {
 			Spec: true, SpecLoad: bypass, BaseAddr: addr}
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := &renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1, verify: bypass}
+		rec := p.c.newRec(renameRec{reg: reg, ready: v + 1})
 		p.installGPRRename(dest, rec, v)
 		if !t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.GPR(dest), reg, addr, bypass)
@@ -313,7 +313,7 @@ func (c *groupCtx) scheduleStoreUpdate(p *path, addr uint32, in ppc.Inst) error 
 	}
 	cmEA.EndsInst = true
 	p.emit(i, *cmEA)
-	p.recordCommit(cmEA, i)
+	p.recordCommit(cmEA)
 	return c.fallthrough_(p, addr+4)
 }
 

@@ -160,7 +160,7 @@ func (pt *PageTranslation) ChainCount() int {
 // subsequent VLIWs sequentially, spilling into the page's overflow area
 // when the fixed N-times window is exhausted (§3.4).
 func (t *Translator) layout(pt *PageTranslation, g *vliw.Group) {
-	size, err := t.encodedSize(g)
+	size, err := vliw.CodeSize(g)
 	if err != nil {
 		size = 64 * len(g.VLIWs) // should not happen; keep accounting sane
 	}
@@ -171,14 +171,17 @@ func (t *Translator) layout(pt *PageTranslation, g *vliw.Group) {
 		off = pt.nextOff // sequential allocation past earlier groups
 	}
 	// Distribute the encoded size across the group's VLIWs
-	// proportionally to their parcel counts for cache simulation.
+	// proportionally to their parcel counts for cache simulation. Each
+	// VLIW's weight waits in Bytes until its share replaces it, so every
+	// tree is walked once.
 	total := 0
 	for _, v := range g.VLIWs {
-		total += v.CountParcels() + 2
+		v.Bytes = v.CountParcels() + 2
+		total += v.Bytes
 	}
 	for _, v := range g.VLIWs {
 		v.Addr = base + off
-		share := size * (v.CountParcels() + 2) / total
+		share := size * v.Bytes / total
 		if share < 8 {
 			share = 8
 		}

@@ -6,14 +6,14 @@ import (
 	"daisy/internal/vliw"
 )
 
-// renameRec tracks one live renaming: an architected resource whose
-// current value lives in a non-architected register until commitAt.
+// renameRec is one renaming: an architected resource whose value lives in
+// a non-architected register. A record is never written after it is made,
+// so paths cloned at a branch share their records; whether a record still
+// waits for its commit is state of each path (path.pend).
 type renameRec struct {
-	reg      vliw.RegRef
-	commitAt int  // VLIW index of the in-order commit; neverCommitted if pending
-	ready    int  // earliest VLIW index that can read the rename (producer + 1)
-	ca       bool // the rename carries a carry extender bit
-	verify   bool // the rename is a speculated load needing load-verify
+	reg   vliw.RegRef
+	ready int  // earliest VLIW index that can read the rename (producer + 1)
+	ca    bool // the rename carries a carry extender bit
 }
 
 // pvliw is a path's view of one VLIW on it: the shared VLIW, the node
@@ -25,6 +25,35 @@ type pvliw struct {
 	gmap [32]*renameRec // architected GPR -> rename (nil: identity)
 	cmap [8]*renameRec  // architected CR field -> rename
 	ctr  *renameRec     // CTR rename (Appendix D)
+}
+
+// Bits of path.pend: bit r for GPR r, pendCR+f for CR field f and pendCTR
+// for CTR, in the order a flush commits them.
+const (
+	pendCR  = 32
+	pendCTR = 40
+)
+
+// slot returns the rename map entry of the resource pend bit b names.
+func (pv *pvliw) slot(b int) **renameRec {
+	switch {
+	case b < pendCR:
+		return &pv.gmap[b]
+	case b < pendCTR:
+		return &pv.cmap[b-pendCR]
+	}
+	return &pv.ctr
+}
+
+// pendReg returns the architected register pend bit b names.
+func pendReg(b int) vliw.RegRef {
+	switch {
+	case b < pendCR:
+		return vliw.GPR(uint8(b))
+	case b < pendCTR:
+		return vliw.CRF(uint8(b - pendCR))
+	}
+	return vliw.CTR
 }
 
 type constVal struct {
@@ -68,6 +97,12 @@ type path struct {
 	lastSt   storeRec // most recent store, for must-alias forwarding
 
 	crArchAvail [8]int // earliest index the ARCHITECTED field is current
+
+	// pend marks the resources whose rename in the path's last VLIW still
+	// waits for its commit. Every commit lands in the last VLIW, so a
+	// record mapped there is either pending or committed in that VLIW;
+	// openVLIW carries forward only the pending ones.
+	pend uint64
 
 	// scratch registers (condition-synthesis fields, staged link values)
 	// pinned busy in newly opened VLIWs until the instruction finishes.
@@ -116,23 +151,16 @@ func (p *path) openVLIW(entryBase uint32) {
 		prev := &p.vs[idx-1]
 		// Chain the previous tip to the new VLIW.
 		prev.tip.Exit = vliw.Exit{Kind: vliw.ExitNext, Next: v}
-		// Inherit renames that are still pending (not committed strictly
-		// before this VLIW), and mark their registers busy here.
-		for i, rec := range prev.gmap {
-			if rec != nil && rec.commitAt >= idx {
-				pv.gmap[i] = rec
+		// Inherit renames that are still pending, and mark their registers
+		// busy here.
+		for m := p.pend; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if rec := *prev.slot(b); rec != nil {
+				*pv.slot(b) = rec
 				markBusy(v, rec.reg)
+			} else {
+				p.pend &^= 1 << b
 			}
-		}
-		for i, rec := range prev.cmap {
-			if rec != nil && rec.commitAt >= idx {
-				pv.cmap[i] = rec
-				markBusy(v, rec.reg)
-			}
-		}
-		if rec := prev.ctr; rec != nil && rec.commitAt >= idx {
-			pv.ctr = rec
-			markBusy(v, rec.reg)
 		}
 		for _, r := range p.scratch {
 			markBusy(v, r)
@@ -161,8 +189,8 @@ func markBusy(v *vliw.VLIW, r vliw.RegRef) {
 }
 
 // clone duplicates the path at a conditional branch (CopyPath). Rename
-// records are deep-copied preserving aliasing across VLIW indices, so a
-// later commit on one path does not disturb the other.
+// records are immutable, so the copy shares them; a later commit on one
+// path clears only that path's pending bit.
 func (p *path) clone() *path {
 	p.c.t.Stats.PathClones++
 	q := *p
@@ -170,41 +198,14 @@ func (p *path) clone() *path {
 	q.scratch = append([]vliw.RegRef(nil), p.scratch...)
 	q.deopt = append([]vliw.DeoptRec(nil), p.deopt...)
 	q.pendVer = append([]pendVerify(nil), p.pendVer...)
-	// Aliasing is preserved through a parallel-slice memo: the live rename
-	// set is small (a linear scan beats a map rebuilt on every clone).
-	c := p.c
-	memoOld, memoNew := c.memoOld[:0], c.memoNew[:0]
-	cp := func(r *renameRec) *renameRec {
-		if r == nil {
-			return nil
-		}
-		for k, o := range memoOld {
-			if o == r {
-				return memoNew[k]
-			}
-		}
-		n := c.newRec(*r)
-		memoOld = append(memoOld, r)
-		memoNew = append(memoNew, n)
-		return n
-	}
-	for i := range q.vs {
-		for j, rec := range q.vs[i].gmap {
-			q.vs[i].gmap[j] = cp(rec)
-		}
-		for j, rec := range q.vs[i].cmap {
-			q.vs[i].cmap[j] = cp(rec)
-		}
-		q.vs[i].ctr = cp(q.vs[i].ctr)
-	}
-	c.memoOld, c.memoNew = memoOld, memoNew
 	return &q
 }
 
 // nameOfGPR returns the register holding architected GPR r's value at
-// VLIW index i on this path.
+// VLIW index i on this path. A record mapped at i is pending there or
+// committed in i itself, whose parcels still read the rename.
 func (p *path) nameOfGPR(r uint8, i int) vliw.RegRef {
-	if rec := p.vs[i].gmap[r]; rec != nil && rec.commitAt >= i {
+	if rec := p.vs[i].gmap[r]; rec != nil {
 		return rec.reg
 	}
 	return vliw.GPR(r)
@@ -220,14 +221,14 @@ func (p *path) baseOrZero(r uint8, i int) vliw.RegRef {
 
 // nameOfCR is nameOfGPR for condition fields.
 func (p *path) nameOfCR(f uint8, i int) vliw.RegRef {
-	if rec := p.vs[i].cmap[f]; rec != nil && rec.commitAt >= i {
+	if rec := p.vs[i].cmap[f]; rec != nil {
 		return rec.reg
 	}
 	return vliw.CRF(f)
 }
 
 func (p *path) nameOfCTR(i int) vliw.RegRef {
-	if rec := p.vs[i].ctr; rec != nil && rec.commitAt >= i {
+	if rec := p.vs[i].ctr; rec != nil {
 		return rec.reg
 	}
 	return vliw.CTR
@@ -307,6 +308,9 @@ func (p *path) ensureIndex(idx int, entryBase uint32) {
 // emit appends a parcel to the path's node in VLIW i and charges resources.
 func (p *path) emit(i int, par vliw.Parcel) {
 	pv := &p.vs[i]
+	if cap(pv.tip.Ops) == 0 {
+		pv.tip.Ops = p.c.newOps()
+	}
 	pv.tip.Ops = append(pv.tip.Ops, par)
 	switch {
 	case par.Op == vliw.PNop:
@@ -359,20 +363,23 @@ func (p *path) takeDeopt() int32 {
 // renamed per index) and destination register.
 type mkParcel func(i int, d vliw.RegRef) vliw.Parcel
 
-// installGPRRename records that dest's value lives in rec.reg from index
-// v+1 until the commit.
-func (p *path) installGPRRename(dest uint8, rec *renameRec, v int) {
+// install records that the resource of pend bit b lives in rec.reg from
+// index v+1 until its commit.
+func (p *path) install(b int, rec *renameRec, v int) {
 	for j := v; j < len(p.vs); j++ {
-		p.vs[j].gmap[dest] = rec
+		*p.vs[j].slot(b) = rec
 	}
+	p.pend |= 1 << b
+}
+
+func (p *path) installGPRRename(dest uint8, rec *renameRec, v int) {
+	p.install(int(dest), rec, v)
 	p.gprAvail[dest] = v + 1
 	p.bumpVer(dest)
 }
 
 func (p *path) installCRRename(dest uint8, rec *renameRec, v int) {
-	for j := v; j < len(p.vs); j++ {
-		p.vs[j].cmap[dest] = rec
-	}
+	p.install(pendCR+int(dest), rec, v)
 	p.crAvail[dest] = v + 1
 }
 
@@ -420,7 +427,7 @@ func (p *path) renameGPR(dest uint8, earliest int, carry bool, mk mkParcel, addr
 		par.BaseAddr = addr
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := p.c.newRec(renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1, ca: carry})
+		rec := p.c.newRec(renameRec{reg: reg, ready: v + 1, ca: carry})
 		p.installGPRRename(dest, rec, v)
 		if !p.c.t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.GPR(dest), reg, addr, false)
@@ -459,7 +466,7 @@ func (p *path) renameCR(dest uint8, earliest int, mk mkParcel, addr uint32) (com
 		par.BaseAddr = addr
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := p.c.newRec(renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1})
+		rec := p.c.newRec(renameRec{reg: reg, ready: v + 1})
 		p.installCRRename(dest, rec, v)
 		if !p.c.t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.CRF(dest), reg, addr, false)
@@ -498,10 +505,7 @@ func (p *path) renameCTR(earliest int, mk mkParcel, addr uint32) (commit *vliw.P
 		par.BaseAddr = addr
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := p.c.newRec(renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1})
-		for j := v; j < len(p.vs); j++ {
-			p.vs[j].ctr = rec
-		}
+		p.install(pendCTR, p.c.newRec(renameRec{reg: reg, ready: v + 1}), v)
 		p.ctrAvail = v + 1
 		if !p.c.t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.CTR, reg, addr, false)
@@ -536,7 +540,7 @@ func (p *path) scheduleGPROp(dest uint8, earliest int, carry bool, mk mkParcel, 
 		par.BaseAddr = addr
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := p.c.newRec(renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1, ca: carry})
+		rec := p.c.newRec(renameRec{reg: reg, ready: v + 1, ca: carry})
 		p.installGPRRename(dest, rec, v)
 		if !t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.GPR(dest), reg, addr, false)
@@ -586,7 +590,7 @@ func (p *path) scheduleCROp(dest uint8, earliest int, mk mkParcel, addr uint32) 
 		par.BaseAddr = addr
 		p.emit(v, par)
 		p.allocate(reg, v)
-		rec := p.c.newRec(renameRec{reg: reg, commitAt: neverCommitted, ready: v + 1})
+		rec := p.c.newRec(renameRec{reg: reg, ready: v + 1})
 		p.installCRRename(dest, rec, v)
 		if !t.Opt.PreciseExceptions {
 			p.addDeopt(vliw.CRF(dest), reg, addr, false)
@@ -636,32 +640,35 @@ func (p *path) placeCommits(commits []*vliw.Parcel, ready int, addr uint32) {
 		k++
 		c.EndsInst = k == live
 		p.emit(i, *c)
-		p.recordCommit(c, i)
+		p.recordCommit(c)
 	}
 }
 
-// recordCommit finalizes the rename records affected by a commit parcel.
-func (p *path) recordCommit(c *vliw.Parcel, i int) {
+// recordCommit notes a commit parcel just emitted in the path's last VLIW:
+// the rename it copies out is no longer pending.
+func (p *path) recordCommit(c *vliw.Parcel) {
+	i := p.last()
+	pv := &p.vs[i]
 	switch c.D.Kind {
 	case vliw.RGPR:
-		if rec := p.vs[i].gmap[c.D.N]; rec != nil && rec.reg == c.A {
-			rec.commitAt = i
+		if rec := pv.gmap[c.D.N]; rec != nil && rec.reg == c.A {
+			p.pend &^= 1 << c.D.N
 		}
 		if c.CommitCA {
 			p.caAvail = i + 1
 		}
 	case vliw.RCRF:
 		if c.D.N < 8 {
-			if rec := p.vs[i].cmap[c.D.N]; rec != nil && rec.reg == c.A {
-				rec.commitAt = i
+			if rec := pv.cmap[c.D.N]; rec != nil && rec.reg == c.A {
+				p.pend &^= 1 << (pendCR + c.D.N)
 			}
 			p.crArchAvail[c.D.N] = i + 1
 		}
 	case vliw.RLR:
 		p.lrAvail = i + 1
 	case vliw.RCTR:
-		if rec := p.vs[i].ctr; rec != nil && rec.reg == c.A {
-			rec.commitAt = i
+		if rec := pv.ctr; rec != nil && rec.reg == c.A {
+			p.pend &^= 1 << pendCTR
 		}
 	}
 }
@@ -699,38 +706,28 @@ func (p *path) flushDeferredCommits() {
 		return
 	}
 	p.dischargeVerifies(p.cont)
-	flush := func(d vliw.RegRef, rec *renameRec) {
-		p.ensureIndex(minFlushIdx(p, rec), p.cont)
+	for m := p.pend; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		rec := *p.lastPV().slot(b)
+		if rec == nil {
+			continue
+		}
+		// Parcels read their VLIW's entry values, so the copy must follow
+		// the rename's producer: sharing its VLIW would commit the stale
+		// value.
+		p.ensureIndex(rec.ready, p.cont)
 		p.ensureRoomALU(1, p.cont)
 		i := p.last()
 		// No Verify here: the obligation machinery has already checked (or
 		// is checking, in this same flush) every bypassing load in its own
 		// store window; the flush is a plain architected copy.
-		p.emit(i, vliw.Parcel{Op: vliw.PCopy, D: d, A: rec.reg,
-			CommitCA: rec.ca})
-		rec.commitAt = i
-	}
-	for r := 0; r < 32; r++ {
-		if rec := p.lastPV().gmap[r]; rec != nil && rec.commitAt > p.last() {
-			flush(vliw.GPR(uint8(r)), rec)
+		d := pendReg(b)
+		p.emit(i, vliw.Parcel{Op: vliw.PCopy, D: d, A: rec.reg, CommitCA: rec.ca})
+		p.pend &^= 1 << b
+		if d.Kind == vliw.RCRF {
+			p.crArchAvail[d.N] = i + 1
 		}
 	}
-	for f := 0; f < 8; f++ {
-		if rec := p.lastPV().cmap[f]; rec != nil && rec.commitAt > p.last() {
-			flush(vliw.CRF(uint8(f)), rec)
-			p.crArchAvail[f] = rec.commitAt + 1
-		}
-	}
-	if rec := p.lastPV().ctr; rec != nil && rec.commitAt > p.last() {
-		flush(vliw.CTR, rec)
-	}
-}
-
-// minFlushIdx is the earliest VLIW a flush copy of rec may land in: after
-// the rename's producer (parcels read their VLIW's entry values, so a copy
-// sharing the producer's VLIW would commit the stale value).
-func minFlushIdx(p *path, rec *renameRec) int {
-	return rec.ready
 }
 
 // close terminates the path with the given exit and frees its VLIW list.

@@ -25,8 +25,6 @@ import (
 	"daisy/internal/vliw"
 )
 
-const neverCommitted = 1 << 30
-
 // Options control the translator. The zero value is not useful; start from
 // DefaultOptions.
 type Options struct {
@@ -164,18 +162,7 @@ type Translator struct {
 
 	Stats Stats
 
-	arena  arena  // record storage shared by every group this translator builds
-	encBuf []byte // reused encoding buffer for size accounting
-}
-
-// encodedSize returns the encoded size of g in bytes, reusing the
-// translator's scratch buffer across calls.
-func (t *Translator) encodedSize(g *vliw.Group) (int, error) {
-	buf, err := vliw.AppendGroup(t.encBuf[:0], g)
-	if buf != nil {
-		t.encBuf = buf
-	}
-	return len(buf), err
+	arena arena // record storage shared by every group this translator builds
 }
 
 // New returns a translator over the given memory image.
@@ -227,9 +214,6 @@ type arena struct {
 	opsChunk  []vliw.Parcel // initial Ops backing for tree nodes
 
 	freeVS [][]pvliw // closed paths' VLIW lists, cleared, for reuse
-
-	memoOld []*renameRec // clone's rename-aliasing scratch
-	memoNew []*renameRec
 }
 
 func (a *arena) newRec(r renameRec) *renameRec {
@@ -253,9 +237,7 @@ func (a *arena) newNode() *vliw.Node {
 		a.nodeChunk = make([]vliw.Node, 0, 64)
 	}
 	a.nodeChunk = append(a.nodeChunk, vliw.Node{})
-	n := &a.nodeChunk[len(a.nodeChunk)-1]
-	n.Ops = a.newOps()
-	return n
+	return &a.nodeChunk[len(a.nodeChunk)-1]
 }
 
 func (a *arena) newCond(cd vliw.Cond) *vliw.Cond {
@@ -267,8 +249,9 @@ func (a *arena) newCond(cd vliw.Cond) *vliw.Cond {
 }
 
 // newOps returns an empty parcel slice with a small fixed capacity carved
-// from the ops chunk. Nodes that outgrow it fall back to an ordinary heap
-// append; most never do.
+// from the ops chunk. A node takes one when it gets its first parcel, so
+// the many that stay empty take none. Nodes that outgrow it fall back to
+// an ordinary heap append; most never do.
 func (a *arena) newOps() []vliw.Parcel {
 	const opsCap = 8
 	if cap(a.opsChunk)-len(a.opsChunk) < opsCap {
@@ -349,7 +332,7 @@ func (t *Translator) TranslateGroup(entry uint32) (*vliw.Group, []uint32, error)
 
 	t.Stats.Groups++
 	t.Stats.VLIWs += uint64(len(c.g.VLIWs))
-	if size, err := t.encodedSize(c.g); err == nil {
+	if size, err := vliw.CodeSize(c.g); err == nil {
 		t.Stats.CodeBytes += uint64(size)
 	}
 	return c.g, c.worklist, nil
