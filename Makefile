@@ -57,12 +57,14 @@ chaos-soak:
 
 # Run each native fuzzer for a short while, beyond its seed corpus (which
 # every `go test` replays as unit cases): the sparse-memory model, the
-# §3.5 scan mapping and the tier-2 lockstep. -fuzz takes one package and
-# one target per command.
+# §3.5 scan mapping, the tier-2 lockstep and the group decoder with its
+# size arithmetic (every translation-cache hit decodes). -fuzz takes one
+# package and one target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScratchRollback$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMapping$$' -fuzztime 10s ./internal/vmm
 	$(GO) test -run '^$$' -fuzz '^FuzzTier2Lockstep$$' -fuzztime 10s ./internal/vmm
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGroup$$' -fuzztime 10s ./internal/vliw
 
 # Compile and exercise the executor layer benchmark once so a regression
 # that breaks it is caught in CI, not at the next perf investigation.
