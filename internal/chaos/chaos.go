@@ -105,6 +105,7 @@ type Report struct {
 	Insts      uint64
 	Stats      vmm.Stats
 	Output     []byte      // the machine's output stream (oracle checks)
+	Compares   uint64      // lockstep comparisons: one per precise boundary and one per StepGroup return
 	Divergence *Divergence // nil: 100% architectural compatibility held
 }
 

@@ -171,7 +171,8 @@ func TestPlantedBugIsBisected(t *testing.T) {
 }
 
 // TestCleanRunHasNoDivergence pins the harness's false-positive rate at
-// zero for an uninjected, unmutated run.
+// zero for an uninjected, unmutated run, and that the lockstep compares at
+// every committed VLIW, not only where StepGroup returns.
 func TestCleanRunHasNoDivergence(t *testing.T) {
 	w, err := workload.ByName("wc")
 	if err != nil {
@@ -186,5 +187,8 @@ func TestCleanRunHasNoDivergence(t *testing.T) {
 	}
 	if !rep.Halted || rep.Stats.InjectedFaults != 0 {
 		t.Fatalf("clean run: halted=%v injected=%d", rep.Halted, rep.Stats.InjectedFaults)
+	}
+	if rep.Compares < rep.Stats.Exec.VLIWs {
+		t.Fatalf("clean run: %d comparisons for %d committed VLIWs", rep.Compares, rep.Stats.Exec.VLIWs)
 	}
 }

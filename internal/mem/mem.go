@@ -21,7 +21,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ProtectShift is log2 of the protection unit size (4K, as the paper
@@ -328,21 +328,17 @@ func (m *Memory) TrackWrites(on bool) {
 	}
 }
 
-// TakeDirtyUnits returns the protection units written since the last call
-// (ascending) and clears the record.
-func (m *Memory) TakeDirtyUnits() []uint32 {
-	if len(m.dirtyUnits) == 0 {
-		return nil
-	}
-	units := make([]uint32, 0, len(m.dirtyUnits))
+// AppendDirtyUnits appends the protection units written since the last
+// call to dst, in ascending order, and clears the record. A checker that
+// passes the same buffer back each time compares without allocating.
+func (m *Memory) AppendDirtyUnits(dst []uint32) []uint32 {
+	n := len(dst)
 	for u := range m.dirtyUnits {
-		units = append(units, u)
+		dst = append(dst, u)
 	}
-	for k := range m.dirtyUnits {
-		delete(m.dirtyUnits, k)
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	return units
+	clear(m.dirtyUnits)
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Read8 loads one byte.

@@ -384,7 +384,7 @@ func FuzzScratchRollback(f *testing.F) {
 				t.Fatalf("read-only bit of unit %d changed", u)
 			}
 		}
-		if units := base.TakeDirtyUnits(); len(units) != 0 {
+		if units := base.AppendDirtyUnits(nil); len(units) != 0 {
 			t.Fatalf("write tracking saw view stores: units %v", units)
 		}
 	})
