@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzDecodeGroup feeds arbitrary bytes to DecodeGroup, the parser every
-// translation-cache hit passes through. It must never panic. For every
-// group it accepts, CodeSize must agree with EncodeGroup (both fail or
-// neither does, and on success the size is the encoding's length), and
-// the encoding must decode and encode again to the same bytes. The seeds
-// are the hand-built sample group and the groups of compress's entry page.
+// translation-cache hit passes through. It must never panic. Every group
+// it accepts must size and encode again: CodeSize succeeds, EncodeGroup
+// succeeds with exactly that many bytes, and the encoding decodes and
+// encodes again to the same bytes. The seeds are the hand-built sample
+// group, a group whose node's parcel count (255) is one past what the
+// encoder accepts, and the groups of compress's entry page.
 func FuzzDecodeGroup(f *testing.F) {
 	add := func(g *vliw.Group) {
 		b, err := vliw.EncodeGroup(g)
@@ -25,6 +26,7 @@ func FuzzDecodeGroup(f *testing.F) {
 		f.Add(b)
 	}
 	add(vliw.SampleGroup())
+	f.Add(vliw.NopGroup(255))
 	w, err := workload.ByName("compress")
 	if err != nil {
 		f.Fatal(err)
@@ -50,13 +52,13 @@ func FuzzDecodeGroup(f *testing.F) {
 		if err != nil {
 			return
 		}
-		size, sizeErr := vliw.CodeSize(g)
-		enc, encErr := vliw.EncodeGroup(g)
-		if (sizeErr == nil) != (encErr == nil) {
-			t.Fatalf("CodeSize error %v, EncodeGroup error %v", sizeErr, encErr)
+		size, err := vliw.CodeSize(g)
+		if err != nil {
+			t.Fatalf("CodeSize of a decoded group: %v", err)
 		}
-		if encErr != nil {
-			return
+		enc, err := vliw.EncodeGroup(g)
+		if err != nil {
+			t.Fatalf("EncodeGroup of a decoded group: %v", err)
 		}
 		if size != len(enc) {
 			t.Fatalf("CodeSize %d, encoding %d bytes", size, len(enc))

@@ -232,6 +232,11 @@ func decodeParcel(p *Parcel, b []byte) (int, error) {
 
 const (
 	termCond = 0xff // node continues with a condition split
+
+	// maxNodeParcels is the most parcels a node's count byte may carry.
+	// The encoder and CodeSize refuse more, so the decoder does too: a
+	// group it accepts can always be encoded again.
+	maxNodeParcels = 254
 )
 
 // parcelSize is the length of p's encoding (encodeParcel).
@@ -278,7 +283,7 @@ func vliwIndex(g *Group, v *VLIW) (int, bool) {
 // nodeSize is the length of the subtree at n's encoding (encodeNode). It
 // fails where the encoding cannot represent the subtree.
 func nodeSize(n *Node, g *Group) (int, error) {
-	if len(n.Ops) > 254 {
+	if len(n.Ops) > maxNodeParcels {
 		return 0, fmt.Errorf("vliw: node with %d parcels", len(n.Ops))
 	}
 	size := 1 // parcel count
@@ -348,6 +353,9 @@ func decodeNode(b []byte) (*Node, int, error) {
 	}
 	n := &Node{}
 	count := int(b[0])
+	if count > maxNodeParcels {
+		return nil, 0, fmt.Errorf("vliw: node with %d parcels", count)
+	}
 	i := 1
 	if count > 0 {
 		n.Ops = make([]Parcel, count)

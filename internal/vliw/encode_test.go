@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -244,6 +245,43 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("%s: decoded without an error", c.name)
 		}
 	}
+
+	// Well-framed bytes the encoder refuses to produce: each must be a
+	// decode error too, or a cache entry carrying it would install and run
+	// but never encode again.
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"node with 255 parcels", nopGroup(255)},
+	} {
+		if _, err := DecodeGroup(c.b); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: decode error %v", c.name, err)
+		}
+	}
+	if g, err := DecodeGroup(nopGroup(254)); err != nil {
+		t.Errorf("254 nops: %v", err)
+	} else if _, err := CodeSize(g); err != nil {
+		t.Errorf("254 nops: CodeSize: %v", err)
+	}
+}
+
+// nopGroup hand-encodes a one-VLIW group whose only node holds n nops and
+// exits to 0x1004, bypassing EncodeGroup's parcel limit.
+func nopGroup(n int) []byte {
+	var nop []byte
+	nop = encodeParcel(nop, &Parcel{Op: PNop})
+	body := []byte{byte(n)}
+	for i := 0; i < n; i++ {
+		body = append(body, nop...)
+	}
+	body = append(body, byte(ExitEntry))
+	body = binary.BigEndian.AppendUint32(body, 0x1004)
+	b := binary.BigEndian.AppendUint32(nil, 0x1000) // group entry
+	b = binary.BigEndian.AppendUint16(b, 1)         // one VLIW
+	b = binary.BigEndian.AppendUint32(b, 0x1000)    // its entry base
+	b = binary.BigEndian.AppendUint16(b, uint16(len(body)))
+	return append(b, body...)
 }
 
 func TestRegRefEncoding(t *testing.T) {
