@@ -67,6 +67,12 @@ func (e *Env) Clone() *Env {
 
 // Syscall performs service r0 against the environment. It returns ErrHalt
 // for SysHalt. It is shared by the interpreter and the VMM.
+//
+// Its register contract is the system-call ABI: it reads only r0, r3 and
+// r4 (and the PC, only to name an unknown service in its error) and
+// writes only r3. The VMM relies on this to service a call on the VLIW
+// register file in place, passing a state that holds just those
+// registers (TestSyscallABI pins it).
 func (e *Env) Syscall(st *ppc.State, m *mem.Memory) error {
 	switch st.GPR[0] {
 	case SysHalt:

@@ -543,3 +543,57 @@ func TestDataTranslateDirect(t *testing.T) {
 		t.Fatal("huge vpage must fault")
 	}
 }
+
+// TestSyscallABI pins the register contract the VMM's in-place system-call
+// service relies on: Env.Syscall reads only r0, r3 and r4 and writes only
+// r3. Each service runs on a state holding just its arguments and on the
+// same state with every other register poisoned; both runs must give the
+// same result, output and r3, and leave every other register as it was.
+func TestSyscallABI(t *testing.T) {
+	m := mem.New(1 << 16)
+	if err := m.LoadImage(0x100, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		r0, r3, r4 uint32
+		in         string
+		err        error
+		out        string
+		r3Out      uint32
+	}{
+		{"halt", SysHalt, 7, 9, "", ErrHalt, "", 7},
+		{"putc", SysPutc, 'x', 9, "", nil, "x", 'x'},
+		{"getc", SysGetc, 7, 9, "q", nil, "", 'q'},
+		{"getc at end of input", SysGetc, 7, 9, "", nil, "", 0xffff_ffff},
+		{"write", SysWrite, 0x100, 3, "", nil, "abc", 0x100},
+	} {
+		var clean ppc.State
+		clean.GPR[0], clean.GPR[3], clean.GPR[4] = c.r0, c.r3, c.r4
+		poisoned := clean
+		for i := range poisoned.GPR {
+			if i != 0 && i != 3 && i != 4 {
+				poisoned.GPR[i] = 0xdead_0000 + uint32(i)
+			}
+		}
+		poisoned.CR, poisoned.LR, poisoned.CTR, poisoned.XER = 0xdead_0100, 0xdead_0101, 0xdead_0102, 0xdead_0103
+		poisoned.PC, poisoned.MSR, poisoned.SDR1 = 0xdead_0104, 0xdead_0105, 0xdead_0106
+		poisoned.SRR0, poisoned.SRR1, poisoned.DAR, poisoned.DSISR = 0xdead_0107, 0xdead_0108, 0xdead_0109, 0xdead_010a
+		for _, before := range []ppc.State{clean, poisoned} {
+			env := &Env{In: []byte(c.in)}
+			st := before
+			err := env.Syscall(&st, m)
+			if !errors.Is(err, c.err) || (c.err == nil && err != nil) {
+				t.Errorf("%s: error %v, want %v", c.name, err, c.err)
+			}
+			if string(env.Out) != c.out {
+				t.Errorf("%s: output %q, want %q", c.name, env.Out, c.out)
+			}
+			want := before
+			want.GPR[3] = c.r3Out
+			if d := want.Diff(&st); d != "" {
+				t.Errorf("%s: registers after the call differ from the contract (want != got): %s", c.name, d)
+			}
+		}
+	}
+}
