@@ -7,7 +7,7 @@ package vmm
 // changing what it does.
 //
 // Hot-path instrumentation is sampled 1-in-N: group runs — a group's entry,
-// by dispatch, chain follow or intra-page hop, to its exit — and precise
+// by dispatch, chain follow or intra-page jump, to its exit — and precise
 // VLIW boundaries. A run ends when the machine next enters a group or
 // starts a dispatch, or at SyncTelemetry. Rare events (translation,
 // exceptions, SMC, cast-out, quarantine, the async pipeline) are recorded
