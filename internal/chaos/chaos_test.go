@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -160,5 +161,50 @@ func TestSharedCacheInjectorArmsItsOwnMachine(t *testing.T) {
 		if !tc.fired(&ma.Stats) {
 			t.Errorf("%s on %s never reached scenario A's store: %+v", tc.injector, tc.workload, ma.Stats)
 		}
+	}
+}
+
+// TestBoundaryCheckAllocatesNothing pins the cost of the lockstep's
+// per-boundary comparison: once its unit buffer has grown, checking the
+// registers, both sides' dirty units and the new output allocates nothing.
+func TestBoundaryCheckAllocatesNothing(t *testing.T) {
+	w, err := workload.ByName("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Workload: w}
+	ma, ref, entry, err := sc.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ma.Close()
+	ma.Mem.TrackWrites(true)
+	ref.Mem.TrackWrites(true)
+	c := &checker{ma: ma, ref: ref}
+	// Stop at a budget: the machine halts before a VLIW, where Exec.RF
+	// holds the architected registers.
+	ma.Start(entry, 2000)
+	for {
+		if _, err := ma.StepGroup(); errors.Is(err, vmm.ErrBudget) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := ma.Stats.BaseInsts()
+	const data = 0x700000 // a unit no code lives in
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = ma.Mem.Write8(data, 1)
+		_ = ref.Mem.Write8(data, 1)
+		c.boundary(now)
+	})
+	if c.div != nil {
+		t.Fatalf("boundary check diverged: %v", c.div)
+	}
+	if c.compares < 100 {
+		t.Fatalf("%d comparisons, want one per call", c.compares)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per boundary check, want 0", allocs)
 	}
 }
