@@ -7,6 +7,7 @@ package vmm
 // backpressure. `make ci` runs this file's soak under -race.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -341,5 +342,95 @@ func TestAsyncOffByDefault(t *testing.T) {
 	opt.Interpretive = true
 	if m2 := New(mem.New(1<<16), &interp.Env{}, opt); m2.pipe != nil {
 		t.Fatal("interpretive machine built an async pipeline")
+	}
+}
+
+// TestAsyncCastOutSparesHoppingPage pins the cast-out order across hops.
+// With a pool of two pages, pages B and C publish while page A loops on
+// system calls that stay in the run loop. Each hop refreshes A's recency
+// as a dispatch that returned would, so C's publish casts out B, never A
+// in the middle of its loop.
+func TestAsyncCastOutSparesHoppingPage(t *testing.T) {
+	prog, err := asm.Assemble(`
+_start:	bl fb            # dispatch pages B and C once each: both queue
+	bl fc            # behind page A on the held worker
+	li r5, 100
+	mtctr r5
+loop:	li r0, 1         # putc: a same-page system call hops
+	li r3, 46
+	sc
+	bdnz loop
+	li r0, 0
+	sc
+
+	.org 0x12000
+fb:	blr
+
+	.org 0x13000
+fc:	blr
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(1 << 20)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.AsyncTranslate = true
+	opt.AsyncWorkers = 1
+	opt.AsyncQueueDepth = 4
+	opt.AsyncDeadline = time.Minute // held jobs must not be abandoned
+	opt.HotThreshold = 1
+	opt.MaxPages = 2
+	m := New(mm, &interp.Env{}, opt)
+	defer m.Close()
+	m.pipe.testHold = make(chan struct{}, 16)
+
+	// publishNext lets the worker translate the oldest queued page and
+	// waits for the result, which the next dispatch's drain publishes.
+	publishNext := func() {
+		m.pipe.testHold <- struct{}{}
+		deadline := time.Now().Add(10 * time.Second)
+		for len(m.pipe.done) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("worker result never arrived")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
+	m.Start(prog.Entry(), 0)
+	for i := 0; i < 10 && m.Stats.AsyncEnqueues < 3; i++ {
+		if _, err := m.StepGroup(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Stats.AsyncEnqueues != 3 {
+		t.Fatalf("%d pages queued before the loop, want 3", m.Stats.AsyncEnqueues)
+	}
+	publishNext() // page A
+	dispatches := 0
+	m.Observe(hookObserver{dispatch: func(uint32) {
+		dispatches++
+		if dispatches == 10 || dispatches == 20 {
+			publishNext() // page B, then page C, mid-loop
+		}
+	}})
+	returns := 0
+	for halted := false; !halted; returns++ {
+		if halted, err = m.StepGroup(); err != nil {
+			t.Fatal(err)
+		}
+		if returns > 1000 {
+			t.Fatal("no halt")
+		}
+	}
+	want := []uint32{prog.Entry() &^ (opt.Trans.PageSize - 1), 0x13000}
+	if got := m.TranslatedPages(); !slices.Equal(got, want) || m.Stats.CastOuts != 1 {
+		t.Fatalf("translated pages %#x after %d cast-outs, want %#x after 1", got, m.Stats.CastOuts, want)
+	}
+	if returns > 10 || dispatches < 100 {
+		t.Fatalf("the loop did not hop: %d dispatches, %d StepGroup returns", dispatches, returns)
 	}
 }
