@@ -59,7 +59,7 @@ func (c *groupCtx) scheduleBranch(p *path, addr uint32, in ppc.Inst) error {
 
 	// Build the condition. CTR-decrementing forms first update CTR (a
 	// renamed decrement plus an in-order commit) and test the result.
-	var conds []condSpec
+	conds := make([]condSpec, 0, 2) // at most the CTR test and the CR bit
 	var ctrCommit *vliw.Parcel
 	ctrReady := 0
 	if in.Op != ppc.OpBcctr && in.DecrementsCTR() {
@@ -159,9 +159,9 @@ func (c *groupCtx) scheduleBranch(p *path, addr uint32, in ppc.Inst) error {
 	deoptTag := p.takeDeopt()
 	nop := vliw.Parcel{Op: vliw.PNop, EndsInst: true, BaseAddr: addr, Deopt: deoptTag}
 	takenNode := c.newNode()
-	takenNode.Ops = append(c.newOps(), nop)
+	takenNode.Ops = append(c.growOps(nil), nop)
 	fallNode := c.newNode()
-	fallNode.Ops = append(c.newOps(), nop)
+	fallNode.Ops = append(c.growOps(nil), nop)
 	tip.Taken = takenNode
 	tip.Fall = fallNode
 
@@ -181,8 +181,8 @@ func (c *groupCtx) scheduleBranch(p *path, addr uint32, in ppc.Inst) error {
 			return nil
 		}
 		if rec {
-			p.closeLazy(next)
 			p2.prob = p.prob
+			p.closeLazy(next)
 			if taken.kind == takenDirect && c.samePage(taken.addr) {
 				p2.cont = taken.addr
 				c.paths = append(c.paths, p2)

@@ -131,7 +131,10 @@ type pendVerify struct {
 }
 
 func newPath(c *groupCtx, cont uint32) *path {
-	return &path{c: c, vs: c.takeVS(), cont: cont, prob: 1, lastStore: -1}
+	p := c.takePath()
+	*p = path{c: c, vs: c.takeVS(), cont: cont, prob: 1, lastStore: -1,
+		scratch: p.scratch[:0], deopt: p.deopt[:0], pendVer: p.pendVer[:0]}
+	return p
 }
 
 func (p *path) last() int      { return len(p.vs) - 1 }
@@ -142,8 +145,8 @@ func (p *path) lastPV() *pvliw { return &p.vs[len(p.vs)-1] }
 // new VLIW ever rolls back.
 func (p *path) openVLIW(entryBase uint32) {
 	c := p.c
-	v := c.newVLIW(len(c.g.VLIWs), entryBase)
-	c.g.VLIWs = append(c.g.VLIWs, v)
+	v := c.newVLIW(len(c.vliws), entryBase)
+	c.vliws = append(c.vliws, v)
 
 	pv := pvliw{v: v, tip: v.Root}
 	idx := len(p.vs)
@@ -192,13 +195,16 @@ func markBusy(v *vliw.VLIW, r vliw.RegRef) {
 // records are immutable, so the copy shares them; a later commit on one
 // path clears only that path's pending bit.
 func (p *path) clone() *path {
-	p.c.t.Stats.PathClones++
-	q := *p
-	q.vs = append(p.c.takeVS(), p.vs...)
-	q.scratch = append([]vliw.RegRef(nil), p.scratch...)
-	q.deopt = append([]vliw.DeoptRec(nil), p.deopt...)
-	q.pendVer = append([]pendVerify(nil), p.pendVer...)
-	return &q
+	c := p.c
+	c.t.Stats.PathClones++
+	q := c.takePath()
+	scratch, deopt, pendVer := q.scratch, q.deopt, q.pendVer
+	*q = *p
+	q.vs = append(c.takeVS(), p.vs...)
+	q.scratch = append(scratch[:0], p.scratch...)
+	q.deopt = append(deopt[:0], p.deopt...)
+	q.pendVer = append(pendVer[:0], p.pendVer...)
+	return q
 }
 
 // nameOfGPR returns the register holding architected GPR r's value at
@@ -308,8 +314,8 @@ func (p *path) ensureIndex(idx int, entryBase uint32) {
 // emit appends a parcel to the path's node in VLIW i and charges resources.
 func (p *path) emit(i int, par vliw.Parcel) {
 	pv := &p.vs[i]
-	if cap(pv.tip.Ops) == 0 {
-		pv.tip.Ops = p.c.newOps()
+	if len(pv.tip.Ops) == cap(pv.tip.Ops) {
+		pv.tip.Ops = p.c.growOps(pv.tip.Ops)
 	}
 	pv.tip.Ops = append(pv.tip.Ops, par)
 	switch {
@@ -730,13 +736,17 @@ func (p *path) flushDeferredCommits() {
 	}
 }
 
-// close terminates the path with the given exit and frees its VLIW list.
+// close terminates the path with the given exit and frees it and its
+// VLIW list for reuse. Nothing schedules on a closed path again;
+// scheduleOne tells one by its nil VLIW list, which holds because no
+// newPath or clone follows a close within one instruction.
 func (p *path) close(exit vliw.Exit) {
 	p.flushDeferredCommits()
 	p.lastPV().tip.Exit = exit
-	p.c.removePath(p)
-	p.c.putVS(p.vs)
-	p.vs = nil
+	c := p.c
+	c.removePath(p)
+	c.putVS(p.vs)
+	c.putPath(p)
 }
 
 // closeToEntry terminates the path with a branch to a same-page entry
@@ -746,8 +756,8 @@ func (p *path) closeToEntry(addr uint32) {
 		p.closeLazy(addr)
 		return
 	}
-	p.close(vliw.Exit{Kind: vliw.ExitEntry, Target: addr})
 	p.c.addWork(addr)
+	p.close(vliw.Exit{Kind: vliw.ExitEntry, Target: addr})
 }
 
 // closeLazy is closeToEntry without eager worklist translation: the entry

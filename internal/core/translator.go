@@ -162,11 +162,22 @@ type Translator struct {
 
 	Stats Stats
 
-	arena arena // record storage shared by every group this translator builds
+	arena arena    // storage shared by every group this translator builds
+	ctx   groupCtx // the open group's state, reset per group
 }
 
 // New returns a translator over the given memory image.
 func New(m *mem.Memory, opt Options) *Translator {
+	t := &Translator{Mem: m}
+	t.SetOptions(opt)
+	return t
+}
+
+// SetOptions replaces the translator's options, filling unset limits as
+// New does. A translator kept across changes of options (the VMM's tier-2
+// translator, set per promotion) keeps its arena: its groups depend on the
+// options and the memory alone.
+func (t *Translator) SetOptions(opt Options) {
 	if opt.PageSize == 0 || opt.PageSize&(opt.PageSize-1) != 0 {
 		opt.PageSize = 4096
 	}
@@ -179,7 +190,7 @@ func New(m *mem.Memory, opt Options) *Translator {
 	if opt.MaxLoopVisits <= 0 {
 		opt.MaxLoopVisits = 2
 	}
-	return &Translator{Mem: m, Opt: opt}
+	t.Opt = opt
 }
 
 // groupCtx is the per-group translation state (CreateVLIWGroupForEntry).
@@ -188,37 +199,52 @@ type groupCtx struct {
 	*arena   // the translator's, shared by all its groups
 	g        *vliw.Group
 	pageBase uint32
-	paths    []*path
-	sched    map[uint32]int // times each base address was scheduled
-	loopHead map[uint32]bool
 	worklist []uint32 // same-page entry points discovered at path exits
-	wlSeen   map[uint32]bool
 }
 
-// arena is a translator's record storage. The scheduler allocates small
-// linked records — rename records, deferred commit parcels, tree nodes —
-// at a rate that dominates the translator's heap traffic, so they are
-// carved out of chunks owned by the translator and shared by every group
-// it builds: a group that uses a few nodes no longer keeps whole fresh
-// chunks alive. Chunks are never grown in place: when one fills, a fresh
-// chunk is started, so pointers into earlier chunks stay valid while the
-// records keep being mutated through them. A translator runs on one
-// goroutine, so its arena needs no lock; after a translator panic the VMM
-// rebuilds the translator, dropping a half-built arena with it.
+// arena is a translator's storage, in two parts.
+//
+// Records a group keeps — tree nodes, VLIWs, branch conditions — are
+// carved out of chunks shared by every group the translator builds, so a
+// group that uses a few nodes keeps no whole chunk of its own alive.
+// Chunks are never grown in place: when one fills, a fresh chunk is
+// started, so pointers into earlier chunks stay valid.
+//
+// Everything else is scratch, live only while one group is open and
+// reused by the next: the open paths and the free list of closed ones,
+// their VLIW lists, rename records, deferred commit parcels, the parcel
+// slots nodes fill while the group is scheduled, and the per-address
+// schedule counts. A group owns none of it: TranslateGroup copies every
+// node's parcels into one array of the group's own before resetting the
+// scratch chunks (compact), and a closed path keeps no pointer into a
+// group or page. A scratch chunk that fills mid-group is replaced by one
+// twice its size, so a reused translator soon carves its largest group
+// without allocating. A panic or an error leaves the scratch as it
+// stands; the next group clears the lists and maps and carves on, and the
+// VMM rebuilds a translator that panicked. A translator runs on one
+// goroutine, so its arena needs no lock.
 type arena struct {
-	recChunk  []renameRec
-	parChunk  []vliw.Parcel // deferred commit parcels
 	nodeChunk []vliw.Node
 	vliwChunk []vliw.VLIW
 	condChunk []vliw.Cond
-	opsChunk  []vliw.Parcel // initial Ops backing for tree nodes
 
-	freeVS [][]pvliw // closed paths' VLIW lists, cleared, for reuse
+	recChunk []renameRec
+	parChunk []vliw.Parcel // deferred commit parcels
+	opsChunk []vliw.Parcel // parcel slots of the open group's nodes
+
+	vliws     []*vliw.VLIW // the open group's VLIWs, in ID order
+	paths     []*path      // the open group's open paths
+	freePaths []*path      // closed paths, pointers cleared, for reuse
+	freeVS    [][]pvliw    // closed paths' VLIW lists, cleared, for reuse
+
+	sched    map[uint32]int // times each base address was scheduled
+	loopHead map[uint32]bool
+	wlSeen   map[uint32]bool
 }
 
 func (a *arena) newRec(r renameRec) *renameRec {
 	if len(a.recChunk) == cap(a.recChunk) {
-		a.recChunk = make([]renameRec, 0, 128)
+		a.recChunk = make([]renameRec, 0, max(128, 2*cap(a.recChunk)))
 	}
 	a.recChunk = append(a.recChunk, r)
 	return &a.recChunk[len(a.recChunk)-1]
@@ -226,7 +252,7 @@ func (a *arena) newRec(r renameRec) *renameRec {
 
 func (a *arena) newCommit(par vliw.Parcel) *vliw.Parcel {
 	if len(a.parChunk) == cap(a.parChunk) {
-		a.parChunk = make([]vliw.Parcel, 0, 128)
+		a.parChunk = make([]vliw.Parcel, 0, max(128, 2*cap(a.parChunk)))
 	}
 	a.parChunk = append(a.parChunk, par)
 	return &a.parChunk[len(a.parChunk)-1]
@@ -248,18 +274,20 @@ func (a *arena) newCond(cd vliw.Cond) *vliw.Cond {
 	return &a.condChunk[len(a.condChunk)-1]
 }
 
-// newOps returns an empty parcel slice with a small fixed capacity carved
-// from the ops chunk. A node takes one when it gets its first parcel, so
-// the many that stay empty take none. Nodes that outgrow it fall back to
-// an ordinary heap append; most never do.
-func (a *arena) newOps() []vliw.Parcel {
-	const opsCap = 8
-	if cap(a.opsChunk)-len(a.opsChunk) < opsCap {
-		a.opsChunk = make([]vliw.Parcel, 0, 64*opsCap)
+// growOps returns a parcel slot for a node whose slot ops is full (nil
+// before its first parcel), carved from the slot chunk: eight parcels
+// for a node's first, twice the old capacity after that, holding ops'
+// parcels. A node takes a slot only when it gets a parcel, so the many
+// that stay empty take none. An outgrown slot is left in the chunk;
+// compact copies the group's parcels out before it resets the chunk.
+func (a *arena) growOps(ops []vliw.Parcel) []vliw.Parcel {
+	n := max(8, 2*cap(ops))
+	if cap(a.opsChunk)-len(a.opsChunk) < n {
+		a.opsChunk = make([]vliw.Parcel, 0, max(max(64*8, n), 2*cap(a.opsChunk)))
 	}
-	n := len(a.opsChunk)
-	a.opsChunk = a.opsChunk[:n+opsCap]
-	return a.opsChunk[n : n : n+opsCap]
+	i := len(a.opsChunk)
+	a.opsChunk = a.opsChunk[:i+n]
+	return append(a.opsChunk[i:i:i+n], ops...)
 }
 
 // newVLIW is vliw.NewVLIW backed by the arena.
@@ -296,25 +324,98 @@ func (a *arena) putVS(vs []pvliw) {
 	a.freeVS = append(a.freeVS, vs[:0])
 }
 
+// takePath returns a path struct for a new or cloned path, reusing a
+// closed one when one is free. The caller overwrites every field.
+func (a *arena) takePath() *path {
+	n := len(a.freePaths)
+	if n == 0 {
+		return new(path)
+	}
+	p := a.freePaths[n-1]
+	a.freePaths = a.freePaths[:n-1]
+	return p
+}
+
+// putPath frees a closed path. Its pointer fields are cleared, like putVS
+// clears VLIW lists, so the free list keeps no group or page alive; it
+// keeps the backing arrays of its scratch, deopt and pendVer lists, which
+// hold no pointers, for the path that reuses it.
+func (a *arena) putPath(p *path) {
+	p.c, p.vs = nil, nil
+	p.scratch, p.deopt, p.pendVer = p.scratch[:0], p.deopt[:0], p.pendVer[:0]
+	a.freePaths = append(a.freePaths, p)
+}
+
+// begin readies the scratch for a new group: the VLIW list is emptied
+// (it holds a group only after one failed) and the per-address maps are
+// cleared, made on first use rather than per group.
+func (a *arena) begin() {
+	clear(a.vliws)
+	a.vliws = a.vliws[:0]
+	if a.sched == nil {
+		a.sched = make(map[uint32]int)
+		a.loopHead = make(map[uint32]bool)
+		a.wlSeen = make(map[uint32]bool)
+		return
+	}
+	clear(a.sched)
+	clear(a.loopHead)
+	clear(a.wlSeen)
+}
+
+// compact gives g what it keeps of the scratch: its VLIW list, and every
+// parcel of its nodes copied into one array of exactly the group's parcel
+// count, in tree order, each node's Ops a three-index slice of it (so no
+// later append runs into a neighbour) and nil for an empty node. Only
+// then does it reset the scratch chunks the parcels came from, and the
+// rename records and commit parcels that died with the group's paths, for
+// the next group to reuse.
+func (a *arena) compact(g *vliw.Group) {
+	g.VLIWs = append([]*vliw.VLIW(nil), a.vliws...)
+	clear(a.vliws)
+	a.vliws = a.vliws[:0]
+	n := 0
+	for _, v := range g.VLIWs {
+		n += v.CountParcels()
+	}
+	ops := make([]vliw.Parcel, 0, n)
+	for _, v := range g.VLIWs {
+		v.Walk(func(nd *vliw.Node) {
+			if len(nd.Ops) == 0 {
+				nd.Ops = nil
+				return
+			}
+			i := len(ops)
+			ops = append(ops, nd.Ops...)
+			nd.Ops = ops[i:len(ops):len(ops)]
+		})
+	}
+	a.recChunk = a.recChunk[:0]
+	a.parChunk = a.parChunk[:0]
+	a.opsChunk = a.opsChunk[:0]
+}
+
 // TranslateGroup translates the group of base instructions reachable from
 // entry, stopping paths per §A.1. It returns the group and the same-page
 // entry addresses discovered at path exits (the outer Pathlist of
-// Figure 2.1).
+// Figure 2.1). The group owns its nodes, VLIWs, conditions, commit-record
+// tables and one array of all its parcels; everything else it used is the
+// arena's scratch, reset for the next group only once the group has been
+// compacted out of it. The worklist is the caller's.
 func (t *Translator) TranslateGroup(entry uint32) (*vliw.Group, []uint32, error) {
 	start := time.Now()
 	defer func() { t.Stats.Nanos += uint64(time.Since(start)) }()
-	c := &groupCtx{
+	t.arena.begin()
+	c := &t.ctx
+	*c = groupCtx{
 		t:        t,
 		arena:    &t.arena,
 		g:        &vliw.Group{Entry: entry, Tier: t.Opt.Tier},
 		pageBase: entry &^ (t.Opt.PageSize - 1),
-		sched:    make(map[uint32]int),
-		loopHead: make(map[uint32]bool),
-		wlSeen:   make(map[uint32]bool),
 	}
 	p := newPath(c, entry)
 	p.openVLIW(entry)
-	c.paths = []*path{p}
+	c.paths = append(c.paths[:0], p)
 
 	for len(c.paths) > 0 {
 		// The most probable path is extended first, so VLIW resources are
@@ -329,13 +430,16 @@ func (t *Translator) TranslateGroup(entry uint32) (*vliw.Group, []uint32, error)
 			return nil, nil, err
 		}
 	}
+	c.compact(c.g)
 
 	t.Stats.Groups++
 	t.Stats.VLIWs += uint64(len(c.g.VLIWs))
 	if size, err := vliw.CodeSize(c.g); err == nil {
 		t.Stats.CodeBytes += uint64(size)
 	}
-	return c.g, c.worklist, nil
+	g, work := c.g, c.worklist
+	*c = groupCtx{} // the translator keeps no pointer to the group
+	return g, work, nil
 }
 
 func (c *groupCtx) removePath(p *path) {
@@ -394,7 +498,9 @@ func (c *groupCtx) scheduleOne(p *path) error {
 	if err := c.scheduleInst(p, addr, in); err != nil {
 		return fmt.Errorf("core: at %#x (%s): %w", addr, in, err)
 	}
-	p.scratch = p.scratch[:0]
-	p.deopt = p.deopt[:0]
+	if p.vs != nil { // still open: the instruction's scratch registers are free again
+		p.scratch = p.scratch[:0]
+		p.deopt = p.deopt[:0]
+	}
 	return nil
 }

@@ -22,7 +22,6 @@ import (
 	"daisy/internal/core"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
-	"daisy/internal/vliw"
 	"daisy/internal/vmm"
 	"daisy/internal/workload"
 )
@@ -49,62 +48,85 @@ var translationModes = []struct {
 }
 
 // pageHasher folds every page the machine reports as translated into one
-// SHA-256, in report order.
+// SHA-256, in report order. It also keeps, per page and tier, the
+// translation last installed and its hash then: a translation is never
+// changed once installed (the translator's scratch is reused group after
+// group, and a group left pointing into it would change under the next
+// one), so recheck requires every page still installed at the halt to
+// hash as it did when it was installed.
 type pageHasher struct {
 	vmm.NopObserver
-	h   hash.Hash
-	buf []byte
-	err error
+	h         hash.Hash
+	buf       []byte
+	err       error
+	installed map[pageTier]installedPage
 }
 
-func (o *pageHasher) put(vs ...uint64) {
-	for _, v := range vs {
-		o.buf = binary.BigEndian.AppendUint64(o.buf, v)
-	}
+type pageTier struct {
+	base uint32
+	tier uint8
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+type installedPage struct {
+	pt  *core.PageTranslation
+	sum [sha256.Size]byte
+}
+
+// tierOf returns the tier of the page translation's groups.
+func tierOf(pt *core.PageTranslation) uint8 {
+	for _, g := range pt.Groups {
+		return g.TierOf()
 	}
-	return 0
+	return 1
 }
 
 func (o *pageHasher) Translated(pt *core.PageTranslation, work core.Stats, _ vmm.AsyncLatency) {
-	o.buf = o.buf[:0]
-	o.put(uint64(pt.Base), uint64(len(pt.Order)), uint64(pt.CodeBytes))
-	for _, e := range pt.Order {
-		g := pt.Groups[e]
-		code, err := vliw.EncodeGroup(g)
-		if err != nil && o.err == nil {
-			o.err = fmt.Errorf("page %#x group %#x: %w", pt.Base, e, err)
-		}
-		o.put(uint64(e), uint64(g.Tier), uint64(g.BaseInsts), uint64(g.Parcels), uint64(len(code)))
-		o.buf = append(o.buf, code...)
-		for _, v := range g.VLIWs {
-			o.put(uint64(v.Addr), uint64(v.Bytes))
-			v.Walk(func(n *vliw.Node) {
-				for i := range n.Ops {
-					o.put(uint64(n.Ops[i].BaseAddr), uint64(int64(n.Ops[i].Deopt)))
-				}
-			})
-		}
-		o.put(uint64(len(g.Deopt)))
-		for _, recs := range g.Deopt {
-			o.put(uint64(len(recs)))
-			for _, r := range recs {
-				o.put(uint64(r.Arch.Kind), uint64(r.Arch.N), uint64(r.Ren.Kind), uint64(r.Ren.N),
-					uint64(r.Addr), b2u(r.Verify))
-			}
-		}
+	var err error
+	o.buf, err = AppendTranslation(o.buf[:0], pt)
+	if err != nil && o.err == nil {
+		o.err = err
 	}
-	o.put(work.Groups, work.BaseInsts, work.Parcels, work.VLIWs, work.CodeBytes,
-		work.WorkUnits, work.PathClones)
+	if o.installed == nil {
+		o.installed = map[pageTier]installedPage{}
+	}
+	o.installed[pageTier{pt.Base, tierOf(pt)}] = installedPage{pt, sha256.Sum256(o.buf)}
+	for _, v := range []uint64{work.Groups, work.BaseInsts, work.Parcels, work.VLIWs, work.CodeBytes,
+		work.WorkUnits, work.PathClones} {
+		o.buf = binary.BigEndian.AppendUint64(o.buf, v)
+	}
 	o.h.Write(o.buf)
 }
 
+// recheck hashes every page ma still has installed, tier-1 and tier-2,
+// and requires the hash each had when it was installed.
+func (o *pageHasher) recheck(ma *vmm.Machine) error {
+	for tier, bases := range map[uint8][]uint32{1: ma.TranslatedPages(), 2: ma.Tier2Pages()} {
+		for _, base := range bases {
+			in, ok := o.installed[pageTier{base, tier}]
+			if !ok {
+				return fmt.Errorf("tier-%d page %#x is installed but was never reported", tier, base)
+			}
+			b, err := AppendTranslation(nil, in.pt)
+			if err != nil {
+				return err
+			}
+			if sha256.Sum256(b) != in.sum {
+				return fmt.Errorf("tier-%d page %#x changed after it was installed", tier, base)
+			}
+		}
+	}
+	return nil
+}
+
+// translationBudget bounds a golden-scale run at ten times the longest
+// workload (gcc, 94,311 instructions), so translated code that a broken
+// translator left looping ends the run with an error instead of the test
+// binary's timeout.
+const translationBudget = 1_000_000
+
 // translationDigest runs w to halt at golden scale under opt and returns
-// the hash of every translation the machine installed.
+// the hash of every translation the machine installed, after checking
+// that every page still installed at the halt is unchanged.
 func translationDigest(w workload.Workload, opt vmm.Options) (string, error) {
 	prog, err := w.Build()
 	if err != nil {
@@ -120,8 +142,14 @@ func translationDigest(w workload.Workload, opt vmm.Options) (string, error) {
 	}
 	ph := &pageHasher{h: sha256.New()}
 	ma.Observe(ph)
-	if err := ma.Run(prog.Entry(), 0); err != nil {
+	runErr := ma.Run(prog.Entry(), translationBudget)
+	// A translation changed after it was installed also explains a run
+	// that went wrong, so it is reported first.
+	if err := ph.recheck(ma); err != nil {
 		return "", err
+	}
+	if runErr != nil {
+		return "", runErr
 	}
 	if ph.err != nil {
 		return "", ph.err

@@ -60,6 +60,16 @@ const (
 // key echo, codec byte, raw body length.
 const headerSize = 4 + 2 + 8 + 4 + 32 + 1 + 4
 
+// maxRawLen bounds an entry's raw (uncompressed) body. The largest body
+// Save writes for any workload page is 25,465 bytes (the eight workloads
+// at scale 8, synchronous, async and precompiled); the bound is 160 times
+// that. A header claiming more is damage, rejected before anything is
+// inflated, so a checksum-valid entry under the right name can make one
+// Load allocate at most this much, not the 4 GiB its 32-bit length field
+// can claim. Save refuses a body over it, so it never writes what Load
+// would reject.
+const maxRawLen = 4 << 20
+
 // hotMaxBytes bounds the decoded hot tier: 64 MiB of raw entry payload,
 // enough for the decoded working set of every workload in the repo many
 // times over while staying irrelevant next to the guest memory image. It
@@ -238,7 +248,25 @@ func encodeBody(groups []*vliw.Group) ([]byte, error) {
 		body = binary.BigEndian.AppendUint32(body, uint32(len(code)))
 		body = append(body, code...)
 	}
+	if len(body) > maxRawLen {
+		return nil, fmt.Errorf("txcache: page body of %d bytes is over the %d-byte bound", len(body), maxRawLen)
+	}
 	return body, nil
+}
+
+// encodeEntry frames a body blob as the entry stored under k: header
+// (magic, version, key echo, codec, raw body length), blob, checksum.
+func encodeEntry(k Key, codec byte, rawLen int, blob []byte) []byte {
+	var payload []byte
+	payload = binary.BigEndian.AppendUint32(payload, magic)
+	payload = binary.BigEndian.AppendUint16(payload, Version)
+	payload = binary.BigEndian.AppendUint64(payload, k.OptFP)
+	payload = binary.BigEndian.AppendUint32(payload, k.PageBase)
+	payload = append(payload, k.Digest[:]...)
+	payload = append(payload, codec)
+	payload = binary.BigEndian.AppendUint32(payload, uint32(rawLen))
+	payload = append(payload, blob...)
+	return binary.BigEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
 }
 
 // Save serializes groups (in page-layout order) under k. BaseInsts and
@@ -271,16 +299,7 @@ func (s *Store) Save(k Key, groups []*vliw.Group) (stored bool, err error) {
 			blob = comp.Bytes()
 		}
 	}
-	var payload []byte
-	payload = binary.BigEndian.AppendUint32(payload, magic)
-	payload = binary.BigEndian.AppendUint16(payload, Version)
-	payload = binary.BigEndian.AppendUint64(payload, k.OptFP)
-	payload = binary.BigEndian.AppendUint32(payload, k.PageBase)
-	payload = append(payload, k.Digest[:]...)
-	payload = append(payload, codec)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(body)))
-	payload = append(payload, blob...)
-	payload = binary.BigEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+	payload := encodeEntry(k, codec, len(body), blob)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,6 +602,9 @@ func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, MissReason) {
 	}
 	codec := body[50]
 	rawLen := int(binary.BigEndian.Uint32(body[51:]))
+	if rawLen > maxRawLen {
+		return nil, 0, MissCorrupt
+	}
 	blob := body[headerSize:]
 	var raw []byte
 	switch codec {

@@ -10,20 +10,21 @@ import (
 )
 
 // runAllocCeiling caps the heap allocations of one whole c_sieve run at
-// scale 1. It is the 510 measured when the cap was set plus 3%. The
+// scale 1. It is the 185 measured when the cap was set plus 3%. The
 // executor's hot loop and chain follows allocate nothing, and c_sieve
 // makes 2,233 chain follows, so one stray allocation on that path alone
-// lands far above the cap. Raise it only in a reviewed change that says
-// why.
-const runAllocCeiling = 525
+// lands far above the cap; so does a translator that makes its paths,
+// maps or parcel slots per group again (510 before they were reused).
+// Raise it only in a reviewed change that says why.
+const runAllocCeiling = 191
 
-// runBytesCeiling caps the heap bytes one c_sieve run allocates: the 386
+// runBytesCeiling caps the heap bytes one c_sieve run allocates: the 238
 // KiB measured when the cap was set plus about 15%. The image is sparse,
-// so a run pays for the units the guest touches and the translator's
-// arena, not for the 8 MiB of configured memory: a full-size image coming
-// back, or a translator that keeps fresh chunks per group, lands far
-// above it.
-const runBytesCeiling = 448 << 10
+// so a run pays for the units the guest touches and the translations it
+// keeps, not for the 8 MiB of configured memory: a full-size image coming
+// back, or a translator that makes fresh scratch per group (386 KiB
+// before it was reused), lands above it.
+const runBytesCeiling = 280 << 10
 
 // TestRunAllocs builds the image, loads the program, creates the machine
 // and runs it to halt (translation included) under testing.AllocsPerRun,

@@ -324,6 +324,14 @@ type Machine struct {
 	ckptRF    vliw.RegFile
 	ckptPC    uint32
 	ckptInsts uint64
+
+	// t2trans is the tier-2 translator (tier2.go), kept across promotions
+	// as Trans is kept across tier-1 pages: nil until the first promotion,
+	// while one runs, and unless Opt.Tier2. It sits last because inserting
+	// it among the tier-2 fields above, which shifts every field after it,
+	// read 6–8% slower on bench/'s fleet workload (0 of 12 pairs won)
+	// with the CPU profile's shape unchanged.
+	t2trans *core.Translator
 }
 
 // New builds a machine over a loaded memory image.

@@ -206,20 +206,36 @@ func profileProb(counts map[uint32][2]uint64) func(pc uint32) (float64, bool) {
 }
 
 // translateTier2 runs the optimizing translation behind the same recover
-// barrier as every other translator invocation, on a private Translator so
-// a mid-schedule panic cannot leak half-built state into the tier-1 path.
+// barrier as every other translator invocation. It reuses the machine's
+// tier-2 translator, so promotions after the first translate from a warm
+// arena, and sets the promotion's options on it; only this promotion's
+// stats delta reaches m.Trans.Stats. The translator is taken out of the
+// machine while it runs and put back only after a successful translation,
+// so an error or a panic drops it, half-scheduled state and all, and the
+// next promotion builds a fresh one. (A deferred drop on error would run
+// before guardTranslate recovers, and so miss panics.)
 func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint64) (pt *core.PageTranslation, work core.Stats, err error) {
 	defer guardTranslate(&err)
 	opt := m.t2sched.Derive(m.Trans.Opt, profileProb(profile))
 	if m.inhibit[base] {
 		opt.SpeculateLoads = false // the page already proved alias-heavy
 	}
-	t := core.New(m.Mem, opt)
-	pt, err = t.TranslatePage(entry)
-	if err == nil {
-		m.Trans.Stats = m.Trans.Stats.Add(t.Stats)
+	t := m.t2trans
+	m.t2trans = nil
+	if t == nil {
+		t = core.New(m.Mem, opt)
+	} else {
+		t.SetOptions(opt)
 	}
-	return pt, t.Stats, err
+	before := t.Stats
+	pt, err = t.TranslatePage(entry)
+	if err != nil {
+		return nil, work, err
+	}
+	work = t.Stats.Sub(before)
+	m.Trans.Stats = m.Trans.Stats.Add(work)
+	m.t2trans = t
+	return pt, work, nil
 }
 
 // installTier2 publishes a tier-2 translation. The page's tier-1
