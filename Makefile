@@ -74,11 +74,12 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkExec$$' -benchtime=1x ./internal/vliw
 
-# The end-to-end benchmark's own tests. bench/ is a separate module (it
-# replaces daisy with ../), so `go test ./...` at the root does not reach
-# it; this target keeps its use of vmm.Stats, vmm.Options and the
-# telemetry API compiling and passing.
+# The end-to-end benchmark's vet and tests. bench/ is a separate module
+# (it replaces daisy with ../), so `go vet ./...` and `go test ./...` at
+# the root do not reach it; this target keeps its use of vmm.Stats,
+# vmm.Options and the telemetry API compiling, vet-clean and passing.
 bench-test:
+	cd bench && $(GO) vet .
 	cd bench && $(GO) test .
 
 # End-to-end profiler gate: run a workload with every group run attributed,

@@ -15,8 +15,9 @@ package vmm
 //     executing interpretively. A finished translation is published only
 //     by the machine goroutine, at a precise boundary, so the handoff is
 //     atomic with respect to architected state.
-//   - Staleness: each page carries an epoch, bumped by every invalidation
-//     (SMC drain, cast-out, quarantine, adaptive retranslation). A result
+//   - Staleness: each page record carries an epoch, bumped by every
+//     invalidation (SMC drain, cast-out, quarantine, adaptive
+//     retranslation). A result
 //     whose epoch — or whose page-byte digest — no longer matches is
 //     dropped, never published (Stats.StaleTranslationsDropped).
 //   - Backpressure: the job queue is bounded; when it is full the page
@@ -106,7 +107,8 @@ type inflightJob struct {
 	deadlineNs int64 // wall clock past which the watchdog abandons it
 }
 
-// retryState tracks the failure history of one page's async translation.
+// retryState tracks the failure history of one page's async translation
+// (page.retry).
 type retryState struct {
 	attempts  int
 	notBefore uint64 // instruction clock; no re-enqueue until then
@@ -128,9 +130,6 @@ type txPipeline struct {
 	// abandoned holds the seqs of watchdog-abandoned jobs whose results
 	// have not yet come back (late arrivals are dropped on sight).
 	abandoned map[uint64]bool
-
-	// retry tracks per-page failure counts and backoff horizons.
-	retry map[uint32]retryState
 
 	nextSeq  uint64
 	workers  int
@@ -168,15 +167,12 @@ func (m *Machine) startPipeline() {
 		opt:       m.Opt.Trans,
 		inflight:  make(map[uint32]inflightJob),
 		abandoned: make(map[uint64]bool),
-		retry:     make(map[uint32]retryState),
 		workers:   workers,
 	}
 	for i := 0; i < workers; i++ {
 		p.spawnWorker()
 	}
 	m.pipe = p
-	m.epoch = make(map[uint32]uint64)
-	m.hot = make(map[uint32]int)
 }
 
 // spawnWorker adds one worker goroutine to the pool. The loop exits when
@@ -250,54 +246,40 @@ func (m *Machine) asyncDeadline() time.Duration {
 	return 2 * time.Second
 }
 
-// bumpEpoch invalidates any in-flight translation of the page at base.
-func (m *Machine) bumpEpoch(base uint32) {
-	if m.pipe == nil {
-		return
-	}
-	m.epoch[base]++
-	delete(m.hot, base)
-	// The page's bytes (or life) changed; prior translation failures no
-	// longer predict anything. Forgetting the retry history here is also
-	// what lets a quarantine release re-admit the page through the normal
-	// hot-threshold path.
-	delete(m.pipe.retry, base)
-}
-
 // groupAsync is the non-blocking dispatch lookup: it returns the group at
 // addr when one is available (published, cached, or an incremental entry
 // extension of an already-published page), or nil when the page should
 // keep running interpretively — still cold, queued, in flight, backing
 // off after a failure, or pushed back by a full queue.
 func (m *Machine) groupAsync(addr uint32) (*vliw.Group, error) {
-	base := addr &^ (m.Trans.Opt.PageSize - 1)
-	if _, ok := m.pages[base]; ok {
+	p := m.page(addr &^ (m.Trans.Opt.PageSize - 1))
+	if p.pt != nil {
 		// Page is live. A missing entry point is built synchronously:
 		// entry extension is incremental (the page's groups already
 		// exist), far cheaper than a page build, and keeping it inline
 		// preserves the §3.4 invalid-entry semantics exactly.
 		return m.groupAt(addr)
 	}
-	if _, ok := m.pipe.inflight[base]; ok {
+	if _, ok := m.pipe.inflight[p.base]; ok {
 		return nil, nil
 	}
-	if rs, ok := m.pipe.retry[base]; ok && m.Stats.BaseInsts() < rs.notBefore {
+	if m.instClock() < p.retry.notBefore {
 		// Failed recently: honor the backoff before translating again.
 		return nil, nil
 	}
 	// Cold page: a persistent-cache hit skips both the hotness dues and
 	// the queue — installing a finished translation is cheap.
-	if m.cacheUsable(base) && m.installCached(addr) {
+	if m.cacheUsable(p.base) && m.installCached(p) {
 		return m.groupAt(addr)
 	}
-	m.hot[base]++
-	if m.hot[base] == 1 {
-		m.emit(telemetry.EvAsyncWarmup, base, 0)
+	p.hot++
+	if p.hot == 1 {
+		m.emit(telemetry.EvAsyncWarmup, p.base, 0)
 	}
-	if m.hot[base] < m.hotThreshold() {
+	if p.hot < m.hotThreshold() {
 		return nil, nil
 	}
-	m.enqueue(base, addr)
+	m.enqueue(p.base, addr)
 	return nil, nil
 }
 
@@ -322,7 +304,7 @@ func (m *Machine) enqueue(base, entry uint32) {
 	job := txJob{
 		base:       base,
 		entry:      entry,
-		epoch:      m.epoch[base],
+		epoch:      m.page(base).epoch,
 		seq:        m.pipe.nextSeq,
 		digest:     sha256.Sum256(src),
 		snap:       src,
@@ -409,34 +391,31 @@ func (m *Machine) watchdog() {
 // against its current contents. A failed result feeds the
 // retry/quarantine machinery instead of erroring the guest.
 func (m *Machine) publish(r txResult) {
-	base := r.job.base
-	cur := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
-	if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
+	p := m.page(r.job.base)
+	cur := m.Mem.Bytes(p.base, m.Trans.Opt.PageSize)
+	if p.epoch != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
 		m.Stats.StaleTranslationsDropped++
-		m.emit(telemetry.EvAsyncStale, base, 0)
+		m.emit(telemetry.EvAsyncStale, p.base, 0)
 		return
 	}
 	if r.err != nil {
-		m.noteAsyncFailure(base, r.err)
+		m.noteAsyncFailure(p.base, r.err)
 		return
 	}
 	m.Trans.Stats = m.Trans.Stats.Add(r.stats)
 	m.Stats.PagesBuilt++
 	m.Stats.GroupsBuilt += r.stats.Groups
 	m.Stats.AsyncPublishes++
-	delete(m.hot, base)
-	delete(m.pipe.retry, base)
+	p.hot = 0
+	p.retry = retryState{}
 	m.emit(telemetry.EvTranslate, r.job.entry, r.stats.BaseInsts)
-	m.emit(telemetry.EvAsyncPublish, base, 0)
+	m.emit(telemetry.EvAsyncPublish, p.base, 0)
 	m.translated(r.pt, r.stats, AsyncLatency{
 		QueueWait:    time.Duration(r.startedNs - r.job.enqueuedNs),
 		Translate:    time.Duration(r.doneNs - r.startedNs),
 		PublishDelay: time.Duration(time.Now().UnixNano() - r.doneNs),
 	})
-	m.pages[base] = r.pt
-	m.touch(base)
-	m.Mem.SetReadOnly(base, true)
-	m.castOut()
+	m.install(p, r.pt)
 	m.cacheStore(r.pt)
 }
 
@@ -448,23 +427,23 @@ func (m *Machine) publish(r txResult) {
 // of the instruction clock, until the retry budget is spent and the page
 // is quarantined interpret-only.
 func (m *Machine) noteAsyncFailure(base uint32, err error) {
+	p := m.page(base)
 	var pf *panicFault
 	if errors.As(err, &pf) {
 		m.notePanic(base)
-		delete(m.pipe.retry, base)
+		p.retry = retryState{}
 		m.forceQuarantine(base)
 		return
 	}
-	rs := m.pipe.retry[base]
+	rs := &p.retry
 	if rs.attempts >= asyncMaxRetries {
 		m.Stats.AsyncRetriesExhausted++
-		delete(m.pipe.retry, base)
+		p.retry = retryState{}
 		m.forceQuarantine(base)
 		return
 	}
 	rs.attempts++
-	rs.notBefore = m.Stats.BaseInsts() + retryBackoff(base, rs.attempts)
-	m.pipe.retry[base] = rs
+	rs.notBefore = m.instClock() + retryBackoff(base, rs.attempts)
 	m.Stats.AsyncRetries++
 	m.emit(telemetry.EvAsyncRetry, base, uint64(rs.attempts))
 }
@@ -510,9 +489,10 @@ func (m *Machine) InflightPages() []uint32 {
 // whole-program translation, a per-page speculation inhibit — bypasses
 // the cache.
 func (m *Machine) cacheUsable(base uint32) bool {
+	p := m.pages[base]
 	return m.Opt.Cache != nil && !m.Opt.Interpretive &&
 		m.Opt.Trans.TraceGuide == nil && m.Opt.Trans.ProfileProb == nil &&
-		!m.Opt.Trans.CrossPage && !m.inhibit[base]
+		!m.Opt.Trans.CrossPage && (p == nil || !p.inhibit)
 }
 
 // cacheKey builds the content address of the page at base from its
@@ -543,9 +523,8 @@ func optionsDesc(o core.Options) string {
 // layout order. Corrupt or version-skewed entries read as misses inside
 // the store and fall through to fresh translation here; the miss reason
 // is mirrored into the machine's per-reason counters.
-func (m *Machine) installCached(addr uint32) bool {
-	base := addr &^ (m.Trans.Opt.PageSize - 1)
-	key, ok := m.cacheKey(base)
+func (m *Machine) installCached(p *page) bool {
+	key, ok := m.cacheKey(p.base)
 	if !ok {
 		return false
 	}
@@ -567,18 +546,15 @@ func (m *Machine) installCached(addr uint32) bool {
 	if hot {
 		m.Stats.CacheHotHits++
 	}
-	pt := core.EmptyPage(base, m.Trans.Opt.PageSize)
+	pt := core.EmptyPage(p.base, m.Trans.Opt.PageSize)
 	for _, g := range groups {
 		m.Trans.Adopt(pt, g)
 	}
 	m.Stats.CacheHits++
 	m.Stats.PagesBuilt++ // a "translation missing" exception was serviced
-	m.emit(telemetry.EvCacheHit, base, 0)
+	m.emit(telemetry.EvCacheHit, p.base, 0)
 	m.translated(pt, core.Stats{}, AsyncLatency{})
-	m.pages[base] = pt
-	m.touch(base)
-	m.Mem.SetReadOnly(base, true)
-	m.castOut()
+	m.install(p, pt)
 	return true
 }
 

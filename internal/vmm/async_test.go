@@ -118,7 +118,7 @@ func asyncLoopMachineTel(t *testing.T, tel *telemetry.Telemetry) (*Machine, uint
 	// Installed before the first enqueue: the job-channel send orders this
 	// write before the worker's read.
 	m.pipe.testHold = make(chan struct{}, 16)
-	m.Start(prog.Entry(), 0)
+	m.Start(prog.Entry(), spinBudget)
 	for i := 0; i < 100 && m.Stats.AsyncEnqueues == 0; i++ {
 		if _, err := m.StepGroup(); err != nil {
 			t.Fatal(err)
@@ -129,6 +129,12 @@ func asyncLoopMachineTel(t *testing.T, tel *telemetry.Telemetry) (*Machine, uint
 	}
 	return m, prog.Entry()
 }
+
+// spinBudget is the instruction budget of every test that steps a guest
+// that never halts. No correct run of such a test gets near it, so a run
+// loop that stops returning from StepGroup fails the test with ErrBudget
+// within seconds instead of hanging it and every test after it.
+const spinBudget = 20_000_000
 
 // stepUntil steps the machine until cond holds (or fails the test). The
 // short sleep between steps gives a released worker time to deliver its
@@ -241,7 +247,7 @@ func TestAsyncBackpressure(t *testing.T) {
 	m := New(mm, &interp.Env{}, opt)
 	defer m.Close()
 	m.pipe.testHold = make(chan struct{}, 64)
-	m.Start(prog.Entry(), 0)
+	m.Start(prog.Entry(), spinBudget)
 	stepUntil(t, m, "queue pushed back", func() bool {
 		return m.Stats.AsyncQueueFull > 0
 	})
@@ -301,7 +307,7 @@ func TestAsyncQueueFullSkipsPlan(t *testing.T) {
 	draws := 0
 	m.FaultTranslation = func(uint32) *TranslationFault { draws++; return nil }
 	seq := m.pipe.nextSeq
-	m.Start(prog.Entry(), 0)
+	m.Start(prog.Entry(), spinBudget)
 	for i := 0; i < 20; i++ {
 		if _, err := m.StepGroup(); err != nil {
 			t.Fatal(err)

@@ -126,7 +126,8 @@ func TestCacheUnknownOpcodeIsCorrupt(t *testing.T) {
 	}
 	cold, coldOut := runWorkloadVMM(t, w, 1, cacheOptions(store))
 	damaged := 0
-	for base, pt := range cold.pages {
+	for _, base := range cold.TranslatedPages() {
+		pt := livePT(cold, base)
 		k, ok := cold.cacheKey(base)
 		if !ok {
 			continue

@@ -10,6 +10,8 @@ package vmm
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -83,7 +85,7 @@ func TestTier2SyncPanicTraced(t *testing.T) {
 	m := New(mm, &interp.Env{}, opt)
 	tel := telemetry.New(telemetry.DefaultOptions())
 	m.AttachTelemetry(tel)
-	m.Start(prog.Entry(), 0)
+	m.Start(prog.Entry(), spinBudget)
 	if _, err := m.StepGroup(); err != nil { // builds tier 1, first dispatch
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func crashLoopMachine(t *testing.T, hold bool, fault func(uint32) *TranslationFa
 	if hold {
 		m.pipe.testHold = make(chan struct{}, 16)
 	}
-	m.Start(prog.Entry(), 0)
+	m.Start(prog.Entry(), spinBudget)
 	for i := 0; i < 100 && m.Stats.AsyncEnqueues == 0; i++ {
 		if _, err := m.StepGroup(); err != nil {
 			t.Fatal(err)
@@ -168,8 +170,7 @@ func crashLoopMachine(t *testing.T, hold bool, fault func(uint32) *TranslationFa
 
 // pageLive reports whether the page at base has a published translation.
 func pageLive(m *Machine, base uint32) bool {
-	_, ok := m.pages[base]
-	return ok
+	return m.liveAt(base) != nil
 }
 
 // stepSpin is stepUntil without the per-step sleep: conditions gated on
@@ -217,18 +218,23 @@ func TestAsyncWorkerPanicQuarantines(t *testing.T) {
 // TestAsyncErrRetriesThenQuarantines pins the retry ladder: a worker
 // translation that keeps failing is retried asyncMaxRetries times with
 // instruction-clock backoff, then the page is quarantined instead of
-// retrying forever.
+// retrying forever. An invalidation restarts the ladder: the page's bytes
+// may have changed, so its failures predict nothing.
 func TestAsyncErrRetriesThenQuarantines(t *testing.T) {
 	planted := errors.New("planted translation failure")
 	m, base := crashLoopMachine(t, false, func(uint32) *TranslationFault {
 		return &TranslationFault{Err: planted}
 	}, nil)
 	defer m.Close()
+	stepSpin(t, m, "first retry", func() bool {
+		return m.Stats.AsyncRetries > 0
+	})
+	m.InvalidatePage(base)
 	stepSpin(t, m, "retries exhausted", func() bool {
 		return m.Stats.AsyncRetriesExhausted > 0
 	})
-	if m.Stats.AsyncRetries != asyncMaxRetries {
-		t.Fatalf("AsyncRetries = %d, want %d (the retry budget)", m.Stats.AsyncRetries, asyncMaxRetries)
+	if m.Stats.AsyncRetries != 1+asyncMaxRetries {
+		t.Fatalf("AsyncRetries = %d, want %d (one, then the whole retry budget)", m.Stats.AsyncRetries, 1+asyncMaxRetries)
 	}
 	if len(m.QuarantinedPages()) == 0 {
 		t.Fatal("retry-exhausted page was not quarantined")
@@ -273,12 +279,14 @@ func TestAsyncWatchdogAbandonsHungWorker(t *testing.T) {
 // interaction: quarantining a page whose translation is in flight must
 // poison that result (epoch bump → stale drop), and releasing the
 // quarantine must re-admit the page through the normal hot-threshold
-// path, ending in a successful publish.
+// path, warming up from zero, ending in a successful publish.
 func TestQuarantineWhileInflightDropsAndReadmits(t *testing.T) {
 	m, base := crashLoopMachine(t, true, nil, func(o *Options) {
 		o.QuarantineBackoff = 2_000
 	})
 	defer m.Close()
+	log := &eventLog{}
+	m.Observe(log)
 
 	// Quarantine the loop page while the (held) translation is in flight.
 	m.forceQuarantine(base)
@@ -308,6 +316,13 @@ func TestQuarantineWhileInflightDropsAndReadmits(t *testing.T) {
 	}
 	if len(m.QuarantinedPages()) != 0 {
 		t.Fatal("page still quarantined after publish")
+	}
+	released := slices.IndexFunc(log.events, func(e string) bool {
+		return strings.HasPrefix(e, telemetry.EvQuarantineOff.String()+" ")
+	})
+	warmup := fmt.Sprintf("%v %#x 0", telemetry.EvAsyncWarmup, base)
+	if released < 0 || !slices.Contains(log.events[released:], warmup) {
+		t.Fatalf("the released page never warmed up again from zero dispatches: %q", log.events)
 	}
 }
 

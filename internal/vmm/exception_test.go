@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"daisy/internal/asm"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
+	"daisy/internal/telemetry"
 	"daisy/internal/vliw"
 )
 
@@ -267,14 +270,12 @@ patch:	addi r31, r31, 100   # immediate grows 101, 102, ...
 	}
 }
 
-// TestStraddlingStoreInvalidatesCode: a misaligned stw at 0x10ffe writes
-// the top half of the instruction at 0x11000 (addi r3,r3,1 becomes
-// addis r3,r3,1), so the store's last bytes land in a protection unit and
-// a page other than its address's. The translation of the routine must be
-// invalidated whether the unit the store starts in holds code (its own
-// read-only bit is set) or only data (it is not), at 4K and at small pages.
-func TestStraddlingStoreInvalidatesCode(t *testing.T) {
-	const caller = `
+// The program of TestStraddlingStoreInvalidatesCode: a misaligned stw at
+// 0x10ffe writes the top half of the instruction at 0x11000 (addi r3,r3,1
+// becomes addis r3,r3,1), so the store's last bytes land in a protection
+// unit and a page other than its address's.
+const (
+	straddleCaller = `
 _start:	li r3, 0
 	bl routine
 	lis r5, 1
@@ -283,16 +284,24 @@ _start:	li r3, 0
 	stw r6, 0(r5)       # bytes 00 00 3c 63 at 0x10ffe..0x11001
 	bl routine
 ` + halt
-	const routine = `
+	straddleRoutine = `
 	.org 0x11000
 routine:	addi r3, r3, 1
 	blr
 `
+	// The unit at 0x10000 holds the caller's code: read-only.
+	straddleCodeUnit = "\t.org 0x10000\n" + straddleCaller + straddleRoutine
+)
+
+// TestStraddlingStoreInvalidatesCode: the translation of the routine must
+// be invalidated whether the unit the straddling store starts in holds
+// code (its own read-only bit is set) or only data (it is not), at 4K and
+// at small pages.
+func TestStraddlingStoreInvalidatesCode(t *testing.T) {
 	layouts := []struct{ name, src string }{
-		// The unit at 0x10000 holds the caller's code: read-only.
-		{"code-unit", "\t.org 0x10000\n" + caller + routine},
+		{"code-unit", straddleCodeUnit},
 		// The unit at 0x10000 holds only data: never read-only.
-		{"data-unit", "\t.org 0x10ff8\nbuf:\t.word 0, 0\n" + routine + "\t.org 0x12000\n" + caller},
+		{"data-unit", "\t.org 0x10ff8\nbuf:\t.word 0, 0\n" + straddleRoutine + "\t.org 0x12000\n" + straddleCaller},
 	}
 	for _, l := range layouts {
 		for _, ps := range []uint32{4096, 256} {
@@ -307,6 +316,60 @@ routine:	addi r3, r3, 1
 					t.Fatal("the patched routine's translation was never invalidated")
 				}
 			})
+		}
+	}
+}
+
+// eventLog records every machine event in order.
+type eventLog struct {
+	NopObserver
+	events []string
+}
+
+func (l *eventLog) Event(kind telemetry.EventKind, pc uint32, arg uint64) {
+	l.events = append(l.events, fmt.Sprintf("%v %#x %d", kind, pc, arg))
+}
+
+// TestSMCDrainOrder: in the code-unit layout the straddling store dirties
+// both translated pages, so one drain invalidates two pages. Identical
+// runs must report one event sequence, with the lower page invalidated
+// first, whatever order the dirty set happens to iterate in.
+func TestSMCDrainOrder(t *testing.T) {
+	prog, err := asm.Assemble(straddleCodeUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []string
+	for run := 0; run < 100; run++ {
+		mm := mem.New(1 << 20)
+		if err := prog.Load(mm); err != nil {
+			t.Fatal(err)
+		}
+		ma := New(mm, &interp.Env{}, DefaultOptions())
+		log := &eventLog{}
+		ma.Observe(log)
+		if err := ma.Run(prog.Entry(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = log.events
+			var smc []string
+			for _, e := range first {
+				if strings.HasPrefix(e, telemetry.EvSMCInvalidate.String()) {
+					smc = append(smc, e)
+				}
+			}
+			want := []string{
+				fmt.Sprintf("%v %#x 0", telemetry.EvSMCInvalidate, 0x10000),
+				fmt.Sprintf("%v %#x 0", telemetry.EvSMCInvalidate, 0x11000),
+			}
+			if !slices.Equal(smc, want) {
+				t.Fatalf("SMC invalidations %q, want %q", smc, want)
+			}
+			continue
+		}
+		if !slices.Equal(log.events, first) {
+			t.Fatalf("run %d: events\n%q\ndiffer from run 0's\n%q", run, log.events, first)
 		}
 	}
 }

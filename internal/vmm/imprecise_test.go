@@ -202,4 +202,33 @@ lp:	addi r3, r3, 1
 	if ma2.Stats.AliasRetranslations != 0 {
 		t.Fatal("throttle fired while disabled")
 	}
+
+	// The alias history outlives the page's translations: invalidated
+	// after every recovery, the page still reaches the threshold.
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(1 << 20)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	ma3 := New(mm, &interp.Env{}, opt)
+	ma3.Start(prog.Entry(), 1_000_000)
+	for seen := uint64(0); ; {
+		halted, err := ma3.StepGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if halted {
+			break
+		}
+		if ma3.Stats.AliasRecoveries > seen {
+			seen = ma3.Stats.AliasRecoveries
+			ma3.InvalidatePage(prog.Entry())
+		}
+	}
+	if ma3.Stats.AliasRetranslations == 0 {
+		t.Fatalf("invalidations reset the alias history (%d recoveries, no retranslation)", ma3.Stats.AliasRecoveries)
+	}
 }

@@ -14,6 +14,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -265,51 +266,29 @@ type Machine struct {
 	// obs is the observer slot (observer.go), attached telemetry included.
 	obs []Observer
 
-	pages map[uint32]*core.PageTranslation
-	lru   *pageLRU
-	dirty map[uint32]bool
-
-	// quar tracks per-page translation trouble for the interpret-only
-	// quarantine (graceful degradation; see quarantine.go).
-	quar map[uint32]*quarState
-
-	// Adaptive speculation throttle (§5: "an entry point could be
-	// retranslated with movement of loads above stores inhibited"):
-	// pages whose groups keep alias-faulting are rebuilt without load
-	// speculation.
-	aliasCount map[uint32]int // by page base
-	inhibit    map[uint32]bool
+	// pages holds one record per guest page the VMM has met (page.go).
+	// The records with a live tier-1 translation are linked in recency
+	// order from lruHead (least recently used) to lruTail; livePages
+	// counts them and quarPages counts the records in quarantine.
+	pages            map[uint32]*page
+	lruHead, lruTail *page
+	livePages        int
+	quarPages        int
+	dirty            map[uint32]bool
 
 	curGroup *vliw.Group
 	maxInsts uint64
 
-	// Asynchronous translation pipeline state (async.go): the worker
-	// pool, per-page invalidation epochs, and per-page hotness counters.
-	// pipe is nil on a synchronous machine; epoch and hot exist only with
-	// it. optFP memoizes the translator-options fingerprint for the
-	// persistent cache key.
+	// pipe is the asynchronous translation pipeline (async.go), nil on a
+	// synchronous machine. optFP memoizes the translator-options
+	// fingerprint for the persistent cache key.
 	pipe  *txPipeline
-	epoch map[uint32]uint64
-	hot   map[uint32]int
 	optFP uint64
 
-	// cachePending defers entry-extension write-through: a page that
-	// grows entry points during a run is rewritten to the persistent
-	// cache once — at halt or Close — not once per extension. The map
-	// holds the exact translation that was extended; the flush drops a
-	// page whose translation has since been invalidated (its bytes may
-	// have changed, so the pending rewrite would be mis-keyed).
-	cachePending map[uint32]*core.PageTranslation
-
-	// Optimizing retranslation tier (tier2.go). tier2 maps page base to
-	// the tier-2 translation; its keys are always a subset of pages — the
-	// tier-1 translation is retained as the deoptimization target. t2
-	// holds each page's promotion/demotion policy state; t2sched derives
-	// the optimizing translator options; t2journal is swapped into the
-	// executor while a tier-2 (deferred-commit) group runs. All nil/zero
+	// Optimizing retranslation tier (tier2.go): t2sched derives the
+	// optimizing translator options; t2journal is swapped into the
+	// executor while a tier-2 (deferred-commit) group runs. Both zero
 	// unless Opt.Tier2.
-	tier2     map[uint32]*core.PageTranslation
-	t2        map[uint32]*t2State
 	t2sched   sched.Scheduler
 	t2journal *vliw.StoreJournal
 
@@ -348,17 +327,13 @@ func New(m *mem.Memory, env *interp.Env, opt Options) *Machine {
 		opt.Trans.MaxLoopVisits *= 2
 	}
 	ma := &Machine{
-		Mem:        m,
-		Env:        env,
-		Trans:      core.New(m, opt.Trans),
-		Exec:       &vliw.Executor{Mem: m},
-		Opt:        opt,
-		pages:      make(map[uint32]*core.PageTranslation),
-		lru:        newPageLRU(),
-		dirty:      make(map[uint32]bool),
-		quar:       make(map[uint32]*quarState),
-		aliasCount: make(map[uint32]int),
-		inhibit:    make(map[uint32]bool),
+		Mem:   m,
+		Env:   env,
+		Trans: core.New(m, opt.Trans),
+		Exec:  &vliw.Executor{Mem: m},
+		Opt:   opt,
+		pages: make(map[uint32]*page),
+		dirty: make(map[uint32]bool),
 	}
 	m.OnProtectedStore = func(addr uint32, size int) {
 		// A store can straddle two units and two pages: mark each page
@@ -386,8 +361,6 @@ func New(m *mem.Memory, env *interp.Env, opt Options) *Machine {
 		ma.startPipeline()
 	}
 	if opt.Tier2 {
-		ma.tier2 = make(map[uint32]*core.PageTranslation)
-		ma.t2 = make(map[uint32]*t2State)
 		ma.t2sched = sched.Tier2()
 		ma.t2journal = &vliw.StoreJournal{}
 	}
@@ -458,27 +431,24 @@ func (m *Machine) StepGroup() (halted bool, err error) {
 }
 
 func (m *Machine) checkBudget() error {
-	// Reads the executor's live counter rather than the Stats mirror so
-	// runGroup does not have to re-sync the mirror on every VLIW.
-	if m.maxInsts > 0 && m.Exec.Stats.BaseInsts+m.Stats.InterpInsts >= m.maxInsts {
+	if m.maxInsts > 0 && m.instClock() >= m.maxInsts {
 		return fmt.Errorf("%w (pc %#x)", ErrBudget, m.St.PC)
 	}
 	return nil
 }
 
-// pageFor returns (building if needed) the translation of the page
-// containing addr — the "VLIW translation missing" service (§3.1).
-func (m *Machine) pageFor(addr uint32) (*core.PageTranslation, error) {
-	base := addr &^ (m.Trans.Opt.PageSize - 1)
-	if pt, ok := m.pages[base]; ok {
-		m.touch(base)
-		return pt, nil
+// pageFor returns (building if needed) the translation of page p, which
+// holds addr — the "VLIW translation missing" service (§3.1).
+func (m *Machine) pageFor(p *page, addr uint32) (*core.PageTranslation, error) {
+	if p.pt != nil {
+		m.touch(p)
+		return p.pt, nil
 	}
 	// A persistent-cache hit installs the prior run's translation of these
 	// exact bytes instead of rebuilding it (async machines consult the
 	// cache in groupAsync before the page ever reaches here).
-	if m.cacheUsable(base) && m.installCached(addr) {
-		return m.pages[base], nil
+	if m.cacheUsable(p.base) && m.installCached(p) {
+		return p.pt, nil
 	}
 	before := m.Trans.Stats
 	var pt *core.PageTranslation
@@ -489,67 +459,63 @@ func (m *Machine) pageFor(addr uint32) (*core.PageTranslation, error) {
 		pt, err = m.safeTranslatePage(addr)
 	}
 	if err != nil {
-		return nil, m.translatorFailed(base, err)
+		return nil, m.translatorFailed(p.base, err)
 	}
 	work := m.Trans.Stats.Sub(before)
 	m.Stats.PagesBuilt++
 	m.Stats.GroupsBuilt += work.Groups
 	m.emit(telemetry.EvTranslate, addr, work.BaseInsts)
 	m.translated(pt, work, AsyncLatency{})
-	m.pages[base] = pt
-	m.touch(base)
-	// Protect the page so stores into it raise the code-modification
-	// interrupt (§3.2).
-	m.Mem.SetReadOnly(base, true)
-	m.castOut()
+	m.install(p, pt)
 	m.cacheStore(pt)
 	return pt, nil
 }
 
-func (m *Machine) touch(base uint32) { m.lru.touch(base) }
-
+// castOut invalidates least recently used pages while the pool holds more
+// than MaxPages.
 func (m *Machine) castOut() {
 	if m.Opt.MaxPages <= 0 {
 		return
 	}
-	for len(m.pages) > m.Opt.MaxPages {
-		victim, ok := m.lru.victim()
-		if !ok {
-			return
-		}
+	for m.livePages > m.Opt.MaxPages {
+		victim := m.lruHead.base
 		m.invalidate(victim)
 		m.Stats.CastOuts++
 		m.emit(telemetry.EvCastOut, victim, 0)
 	}
 }
 
-// invalidate destroys the translation of one page (§3.2). Every caller —
+// invalidate destroys the translations of one page (§3.2). Every caller —
 // SMC drain, LRU cast-out, quarantine engagement, adaptive retranslation —
-// funnels through here, so the unchain walk below is the single point
+// funnels through here, so the unchain walks below are the single point
 // where group-chaining links die with the translation they point into.
 func (m *Machine) invalidate(base uint32) {
-	// Bump the page's epoch before the existence check: the page may have
-	// no published translation yet but still have one in flight, and that
-	// result must not land after this invalidation.
-	m.bumpEpoch(base)
 	m.emit(telemetry.EvInvalidate, base, 0)
-	// The optimizing tier dies with the page: both the tier-2 translation
-	// and the promotion-policy state (its dispatch count restarts from the
-	// invalidation). Without this, a quarantine engaging while a tier-2
-	// retranslation is pending would leak the retained tier-1 translation's
-	// tier-2 shadow — m.tier2 must always be a subset of m.pages.
-	if pt2, ok := m.tier2[base]; ok {
-		pt2.Unchain()
-		delete(m.tier2, base)
+	p := m.pages[base]
+	if p == nil {
+		return // never met: nothing translated, nothing in flight
 	}
-	delete(m.t2, base)
-	pt, ok := m.pages[base]
-	if !ok {
+	// A new epoch stales any worker result in flight, whether or not a
+	// translation is live; the page's hotness and its retry history start
+	// over, which is also what lets a quarantine release re-admit the page
+	// through the hot threshold.
+	p.epoch++
+	p.hot = 0
+	p.retry = retryState{}
+	// The optimizing tier dies with the page: the tier-2 translation and
+	// its promotion-policy state (the dispatch count restarts here).
+	if p.t2 != nil {
+		p.t2.Unchain()
+		p.t2 = nil
+	}
+	p.t2st = t2State{}
+	if p.pt == nil {
 		return
 	}
-	pt.Unchain()
-	delete(m.pages, base)
-	m.lru.remove(base)
+	p.pt.Unchain()
+	p.pt = nil
+	m.livePages--
+	m.unlink(p)
 	m.Mem.SetReadOnly(base, false)
 }
 
@@ -570,10 +536,12 @@ func (m *Machine) InjectSMC(addr uint32) {
 
 // TranslatedPages returns the bases of currently translated pages in
 // ascending order (deterministic, for seeded injectors and inspection).
-func (m *Machine) TranslatedPages() []uint32 { return sortedKeys(m.pages) }
+func (m *Machine) TranslatedPages() []uint32 {
+	return m.pagesWhere(func(p *page) bool { return p.pt != nil })
+}
 
-// sortedKeys returns a page-keyed map's keys in ascending order, so every
-// walk over pages (exports, cache flushes, span closes) is deterministic.
+// sortedKeys returns a page-keyed map's keys in ascending order, so walks
+// over the in-flight set and telemetry's spans are deterministic.
 func sortedKeys[V any](pages map[uint32]V) []uint32 {
 	out := make([]uint32, 0, len(pages))
 	for b := range pages {
@@ -590,12 +558,13 @@ func (m *Machine) CurrentGroup() *vliw.Group { return m.curGroup }
 // groupAt resolves the base address to a translated group, servicing
 // missing-translation and invalid-entry exceptions on the way.
 func (m *Machine) groupAt(addr uint32) (*vliw.Group, error) {
-	if m.inhibit[addr&^(m.Trans.Opt.PageSize-1)] {
+	p := m.page(addr &^ (m.Trans.Opt.PageSize - 1))
+	if p.inhibit {
 		saved := m.Trans.Opt.SpeculateLoads
 		m.Trans.Opt.SpeculateLoads = false
 		defer func() { m.Trans.Opt.SpeculateLoads = saved }()
 	}
-	pt, err := m.pageFor(addr)
+	pt, err := m.pageFor(p, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -605,7 +574,7 @@ func (m *Machine) groupAt(addr uint32) (*vliw.Group, error) {
 	before := m.Trans.Stats
 	g, err := m.safeEnsureEntry(pt, addr, m.Opt.Interpretive)
 	if err != nil {
-		return nil, m.translatorFailed(addr&^(m.Trans.Opt.PageSize-1), err)
+		return nil, m.translatorFailed(p.base, err)
 	}
 	work := m.Trans.Stats.Sub(before)
 	m.Stats.EntriesBuilt++
@@ -616,20 +585,10 @@ func (m *Machine) groupAt(addr uint32) (*vliw.Group, error) {
 	// the next run reloads the extended translation. Deferred — a run
 	// discovering N entry points on one page must pay one rewrite, not N
 	// (each rewrite re-encodes and re-compresses the whole page).
-	m.cacheDefer(pt)
+	if m.cacheUsable(p.base) {
+		p.pending = pt
+	}
 	return g, nil
-}
-
-// cacheDefer schedules a write-through rewrite of the page's cache entry
-// for the next flushCacheStores (halt or Close).
-func (m *Machine) cacheDefer(pt *core.PageTranslation) {
-	if !m.cacheUsable(pt.Base) {
-		return
-	}
-	if m.cachePending == nil {
-		m.cachePending = make(map[uint32]*core.PageTranslation)
-	}
-	m.cachePending[pt.Base] = pt
 }
 
 // flushCacheStores writes every pending entry-extension rewrite. A page
@@ -638,15 +597,13 @@ func (m *Machine) cacheDefer(pt *core.PageTranslation) {
 // rewrite is dropped (content addressing would make it unreachable at
 // best, mis-keyed at worst).
 func (m *Machine) flushCacheStores() {
-	if len(m.cachePending) == 0 {
-		return
-	}
-	for _, base := range sortedKeys(m.cachePending) {
-		if pt := m.cachePending[base]; m.pages[base] == pt {
-			m.cacheStore(pt)
+	for _, base := range m.pagesWhere(func(p *page) bool { return p.pending != nil }) {
+		p := m.pages[base]
+		if p.pending == p.pt {
+			m.cacheStore(p.pt)
 		}
+		p.pending = nil
 	}
-	m.cachePending = nil
 }
 
 // recordTrace interprets ahead from entry and records the direction of
@@ -702,10 +659,10 @@ func (m *Machine) interpretAhead(entry uint32, budget uint64, onBranch func(pc u
 // leaves the current page, execution falls back to the interpreter, or the
 // program halts. It returns halt=true on SysHalt.
 //
-// The Stats.Exec mirror is synced once per runGroup here (plus at the few
-// in-loop points that read it: recovery, SMC drains and hops) instead of
-// after every VLIW; checkBudget and boundary observers read the live
-// executor counter directly.
+// The Stats.Exec mirror is synced here, once per StepGroup, and nowhere
+// else: everything inside the run loop that needs the instruction count
+// (the budget check, boundary observers, the quarantine, retry and tier-2
+// policies) reads the live executor counter through instClock.
 func (m *Machine) runGroup() (bool, error) {
 	halt, err := m.runGroupLoop()
 	m.Stats.Exec = m.Exec.Stats
@@ -725,8 +682,7 @@ func (m *Machine) runGroupLoop() (bool, error) {
 	var hop *vliw.Node
 dispatch:
 	if hop != nil {
-		// StepGroup's own first steps, which a hop skips by not returning.
-		m.Stats.Exec = m.Exec.Stats
+		// StepGroup's own first step, which a hop skips by not returning.
 		if err := m.checkBudget(); err != nil {
 			return false, err
 		}
@@ -758,7 +714,7 @@ dispatch:
 			// Refresh the page's recency as the lookup would: an async
 			// publish above may have touched another page, and the next
 			// cast-out must not pick the page this loop runs on.
-			m.touch(m.St.PC &^ (m.Trans.Opt.PageSize - 1))
+			m.touch(m.liveAt(m.St.PC))
 		}
 	} else if m.pipe != nil {
 		g, err = m.groupAsync(m.St.PC)
@@ -813,7 +769,6 @@ dispatch:
 		exit, fault := m.Exec.Exec(v)
 		m.Stats.Cycles++ // one cycle per attempted VLIW
 		if fault != nil {
-			m.Stats.Exec = m.Exec.Stats
 			return m.recover(fault)
 		}
 
@@ -874,7 +829,7 @@ dispatch:
 				continue
 			}
 			// Stay inside the page: jump to the target group directly.
-			if m.pages[m.St.PC&^(m.Trans.Opt.PageSize-1)] == nil {
+			if m.liveAt(m.St.PC) == nil {
 				return false, nil
 			}
 			ng, err := m.groupAt(m.St.PC)
@@ -1003,8 +958,8 @@ func (m *Machine) exitLeaf() *vliw.Node {
 // an invalidation destroys the translation, and a retranslation of the
 // same page builds new groups.
 func (m *Machine) live(g *vliw.Group) bool {
-	pt := m.pages[g.Entry&^(m.Trans.Opt.PageSize-1)]
-	return pt != nil && pt.Groups[g.Entry] == g
+	p := m.liveAt(g.Entry)
+	return p != nil && p.pt.Groups[g.Entry] == g
 }
 
 // recover services a VLIW fault: the executor has rolled the register
@@ -1083,15 +1038,15 @@ func (m *Machine) noteAlias() {
 	if !m.Opt.AdaptiveSpeculation || m.curGroup == nil {
 		return
 	}
-	base := m.curGroup.Entry &^ (m.Trans.Opt.PageSize - 1)
-	m.aliasCount[base]++
-	if m.aliasCount[base] < aliasRetranslateThreshold || m.inhibit[base] {
+	p := m.page(m.curGroup.Entry &^ (m.Trans.Opt.PageSize - 1))
+	p.aliases++
+	if p.aliases < aliasRetranslateThreshold || p.inhibit {
 		return
 	}
-	m.inhibit[base] = true
+	p.inhibit = true
 	m.Stats.AliasRetranslations++
-	m.invalidate(base)
-	m.Mem.SetReadOnly(base, true) // the code itself is unchanged
+	m.invalidate(p.base)
+	m.Mem.SetReadOnly(p.base, true) // the code itself is unchanged
 }
 
 // interpret runs the base interpreter from the current PC until it
@@ -1156,33 +1111,37 @@ func (m *Machine) rollbackToCheckpoint() {
 	m.Exec.RF = m.ckptRF
 	m.St.PC = m.ckptPC
 	m.Exec.Stats.BaseInsts = m.ckptInsts
-	m.Stats.Exec = m.Exec.Stats
 	m.Exec.ClearSpec()
 }
 
 // drainDirty invalidates the translations of pages whose code was
-// modified, reporting whether any invalidation happened.
+// modified, lowest page first, reporting whether any invalidation
+// happened. Go's map order is random, and identical runs must invalidate,
+// trace and quarantine in one order.
 func (m *Machine) drainDirty() bool {
 	if len(m.dirty) == 0 {
 		return false
 	}
-	m.Stats.Exec = m.Exec.Stats // noteTrouble timestamps in completed insts
-	for b := range m.dirty {
+	for len(m.dirty) != 0 {
+		b := uint32(math.MaxUint32)
+		for d := range m.dirty {
+			b = min(b, d)
+		}
+		delete(m.dirty, b)
 		m.invalidate(b) // also bumps the page's in-flight epoch
 		m.Stats.SMCInvalidations++
 		m.emit(telemetry.EvSMCInvalidate, b, 0)
 		m.noteTrouble(b)
-		delete(m.dirty, b)
 	}
 	return true
 }
 
 func (m *Machine) hasEntry(addr uint32) bool {
-	pt, ok := m.pages[addr&^(m.Trans.Opt.PageSize-1)]
-	if !ok {
+	p := m.liveAt(addr)
+	if p == nil {
 		return false
 	}
-	_, ok = pt.Groups[addr]
+	_, ok := p.pt.Groups[addr]
 	return ok
 }
 

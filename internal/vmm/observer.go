@@ -35,7 +35,8 @@ type Observer interface {
 
 	// Boundary is called at every precise VLIW boundary with the total of
 	// completed base instructions; Exec.RF then holds the exact architected
-	// registers (the Stats.Exec mirror is refreshed only per dispatch).
+	// registers (the Stats.Exec mirror is refreshed only when StepGroup
+	// returns).
 	// Boundaries exist only in precise-exception mode: after each
 	// committed VLIW, except mid-path inside a tier-2 group, and after a
 	// system call once it has been serviced. They do not depend on how

@@ -117,11 +117,12 @@ func (m *Machine) AnnotatedDisassembly(prof *telemetry.Profile, base uint32) str
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "annotated disassembly: page 0x%08x\n", base)
-	pt, ok := m.pages[base]
-	if !ok {
+	p := m.liveAt(base)
+	if p == nil {
 		b.WriteString("  (page not translated)\n")
 		return b.String()
 	}
+	pt := p.pt
 	for _, entry := range pt.Order {
 		g := pt.Groups[entry]
 		if g == nil {

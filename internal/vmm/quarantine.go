@@ -11,21 +11,18 @@ package vmm
 // architected semantics are identical, only slower — and retry translation
 // later with exponential backoff.
 //
-// Time is measured in completed base instructions (Stats.BaseInsts()),
-// the only clock the machine has that is deterministic across runs.
+// Time is measured in completed base instructions (instClock), the only
+// clock the machine has that is deterministic across runs; the tier-2 and
+// async retry policies and the trace read the same clock.
 
-import (
-	"slices"
+import "daisy/internal/telemetry"
 
-	"daisy/internal/telemetry"
-)
-
-// quarState tracks translation trouble for one page.
+// quarState tracks translation trouble for one page (page.quar).
 type quarState struct {
 	events    []uint64 // completion-time stamps of recent trouble events
-	until     uint64   // interpret-only while BaseInsts() < until (0 = free)
+	until     uint64   // interpret-only while instClock() < until (0 = free)
 	backoff   uint64   // current backoff span; doubles on each re-engage
-	engagedAt uint64   // BaseInsts() when the quarantine engaged (dwell base)
+	engagedAt uint64   // instClock() when the quarantine engaged (dwell base)
 }
 
 // noteTrouble records one translation-trouble event (an SMC invalidation,
@@ -38,15 +35,12 @@ func (m *Machine) noteTrouble(base uint32) {
 	if m.Opt.QuarantineThreshold <= 0 {
 		return
 	}
-	q := m.quar[base]
-	if q == nil {
-		q = &quarState{}
-		m.quar[base] = q
-	}
+	p := m.page(base)
+	q := &p.quar
 	if q.until != 0 {
 		return // already quarantined
 	}
-	now := m.Stats.BaseInsts()
+	now := m.instClock()
 	q.events = append(q.events, now)
 	// Drop events that have aged out of the window.
 	cut := uint64(0)
@@ -63,29 +57,33 @@ func (m *Machine) noteTrouble(base uint32) {
 	if len(q.events) < m.Opt.QuarantineThreshold {
 		return
 	}
-	m.engageQuarantine(base, q, m.Opt.QuarantineBackoff)
+	m.engageQuarantine(p, m.Opt.QuarantineBackoff)
 }
 
 // engageQuarantine puts the page into interpret-only mode: its translation
 // is invalidated (which also poisons any in-flight worker result via the
 // epoch bump) and groupAt is bypassed until the backoff expires. Each
 // re-engagement of the same page doubles the span.
-func (m *Machine) engageQuarantine(base uint32, q *quarState, firstBackoff uint64) {
+func (m *Machine) engageQuarantine(p *page, firstBackoff uint64) {
 	if firstBackoff == 0 {
 		firstBackoff = defaultQuarantineBackoff
 	}
+	q := &p.quar
 	if q.backoff == 0 {
 		q.backoff = firstBackoff
 	} else {
 		q.backoff *= 2
 	}
-	now := m.Stats.BaseInsts()
+	if q.until == 0 {
+		m.quarPages++
+	}
+	now := m.instClock()
 	q.until = now + q.backoff
 	q.engagedAt = now
 	q.events = q.events[:0]
 	m.Stats.Quarantines++
-	m.invalidate(base)
-	m.emit(telemetry.EvQuarantine, base, q.backoff)
+	m.invalidate(p.base)
+	m.emit(telemetry.EvQuarantine, p.base, q.backoff)
 }
 
 // defaultQuarantineBackoff (completed base instructions) is used by the
@@ -100,32 +98,28 @@ const defaultQuarantineBackoff = 50_000
 // useless: a translator panic (deterministic: it would panic again) or an
 // exhausted async retry budget.
 func (m *Machine) forceQuarantine(base uint32) {
-	q := m.quar[base]
-	if q == nil {
-		q = &quarState{}
-		m.quar[base] = q
-	}
-	if q.until != 0 && m.Stats.BaseInsts() < q.until {
+	p := m.page(base)
+	if p.quar.until != 0 && m.instClock() < p.quar.until {
 		return // already quarantined
 	}
-	m.engageQuarantine(base, q, m.Opt.QuarantineBackoff)
+	m.engageQuarantine(p, m.Opt.QuarantineBackoff)
 }
 
 // pageQuarantined reports whether the page holding addr is currently in
 // interpret-only quarantine, releasing it when its backoff has expired.
 func (m *Machine) pageQuarantined(addr uint32) bool {
-	if len(m.quar) == 0 {
+	if m.quarPages == 0 {
 		return false
 	}
-	base := addr &^ (m.Trans.Opt.PageSize - 1)
-	q := m.quar[base]
-	if q == nil || q.until == 0 {
+	p := m.pages[addr&^(m.Trans.Opt.PageSize-1)]
+	if p == nil || p.quar.until == 0 {
 		return false
 	}
-	if m.Stats.BaseInsts() >= q.until {
-		q.until = 0
+	if now := m.instClock(); now >= p.quar.until {
+		p.quar.until = 0
+		m.quarPages--
 		m.Stats.QuarantineReleases++
-		m.emit(telemetry.EvQuarantineOff, base, m.Stats.BaseInsts()-q.engagedAt)
+		m.emit(telemetry.EvQuarantineOff, p.base, now-p.quar.engagedAt)
 		return false
 	}
 	return true
@@ -134,9 +128,6 @@ func (m *Machine) pageQuarantined(addr uint32) bool {
 // QuarantinedPages returns the bases of pages currently in interpret-only
 // quarantine, in ascending order (for observability).
 func (m *Machine) QuarantinedPages() []uint32 {
-	now := m.Stats.BaseInsts()
-	return slices.DeleteFunc(sortedKeys(m.quar), func(base uint32) bool {
-		q := m.quar[base]
-		return q.until == 0 || now >= q.until
-	})
+	now := m.instClock()
+	return m.pagesWhere(func(p *page) bool { return p.quar.until != 0 && now < p.quar.until })
 }

@@ -72,35 +72,66 @@ func TestBudgetExactBoundary(t *testing.T) {
 	}
 }
 
-// TestPageLRU pins the order semantics of the O(1) recency list that
-// replaced the VMM's linear page slice.
+// livePT returns the live tier-1 translation of the page at base (nil:
+// none).
+func livePT(m *Machine, base uint32) *core.PageTranslation {
+	if p := m.liveAt(base); p != nil {
+		return p.pt
+	}
+	return nil
+}
+
+// recency lists the machine's recency order, least recently used first,
+// and fails the test if the back links or lruTail disagree with it.
+func recency(t *testing.T, m *Machine) []uint32 {
+	t.Helper()
+	var order []uint32
+	var prev *page
+	for p := m.lruHead; p != nil; p = p.next {
+		if p.prev != prev {
+			t.Fatalf("page %#x: back link disagrees with the order %v", p.base, order)
+		}
+		order = append(order, p.base)
+		prev = p
+	}
+	if m.lruTail != prev {
+		t.Fatalf("lruTail is not the last page of the order %v", order)
+	}
+	return order
+}
+
+// TestPageLRU pins the order semantics of the machine's recency list, the
+// links on the page records that cast-out takes its victim from.
 func TestPageLRU(t *testing.T) {
-	l := newPageLRU()
-	if _, ok := l.victim(); ok {
-		t.Fatal("empty LRU has a victim")
+	m := New(mem.New(1<<16), &interp.Env{}, DefaultOptions())
+	want := func(what string, order ...uint32) {
+		t.Helper()
+		if got := recency(t, m); !slices.Equal(got, order) {
+			t.Fatalf("%s: order %v, want %v", what, got, order)
+		}
 	}
-	l.touch(1)
-	l.touch(2)
-	l.touch(3)
-	if v, ok := l.victim(); !ok || v != 1 {
-		t.Fatalf("victim = %d, want 1", v)
+	want("new machine")
+	if m.lruHead != nil {
+		t.Fatal("empty order has a victim")
 	}
-	l.touch(1) // 1 becomes most recent; 2 is now LRU
-	if v, _ := l.victim(); v != 2 {
-		t.Fatalf("victim after touch(1) = %d, want 2", v)
-	}
-	l.remove(2)
-	if v, _ := l.victim(); v != 3 {
-		t.Fatalf("victim after remove(2) = %d, want 3", v)
-	}
-	l.remove(2) // removing an absent base is a no-op
-	if l.len() != 2 {
-		t.Fatalf("len = %d, want 2", l.len())
-	}
-	l.remove(3)
-	l.remove(1)
-	if _, ok := l.victim(); ok || l.len() != 0 {
-		t.Fatal("LRU not empty after removing everything")
+	m.touch(m.page(0x1000))
+	m.touch(m.page(0x2000))
+	m.touch(m.page(0x3000))
+	want("touch 1, 2, 3", 0x1000, 0x2000, 0x3000)
+	m.touch(m.page(0x1000)) // 1 becomes most recent; 2 is now the victim
+	want("touch 1", 0x2000, 0x3000, 0x1000)
+	m.touch(m.page(0x1000)) // touching the most recent page changes nothing
+	want("touch 1 again", 0x2000, 0x3000, 0x1000)
+	m.unlink(m.page(0x2000))
+	want("unlink 2", 0x3000, 0x1000)
+	m.unlink(m.page(0x2000)) // unlinking an absent page is a no-op
+	want("unlink 2 again", 0x3000, 0x1000)
+	m.unlink(m.page(0x1000))
+	want("unlink the most recent", 0x3000)
+	m.unlink(m.page(0x3000))
+	want("unlink everything")
+	if m.lruHead != nil || m.lruTail != nil {
+		t.Fatal("order not empty after unlinking everything")
 	}
 }
 
@@ -215,7 +246,7 @@ func TestChainPatchAndFollow(t *testing.T) {
 	if ma.Stats.ChainFollows == 0 {
 		t.Fatal("chained edges were never followed")
 	}
-	pt := ma.pages[base]
+	pt := livePT(ma, base)
 	if pt == nil {
 		t.Fatal("loop page not translated")
 	}
@@ -227,6 +258,14 @@ func TestChainPatchAndFollow(t *testing.T) {
 	ma.InvalidatePage(base)
 	if got := pt.ChainCount(); got != 0 {
 		t.Fatalf("ChainCount after invalidate = %d, want 0", got)
+	}
+	// It also gives the page up: out of the recency order cast-out picks
+	// victims from, and no longer write-protected.
+	if order := recency(t, ma); slices.Contains(order, base) {
+		t.Fatalf("invalidated page %#x still in the recency order %v", base, order)
+	}
+	if ma.Mem.ReadOnly(base) {
+		t.Fatal("invalidated page is still write-protected")
 	}
 }
 
@@ -264,7 +303,7 @@ tab:	.word callee
 func deadChains(t *testing.T, ma *Machine, pts []*core.PageTranslation) {
 	t.Helper()
 	for _, pt := range pts {
-		if ma.pages[pt.Base] == pt {
+		if livePT(ma, pt.Base) == pt {
 			continue
 		}
 		if got := pt.ChainCount(); got != 0 {
@@ -349,7 +388,7 @@ tab:	.word callee
 		if err != nil {
 			t.Fatalf("vmm: %v", err)
 		}
-		if pt := ma.pages[patchedBase]; bothChained(pt) && !slices.Contains(pts, pt) {
+		if pt := livePT(ma, patchedBase); bothChained(pt) && !slices.Contains(pts, pt) {
 			pts = append(pts, pt)
 		}
 		if halted {
@@ -454,7 +493,7 @@ tab:	.word callee
 		if err != nil {
 			t.Fatalf("vmm: %v", err)
 		}
-		if pt := ma.pages[base]; bothChained(pt) && !slices.Contains(pts, pt) {
+		if pt := livePT(ma, base); bothChained(pt) && !slices.Contains(pts, pt) {
 			pts = append(pts, pt)
 		}
 		if halted {
@@ -538,7 +577,7 @@ func TestChainTeardownQuarantine(t *testing.T) {
 	opt.QuarantineWindow = 1 << 30
 	opt.QuarantineBackoff = 1000
 	ma, base := runChainLoop(t, opt)
-	pt := ma.pages[base]
+	pt := livePT(ma, base)
 	if pt == nil || pt.ChainCount() == 0 {
 		t.Fatal("precondition: chained translation present")
 	}
@@ -562,7 +601,7 @@ func TestChainTeardownQuarantine(t *testing.T) {
 	base = prog.Entry() &^ (opt.Trans.PageSize - 1)
 	var quarantined *core.PageTranslation
 	ma.Observe(hookObserver{dispatch: func(uint32) {
-		if pt := ma.pages[base]; quarantined == nil && hopChains(pt) > 0 {
+		if pt := livePT(ma, base); quarantined == nil && hopChains(pt) > 0 {
 			quarantined = pt
 			for i := 0; i < opt.QuarantineThreshold; i++ {
 				ma.noteTrouble(base)
@@ -582,7 +621,7 @@ func TestChainTeardownQuarantine(t *testing.T) {
 	if got := quarantined.ChainCount(); got != 0 {
 		t.Fatalf("quarantined translation still holds %d chains", got)
 	}
-	if live := ma.pages[base]; live == quarantined || hopChains(live) == 0 {
+	if live := livePT(ma, base); live == quarantined || hopChains(live) == 0 {
 		t.Fatal("the page's translation after the release caches no hop targets")
 	}
 }
@@ -729,7 +768,7 @@ func TestChainingWithHooks(t *testing.T) {
 			}
 			chains := 0
 			for _, base := range bare.TranslatedPages() {
-				chains += hopChains(bare.pages[base])
+				chains += hopChains(livePT(bare, base))
 			}
 			if chains == 0 {
 				t.Error("no system-call or indirect leaf caches a group")

@@ -146,7 +146,8 @@ func (m *Machine) AttachTelemetry(tel *telemetry.Telemetry) {
 		o.profIdx = make(map[uint32]int)
 	}
 	// The executor counters are read live (Machine.Stats.Exec is a copy
-	// refreshed per dispatch run); every other counter is a tagged field.
+	// refreshed when StepGroup returns); every other counter is a tagged
+	// field.
 	o.mirror = []statMirror{
 		{c: tel.Counter("daisy_base_insts"), v: &m.Exec.Stats.BaseInsts},
 		{c: tel.Counter("daisy_vliws"), v: &m.Exec.Stats.VLIWs},
@@ -204,8 +205,9 @@ func (m *Machine) SyncTelemetry() {
 }
 
 // instClock is the machine's deterministic virtual clock: total completed
-// base instructions. Trace events are stamped with it so identical runs
-// produce identical traces.
+// base instructions, read live from the executor. The budget check, the
+// per-page policies (quarantine, async retry, tier-2 backoff) and the trace
+// all read it, so identical runs make identical decisions and traces.
 func (m *Machine) instClock() uint64 {
 	return m.Exec.Stats.BaseInsts + m.Stats.InterpInsts
 }

@@ -32,7 +32,7 @@ import (
 	"daisy/internal/vliw"
 )
 
-// t2State is one page's position in the tier-2 policy.
+// t2State is one page's position in the tier-2 policy (page.t2st).
 type t2State struct {
 	dispatches int    // dispatches into the tier-1 translation since reset
 	departures int    // leaky bucket of hot-path departures
@@ -67,24 +67,19 @@ func (m *Machine) tier2Threshold() int {
 // in hand, so the tier-1 translation — the deopt target — provably exists
 // whenever a tier-2 group is preferred over it.
 func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
-	base := m.St.PC &^ (m.Trans.Opt.PageSize - 1)
-	st := m.t2[base]
-	if st == nil {
-		st = &t2State{}
-		m.t2[base] = st
-	}
-	pt2, ok := m.tier2[base]
-	if !ok {
-		m.maybePromote(base, st)
+	p := m.page(m.St.PC &^ (m.Trans.Opt.PageSize - 1))
+	if p.t2 == nil {
+		m.maybePromote(p)
 		return g1
 	}
+	st := &p.t2st
 	if st.skipOnce {
 		// The dispatch immediately after a deopt must make progress on
 		// tier 1, or a deterministic tier-2 fault would redispatch forever.
 		st.skipOnce = false
 		return g1
 	}
-	g2, ok := pt2.Groups[m.St.PC]
+	g2, ok := p.t2.Groups[m.St.PC]
 	if !ok {
 		// Hot-path departure: execution reached an address the profiled
 		// tier-2 translation never compiled (a cold branch side, a return
@@ -93,7 +88,7 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 		st.departures++
 		m.Stats.Tier2PathDepartures++
 		if st.departures >= tier2DepartureLimit {
-			m.demoteTier2(base)
+			m.demoteTier2(p)
 		}
 		return g1
 	}
@@ -103,7 +98,7 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 		// first VLIW had faulted — nothing has run, so the current state
 		// already is the checkpoint.
 		st.plantDeopt = false
-		m.noteDeopt(base)
+		m.noteDeopt(p)
 		m.emit(telemetry.EvTier2Deopt, m.St.PC, 0)
 		return g1
 	}
@@ -118,15 +113,16 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 // at tier-2 effort once the page is hot (Tier2Threshold dispatches) and any
 // demotion backoff has expired. Promotion is inline on every machine: the
 // async pipeline carries tier-1 demand translation only.
-func (m *Machine) maybePromote(base uint32, st *t2State) {
+func (m *Machine) maybePromote(p *page) {
+	st := &p.t2st
 	st.dispatches++
 	if st.dispatches < m.tier2Threshold() || m.instClock() < st.notBefore {
 		return
 	}
-	if m.pages[base] == nil {
+	if p.pt == nil {
 		return // no tier-1 translation to deoptimize to
 	}
-	m.promoteSync(base, m.St.PC, st)
+	m.promoteSync(p, m.St.PC)
 }
 
 // promoteSync profiles and retranslates the page inline. Promotion
@@ -134,25 +130,25 @@ func (m *Machine) maybePromote(base uint32, st *t2State) {
 // cost only the attempt: the page keeps running tier 1 and promotion backs
 // off, because tier 2 is an optimization, not a service the guest depends
 // on.
-func (m *Machine) promoteSync(base, entry uint32, st *t2State) {
-	plan := m.plantedFault(base)
+func (m *Machine) promoteSync(p *page, entry uint32) {
+	plan := m.plantedFault(p.base)
 	profile := m.tier2Profile(entry)
 	if plan != nil {
-		m.applyTier2Plan(plan, profile, st)
+		m.applyTier2Plan(plan, profile, &p.t2st)
 		if plan.Panic {
-			m.notePanic(base)
+			m.notePanic(p.base)
 		}
 		if plan.Panic || plan.Err != nil {
-			m.tier2Backoff(base)
+			m.tier2Backoff(p)
 			return
 		}
 	}
-	pt, work, err := m.translateTier2(base, entry, profile)
+	pt, work, err := m.translateTier2(entry, p.inhibit, profile)
 	if err != nil {
-		m.tier2Backoff(base)
+		m.tier2Backoff(p)
 		return
 	}
-	m.installTier2(base, pt, work)
+	m.installTier2(p, pt, work)
 }
 
 // applyTier2Plan executes the machine-side half of a chaos plan at
@@ -209,16 +205,17 @@ func profileProb(counts map[uint32][2]uint64) func(pc uint32) (float64, bool) {
 // barrier as every other translator invocation. It reuses the machine's
 // tier-2 translator, so promotions after the first translate from a warm
 // arena, and sets the promotion's options on it; only this promotion's
-// stats delta reaches m.Trans.Stats. The translator is taken out of the
+// stats delta reaches m.Trans.Stats; inhibit keeps loads in store order
+// (the page already proved alias-heavy). The translator is taken out of the
 // machine while it runs and put back only after a successful translation,
 // so an error or a panic drops it, half-scheduled state and all, and the
 // next promotion builds a fresh one. (A deferred drop on error would run
 // before guardTranslate recovers, and so miss panics.)
-func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint64) (pt *core.PageTranslation, work core.Stats, err error) {
+func (m *Machine) translateTier2(entry uint32, inhibit bool, profile map[uint32][2]uint64) (pt *core.PageTranslation, work core.Stats, err error) {
 	defer guardTranslate(&err)
 	opt := m.t2sched.Derive(m.Trans.Opt, profileProb(profile))
-	if m.inhibit[base] {
-		opt.SpeculateLoads = false // the page already proved alias-heavy
+	if inhibit {
+		opt.SpeculateLoads = false
 	}
 	t := m.t2trans
 	m.t2trans = nil
@@ -242,40 +239,33 @@ func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint6
 // translation, the deoptimization target, is live: maybePromote checked
 // it, and the inline promotion in between invalidates nothing (the
 // profiler's scratch view raises no code-modification interrupt).
-func (m *Machine) installTier2(base uint32, pt *core.PageTranslation, work core.Stats) {
-	m.tier2[base] = pt
-	if st := m.t2[base]; st != nil {
-		st.deopts = 0
-		st.departures = 0
-	}
+func (m *Machine) installTier2(p *page, pt *core.PageTranslation, work core.Stats) {
+	p.t2 = pt
+	p.t2st.deopts = 0
+	p.t2st.departures = 0
 	m.Stats.Tier2Promotions++
-	m.emit(telemetry.EvTier2Promote, base, 0)
+	m.emit(telemetry.EvTier2Promote, p.base, 0)
 	m.translated(pt, work, AsyncLatency{})
 }
 
 // demoteTier2 retires a tier-2 translation that keeps deoptimizing or
 // departing its hot path: the page falls back to its (still installed)
 // tier-1 translation, and promotion backs off exponentially.
-func (m *Machine) demoteTier2(base uint32) {
-	pt2, ok := m.tier2[base]
-	if !ok {
+func (m *Machine) demoteTier2(p *page) {
+	if p.t2 == nil {
 		return
 	}
-	pt2.Unchain()
-	delete(m.tier2, base)
+	p.t2.Unchain()
+	p.t2 = nil
 	m.Stats.Tier2Demotions++
-	m.tier2Backoff(base)
-	m.emit(telemetry.EvTier2Demote, base, 0)
+	m.tier2Backoff(p)
+	m.emit(telemetry.EvTier2Demote, p.base, 0)
 }
 
 // tier2Backoff resets the page's promotion progress and pushes the next
 // attempt out by a doubling span of the instruction clock.
-func (m *Machine) tier2Backoff(base uint32) {
-	st := m.t2[base]
-	if st == nil {
-		st = &t2State{}
-		m.t2[base] = st
-	}
+func (m *Machine) tier2Backoff(p *page) {
+	st := &p.t2st
 	if st.backoff == 0 {
 		st.backoff = tier2BackoffBase
 	} else {
@@ -304,27 +294,24 @@ func (m *Machine) deoptimize(f *vliw.Fault) (bool, error) {
 	m.emit(telemetry.EvException, f.Resume, faultArg(f))
 	m.emit(telemetry.EvTier2Deopt, f.VLIW.EntryBase, 0)
 	m.rollbackToCheckpoint()
-	m.noteDeopt(m.ckptPC &^ (m.Trans.Opt.PageSize - 1))
+	m.noteDeopt(m.page(m.ckptPC &^ (m.Trans.Opt.PageSize - 1)))
 	return false, nil
 }
 
 // noteDeopt charges one deoptimization against the page: the next dispatch
 // runs tier 1 (progress is guaranteed even for a deterministic fault), and
 // past the limit the tier-2 translation is demoted outright.
-func (m *Machine) noteDeopt(base uint32) {
+func (m *Machine) noteDeopt(p *page) {
 	m.Stats.Tier2Deopts++
-	st := m.t2[base]
-	if st == nil {
-		st = &t2State{}
-		m.t2[base] = st
-	}
-	st.skipOnce = true
-	st.deopts++
-	if st.deopts >= tier2DeoptLimit {
-		m.demoteTier2(base)
+	p.t2st.skipOnce = true
+	p.t2st.deopts++
+	if p.t2st.deopts >= tier2DeoptLimit {
+		m.demoteTier2(p)
 	}
 }
 
 // Tier2Pages returns the bases of pages currently carrying a tier-2
 // translation, in ascending order (tests and inspection).
-func (m *Machine) Tier2Pages() []uint32 { return sortedKeys(m.tier2) }
+func (m *Machine) Tier2Pages() []uint32 {
+	return m.pagesWhere(func(p *page) bool { return p.t2 != nil })
+}

@@ -68,7 +68,7 @@ hot:	addi r5, r5, 3
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ma.promoteSync(base, ma.St.PC, ma.t2[base])
+	ma.promoteSync(ma.page(base), ma.St.PC)
 	runtime.ReadMemStats(&after)
 
 	if ma.Stats.Tier2Promotions != 1 {
