@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak fuzz-smoke bench-smoke bench-test profile-smoke cover cover-update ci bench experiments paper paper-smoke
+.PHONY: all build test vet fmt inline-check race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soak fuzz-smoke bench-smoke bench-test profile-smoke cover cover-update ci bench experiments paper paper-smoke
 
 all: build
 
@@ -16,6 +16,29 @@ vet:
 # Every Go file, bench/ included, must be gofmt-clean.
 fmt:
 	test -z "$$(gofmt -l .)"
+
+# The executor's hot path makes no call: every register-file helper its
+# cases use must be inlined into vliw.Executor.Exec at every call site.
+# Nothing else notices when one grows past the compiler's inlining budget,
+# or when Exec grows into a "big" function, into which only the cheapest
+# callees are inlined: the tests still pass and only a timing moves. The
+# check compares, per helper, the calls in Exec's source with the
+# "inlining call to" lines that `go build -gcflags=-m` reports inside it.
+INLINE_HELPERS = gpr crf get saveGPR writeGPR saveCRF writeCRF entryXER
+inline-check:
+	@set -e; f=internal/vliw/exec.go; \
+	out=$$($(GO) build -gcflags=-m ./internal/vliw 2>&1); \
+	lo=$$(grep -n '^func (e \*Executor) Exec(' $$f | cut -d: -f1); \
+	hi=$$(awk -v lo=$$lo 'NR > lo && /^}/ { print NR; exit }' $$f); \
+	test -n "$$lo" -a -n "$$hi"; bad=0; \
+	for h in $(INLINE_HELPERS); do \
+		calls=$$(sed -n "$${lo},$${hi}p" $$f | grep -o "e\.$$h(" | wc -l); \
+		inl=$$(echo "$$out" | awk -F: -v lo=$$lo -v hi=$$hi -v s="inlining call to (*Executor).$$h" \
+			'$$1 ~ /exec\.go$$/ && $$2 >= lo && $$2 <= hi && substr($$0, length($$0) - length(s) + 1) == s' | wc -l); \
+		echo "inline-check: $$h: $$inl of $$calls calls in Exec inlined"; \
+		if [ $$calls -eq 0 ] || [ $$inl -ne $$calls ]; then bad=1; fi; \
+	done; \
+	if [ $$bad -ne 0 ]; then echo "inline-check: a hot-path helper is not inlined into Exec" >&2; exit 1; fi
 
 # CI's one race-detector pass: every test of the module under -race. The
 # four targets below (race-hot, race-async, tier2-soak, aot-soak) re-run
@@ -123,7 +146,7 @@ cover-update:
 	$(GO) run ./cmd/daisy-cover -profile cover.out -update
 	@echo "commit COVERAGE.txt to ratchet the floor"
 
-ci: fmt vet build race chaos-smoke chaos-soak fuzz-smoke bench-smoke bench-test profile-smoke paper-smoke cover
+ci: fmt vet build inline-check race chaos-smoke chaos-soak fuzz-smoke bench-smoke bench-test profile-smoke paper-smoke cover
 
 # The end-to-end benchmark (bench/, see bench/README.md) on all five
 # workloads; pass flags through bench/run.sh directly for one workload,

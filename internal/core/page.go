@@ -59,12 +59,12 @@ func (t *Translator) EnsureEntryGuided(pt *PageTranslation, entry uint32,
 	saved := t.Opt.TraceGuide
 	t.Opt.TraceGuide = guide
 	defer func() { t.Opt.TraceGuide = saved }()
-	g, _, err := t.TranslateGroup(entry)
+	g, _, size, err := t.translateGroup(entry)
 	if err != nil {
 		return nil, err
 	}
 	pt.Groups[entry] = g
-	t.layout(pt, g)
+	t.layout(pt, g, size)
 	return g, nil
 }
 
@@ -100,12 +100,12 @@ func (t *Translator) EnsureEntry(pt *PageTranslation, entry uint32) (*vliw.Group
 		if _, ok := pt.Groups[e]; ok {
 			continue
 		}
-		g, more, err := t.TranslateGroup(e)
+		g, more, size, err := t.translateGroup(e)
 		if err != nil {
 			return nil, err
 		}
 		pt.Groups[e] = g
-		t.layout(pt, g)
+		t.layout(pt, g, size)
 		if first == nil {
 			first = g
 		}
@@ -123,7 +123,8 @@ func (t *Translator) EnsureEntry(pt *PageTranslation, entry uint32) (*vliw.Group
 // recorded in layout order and assigned translated-code-area addresses.
 func (t *Translator) Adopt(pt *PageTranslation, g *vliw.Group) {
 	pt.Groups[g.Entry] = g
-	t.layout(pt, g)
+	size, _ := codeSize(g)
+	t.layout(pt, g, size)
 }
 
 // Unchain severs every group-chaining link recorded on the page's exit
@@ -155,15 +156,23 @@ func (pt *PageTranslation) ChainCount() int {
 	return c
 }
 
-// layout assigns translated-code-area addresses to the group's VLIWs: the
-// entry VLIW at offset entry*N (so cross-page branches can compute it),
-// subsequent VLIWs sequentially, spilling into the page's overflow area
-// when the fixed N-times window is exhausted (§3.4).
-func (t *Translator) layout(pt *PageTranslation, g *vliw.Group) {
+// codeSize returns the length of g's encoding and whether the encoder
+// accepts g. A group it refuses, which the translator does not build, is
+// laid out at 64 bytes per VLIW, to keep the accounting sane.
+func codeSize(g *vliw.Group) (int, bool) {
 	size, err := vliw.CodeSize(g)
 	if err != nil {
-		size = 64 * len(g.VLIWs) // should not happen; keep accounting sane
+		return 64 * len(g.VLIWs), false
 	}
+	return size, true
+}
+
+// layout assigns translated-code-area addresses to the group's VLIWs, whose
+// encoding is size bytes (codeSize): the entry VLIW at offset entry*N (so
+// cross-page branches can compute it), subsequent VLIWs sequentially,
+// spilling into the page's overflow area when the fixed N-times window is
+// exhausted (§3.4).
+func (t *Translator) layout(pt *PageTranslation, g *vliw.Group, size int) {
 	base := pt.VirtBase()
 	entryOff := (g.Entry - pt.Base) * CodeExpansion
 	off := entryOff

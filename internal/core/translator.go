@@ -403,6 +403,13 @@ func (a *arena) compact(g *vliw.Group) {
 // arena's scratch, reset for the next group only once the group has been
 // compacted out of it. The worklist is the caller's.
 func (t *Translator) TranslateGroup(entry uint32) (*vliw.Group, []uint32, error) {
+	g, work, _, err := t.translateGroup(entry)
+	return g, work, err
+}
+
+// translateGroup is TranslateGroup, also returning the group's code size
+// (codeSize), which it sizes once for Stats.CodeBytes and the layout.
+func (t *Translator) translateGroup(entry uint32) (*vliw.Group, []uint32, int, error) {
 	start := time.Now()
 	defer func() { t.Stats.Nanos += uint64(time.Since(start)) }()
 	t.arena.begin()
@@ -427,19 +434,20 @@ func (t *Translator) TranslateGroup(entry uint32) (*vliw.Group, []uint32, error)
 			}
 		}
 		if err := c.scheduleOne(c.paths[best]); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 	}
 	c.compact(c.g)
 
 	t.Stats.Groups++
 	t.Stats.VLIWs += uint64(len(c.g.VLIWs))
-	if size, err := vliw.CodeSize(c.g); err == nil {
+	size, ok := codeSize(c.g)
+	if ok {
 		t.Stats.CodeBytes += uint64(size)
 	}
 	g, work := c.g, c.worklist
 	*c = groupCtx{} // the translator keeps no pointer to the group
-	return g, work, nil
+	return g, work, size, nil
 }
 
 func (c *groupCtx) removePath(p *path) {

@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"daisy/internal/mem"
 	"daisy/internal/ppc"
@@ -33,6 +34,10 @@ func (s Stats) Sub(o Stats) Stats {
 // Fault reports that a VLIW could not complete. The register file has been
 // rolled back to the VLIW's entry state, which by construction is a precise
 // base-instruction boundary; execution resumes by interpreting from Resume.
+//
+// The Fault that Exec returns belongs to the executor, so a rollback
+// allocates nothing: it stays valid until the executor's next Exec, which
+// may overwrite it. Copy it to keep it longer.
 type Fault struct {
 	VLIW    *VLIW
 	Node    *Node  // node holding the faulting parcel (nil for condition faults)
@@ -127,6 +132,9 @@ type Executor struct {
 	AliasHook func(pc, addr uint32) bool
 
 	spec [NumGPR]specRec
+
+	// fault is the Fault the last rolled-back Exec returned.
+	fault Fault
 
 	// stores is the reused pending-store queue of the VLIW in flight;
 	// owning it here (instead of allocating per Exec) keeps the hot loop
@@ -251,10 +259,11 @@ func (e *Executor) read(r RegRef) (uint32, bool, *mem.Fault) {
 
 // entryXER returns the XER value at VLIW entry.
 func (e *Executor) entryXER() uint32 {
+	x := e.RF.XER
 	if e.genXER == e.gen {
-		return e.oldXER
+		x = e.oldXER
 	}
-	return e.RF.XER
+	return x
 }
 
 // entryCA returns GPR n's carry-extender bit at VLIW entry.
@@ -289,24 +298,9 @@ func (e *Executor) carryOf(src RegRef) uint32 {
 func (e *Executor) save(r RegRef) {
 	switch r.Kind {
 	case RGPR:
-		if e.genGPR[r.N] != e.gen {
-			e.genGPR[r.N] = e.gen
-			e.oldGPR[r.N] = e.RF.GPR[r.N]
-			e.oldCA[r.N] = e.RF.CA[r.N]
-			e.oldGTag[r.N] = e.RF.GTag[r.N]
-			if e.oldGFault[r.N] != nil || e.RF.GFault[r.N] != nil {
-				e.oldGFault[r.N] = e.RF.GFault[r.N]
-			}
-		}
+		e.saveGPR(r.N)
 	case RCRF:
-		if e.genCRF[r.N] != e.gen {
-			e.genCRF[r.N] = e.gen
-			e.oldCRFv[r.N] = e.RF.CRFv[r.N]
-			e.oldCRTag[r.N] = e.RF.CRTag[r.N]
-			if e.oldCRFault[r.N] != nil || e.RF.CRFault[r.N] != nil {
-				e.oldCRFault[r.N] = e.RF.CRFault[r.N]
-			}
-		}
+		e.saveCRF(r.N)
 	case RLR:
 		if e.genLR != e.gen {
 			e.genLR = e.gen
@@ -326,34 +320,41 @@ func (e *Executor) save(r RegRef) {
 }
 
 // gpr returns GPR n as of VLIW entry and whether it is free of an
-// exception tag.
+// exception tag. It loads both the live and the shadowed value so the
+// compiler selects between them without a branch, which BenchmarkExec
+// measured faster than branching on the generation.
 func (e *Executor) gpr(n uint8) (uint32, bool) {
+	v, tag := e.RF.GPR[n], e.RF.GTag[n]
 	if e.genGPR[n] == e.gen {
-		return e.oldGPR[n], !e.oldGTag[n]
+		v, tag = e.oldGPR[n], e.oldGTag[n]
 	}
-	return e.RF.GPR[n], !e.RF.GTag[n]
+	return v, !tag
 }
 
 // crf is gpr for condition field n.
 func (e *Executor) crf(n uint8) (uint32, bool) {
+	v, tag := e.RF.CRFv[n], e.RF.CRTag[n]
 	if e.genCRF[n] == e.gen {
-		return uint32(e.oldCRFv[n]), !e.oldCRTag[n]
+		v, tag = e.oldCRFv[n], e.oldCRTag[n]
 	}
-	return uint32(e.RF.CRFv[n]), !e.RF.CRTag[n]
+	return uint32(v), !tag
 }
 
 // get reads any operand as of VLIW entry (None reads as zero): the
-// general path for parcels whose operands are not the kinds their handler
-// names.
+// general path for parcels whose operands are not the kinds their
+// primitive's sig names.
 func (e *Executor) get(r RegRef) (uint32, bool) {
 	v, tag, _ := e.read(r)
 	return v, !tag
 }
 
-// setGPR writes v through to GPR n, shadowing its entry state on the
-// VLIW's first write. The write clears the register's tag, carry extender
-// and load-verify record; a speculated load re-arms the record after.
-func (e *Executor) setGPR(n uint8, v uint32) {
+// A write to a GPR or condition field is two calls in sequence, each
+// small enough for the compiler to inline into Exec: saveGPR shadows the
+// register's entry state on the VLIW's first write, writeGPR writes
+// through.
+
+// saveGPR shadows GPR n's entry state before its first write in this VLIW.
+func (e *Executor) saveGPR(n uint8) {
 	if e.genGPR[n] != e.gen {
 		e.genGPR[n] = e.gen
 		e.oldGPR[n] = e.RF.GPR[n]
@@ -363,6 +364,12 @@ func (e *Executor) setGPR(n uint8, v uint32) {
 			e.oldGFault[n] = e.RF.GFault[n]
 		}
 	}
+}
+
+// writeGPR writes v through to GPR n. The write clears the register's tag,
+// carry extender and load-verify record; a speculated load re-arms the
+// record after.
+func (e *Executor) writeGPR(n uint8, v uint32) {
 	e.RF.GPR[n] = v
 	e.RF.GTag[n] = false
 	if e.RF.GFault[n] != nil {
@@ -374,8 +381,8 @@ func (e *Executor) setGPR(n uint8, v uint32) {
 	}
 }
 
-// setCRF is setGPR for condition field n (the low four bits of v).
-func (e *Executor) setCRF(n uint8, v uint32) {
+// saveCRF is saveGPR for condition field n.
+func (e *Executor) saveCRF(n uint8) {
 	if e.genCRF[n] != e.gen {
 		e.genCRF[n] = e.gen
 		e.oldCRFv[n] = e.RF.CRFv[n]
@@ -384,6 +391,10 @@ func (e *Executor) setCRF(n uint8, v uint32) {
 			e.oldCRFault[n] = e.RF.CRFault[n]
 		}
 	}
+}
+
+// writeCRF is writeGPR for condition field n (the low four bits of v).
+func (e *Executor) writeCRF(n uint8, v uint32) {
 	e.RF.CRFv[n] = uint8(v & 0xf)
 	e.RF.CRTag[n] = false
 	if e.RF.CRFault[n] != nil {
@@ -395,9 +406,11 @@ func (e *Executor) setCRF(n uint8, v uint32) {
 func (e *Executor) put(d RegRef, v uint32) {
 	switch d.Kind {
 	case RGPR:
-		e.setGPR(d.N, v)
+		e.saveGPR(d.N)
+		e.writeGPR(d.N, v)
 	case RCRF:
-		e.setCRF(d.N, v)
+		e.saveCRF(d.N)
+		e.writeCRF(d.N, v)
 	default:
 		e.save(d)
 		e.RF.Write(d, v)
@@ -461,9 +474,18 @@ func (e *Executor) rollback() {
 // Exec executes one VLIW with parallel semantics: all conditions and all
 // parcel inputs are read from the state at entry, stores are validated and
 // applied only after the whole taken path succeeds. On any fault the
-// register file is rolled back to the entry state and memory is untouched.
-// Each parcel runs through its resolved handler (handler.go); a parcel's
-// first run resolves it.
+// register file is rolled back to the entry state and memory is untouched;
+// the Fault returned is the executor's and stays valid until the next
+// Exec.
+//
+// Every parcel runs through one switch on its resolved handler byte
+// (handler.go); a parcel's first run resolves it. The cases of the
+// primitives the translator emits most run their direct operand shape
+// without a call: they read with gpr or crf, write with the saveGPR and
+// writeGPR (saveCRF and writeCRF) pair, and continue with the next parcel.
+// A tagged source or any other shape takes result or field, which defer
+// the exception or write through put. This holds only while the compiler
+// inlines those helpers into Exec, which make inline-check verifies.
 func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 	if e.OnFetch != nil {
 		e.OnFetch(v)
@@ -475,20 +497,429 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 
 	n := v.Root
 	for {
-		for i := range n.Ops {
-			p := &n.Ops[i]
+		ops := n.Ops
+		for i := range ops {
+			p := &ops[i]
 			h := p.h
 			if h == 0 {
 				h = p.resolve()
 			}
-			// A nop's only effect is its EndsInst, counted below.
-			if h&^hEnds != hDirect|uint8(PNop) {
-				if err := handlers[h&hPrim].run(e, p); err != nil {
-					return e.fail(v, n, i, err, step)
-				}
-			}
 			if h&hEnds != 0 {
-				completed++
+				completed++ // dropped with the rest if the VLIW faults
+			}
+			direct := h&hDirect != 0
+			var a, b, r uint32
+			var ok, okB bool
+			var err error
+			switch Prim(h & hPrim) {
+			case PNop: // only its EndsInst counts
+				continue
+			case PLI:
+				r = uint32(p.Imm)
+				if direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, true)
+			case PLIS:
+				r = uint32(p.Imm) << 16
+				if direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, true)
+			case PAddI:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+				} else {
+					a, ok = e.get(p.A)
+				}
+				r = a + uint32(p.Imm)
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PAddIS:
+				a, ok = e.srcA(p)
+				err = e.result(p, a+uint32(p.Imm)<<16, ok)
+			case PAddIC:
+				a, ok = e.srcA(p)
+				err = e.carry(p, a, uint32(p.Imm), 0, ok)
+			case PAdd:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					b, okB = e.gpr(p.B.N)
+				} else {
+					a, ok = e.get(p.A)
+					b, okB = e.get(p.B)
+				}
+				r, ok = a+b, ok && okB
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PAddC:
+				a, b, ok = e.srcAB(p)
+				err = e.carry(p, a, b, 0, ok)
+			case PAddE:
+				a, b, ok = e.srcAB(p)
+				err = e.extended(p, a, b, ok)
+			case PSubf:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					b, okB = e.gpr(p.B.N)
+				} else {
+					a, ok = e.get(p.A)
+					b, okB = e.get(p.B)
+				}
+				r, ok = b-a, ok && okB
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PSubfC:
+				a, b, ok = e.srcAB(p)
+				err = e.carry(p, ^a, b, 1, ok)
+			case PSubfE:
+				a, b, ok = e.srcAB(p)
+				err = e.extended(p, ^a, b, ok)
+			case PSubfIC:
+				a, ok = e.srcA(p)
+				err = e.carry(p, ^a, uint32(p.Imm), 1, ok)
+			case PNeg:
+				a, ok = e.srcA(p)
+				err = e.result(p, -a, ok)
+			case PMullw:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					b, okB = e.gpr(p.B.N)
+				} else {
+					a, ok = e.get(p.A)
+					b, okB = e.get(p.B)
+				}
+				r, ok = a*b, ok && okB
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PMulhwu:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, uint32(uint64(a)*uint64(b)>>32), ok)
+			case PDivw:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, ppc.DivSigned(a, b), ok)
+			case PDivwu:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, ppc.DivUnsigned(a, b), ok)
+			case PMulI:
+				a, ok = e.srcA(p)
+				err = e.result(p, uint32(int32(a)*p.Imm), ok)
+
+			case PAnd:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, a&b, ok)
+			case PAndc:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, a&^b, ok)
+			case POr:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					b, okB = e.gpr(p.B.N)
+				} else {
+					a, ok = e.get(p.A)
+					b, okB = e.get(p.B)
+				}
+				r, ok = a|b, ok && okB
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PNor:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, ^(a | b), ok)
+			case PXor:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					b, okB = e.gpr(p.B.N)
+				} else {
+					a, ok = e.get(p.A)
+					b, okB = e.get(p.B)
+				}
+				r, ok = a^b, ok && okB
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PNand:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, ^(a & b), ok)
+			case PAndI:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+				} else {
+					a, ok = e.get(p.A)
+				}
+				r = a & uint32(p.Imm)
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PAndIS:
+				a, ok = e.srcA(p)
+				err = e.result(p, a&(uint32(p.Imm)<<16), ok)
+			case POrI:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+				} else {
+					a, ok = e.get(p.A)
+				}
+				r = a | uint32(p.Imm)
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case POrIS:
+				a, ok = e.srcA(p)
+				err = e.result(p, a|uint32(p.Imm)<<16, ok)
+			case PXorI:
+				a, ok = e.srcA(p)
+				err = e.result(p, a^uint32(p.Imm), ok)
+			case PXorIS:
+				a, ok = e.srcA(p)
+				err = e.result(p, a^uint32(p.Imm)<<16, ok)
+			case PSlw:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, ppc.ShiftLeft(a, b), ok)
+			case PSrw:
+				a, b, ok = e.srcAB(p)
+				err = e.result(p, ppc.ShiftRight(a, b), ok)
+			case PSraw:
+				a, b, ok = e.srcAB(p)
+				r, ca := ppc.ShiftRightAlg(a, b&0x3f)
+				err = e.withCarry(p, r, ca, ok)
+			case PSrawI:
+				a, ok = e.srcA(p)
+				r, ca := ppc.ShiftRightAlg(a, uint32(p.SH))
+				err = e.withCarry(p, r, ca, ok)
+			case PCntlzw:
+				a, ok = e.srcA(p)
+				err = e.result(p, uint32(bits.LeadingZeros32(a)), ok)
+			case PExtsb:
+				a, ok = e.srcA(p)
+				err = e.result(p, uint32(int32(int8(a))), ok)
+			case PExtsh:
+				a, ok = e.srcA(p)
+				err = e.result(p, uint32(int32(int16(a))), ok)
+			case PRlwinm:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+				} else {
+					a, ok = e.get(p.A)
+				}
+				r = bits.RotateLeft32(a, int(p.SH)) & ppc.RotateMask(p.MB, p.ME)
+				if ok && direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+					continue
+				}
+				err = e.result(p, r, ok)
+			case PRlwimi:
+				a, b, ok = e.srcAB(p) // B is the old destination
+				m := ppc.RotateMask(p.MB, p.ME)
+				err = e.result(p, bits.RotateLeft32(a, int(p.SH))&m|b&^m, ok)
+
+			case PCmpI:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+				} else {
+					a, ok = e.get(p.A)
+				}
+				r = uint32(ppc.CompareSigned(int32(a), p.Imm, e.entryXER()))
+				if ok && direct {
+					e.saveCRF(p.D.N)
+					e.writeCRF(p.D.N, r)
+					continue
+				}
+				err = e.field(p, r, ok)
+			case PCmpLI:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+				} else {
+					a, ok = e.get(p.A)
+				}
+				r = uint32(ppc.CompareUnsigned(a, uint32(p.Imm), e.entryXER()))
+				if ok && direct {
+					e.saveCRF(p.D.N)
+					e.writeCRF(p.D.N, r)
+					continue
+				}
+				err = e.field(p, r, ok)
+			case PCmp:
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					b, okB = e.gpr(p.B.N)
+				} else {
+					a, ok = e.get(p.A)
+					b, okB = e.get(p.B)
+				}
+				r, ok = uint32(ppc.CompareSigned(int32(a), int32(b), e.entryXER())), ok && okB
+				if ok && direct {
+					e.saveCRF(p.D.N)
+					e.writeCRF(p.D.N, r)
+					continue
+				}
+				err = e.field(p, r, ok)
+			case PCmpL:
+				a, b, ok = e.srcAB(p)
+				err = e.field(p, uint32(ppc.CompareUnsigned(a, b, e.entryXER())), ok)
+
+			case PCrand:
+				err = e.crLogic(p, ppc.OpCrand)
+			case PCror:
+				err = e.crLogic(p, ppc.OpCror)
+			case PCrxor:
+				err = e.crLogic(p, ppc.OpCrxor)
+			case PCrnand:
+				err = e.crLogic(p, ppc.OpCrnand)
+			case PCrnor:
+				err = e.crLogic(p, ppc.OpCrnor)
+			case PMcrf:
+				if direct {
+					r, ok = e.crf(p.A.N)
+				} else {
+					r, ok = e.get(p.A)
+				}
+				if ok && direct {
+					e.saveCRF(p.D.N)
+					e.writeCRF(p.D.N, r)
+					continue
+				}
+				err = e.field(p, r, ok)
+			case PMfcr:
+				err = e.mfcr(p)
+			case PMtcrf:
+				err = e.mtcrf(p)
+
+			case PCopy:
+				if direct {
+					r, ok = e.gpr(p.A.N)
+				} else {
+					r, ok = e.get(p.A)
+				}
+				if !ok {
+					// On a commit copy the deferred exception of §2.1 fires here.
+					err = e.deferred(p, e.srcFault(p.A))
+					break
+				}
+				if p.Verify && p.A.Kind == RGPR {
+					if err = e.verify(p, r); err != nil {
+						break
+					}
+				}
+				if direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+				} else {
+					e.put(p.D, r)
+				}
+				if p.CommitCA && p.A.Kind == RGPR {
+					e.commitCA(p.A.N)
+				}
+				continue
+
+			case PLoad, PStore:
+				// The effective address: A+B when Indexed, A+Imm otherwise.
+				okB = true
+				if direct {
+					a, ok = e.gpr(p.A.N)
+					if p.Indexed {
+						b, okB = e.gpr(p.B.N)
+					}
+				} else {
+					a, ok = e.get(p.A)
+					if p.Indexed {
+						b, okB = e.get(p.B)
+					}
+				}
+				ea := a + uint32(p.Imm)
+				if p.Indexed {
+					ea, ok = a+b, ok && okB
+				}
+				if h&hPrim == uint8(PStore) {
+					if direct {
+						r, okB = e.gpr(p.D.N)
+					} else {
+						r, okB = e.get(p.D)
+					}
+					switch {
+					case !okB:
+						err = taggedErr(p, e.srcFault(p.D))
+					case !ok:
+						err = taggedErr(p, e.eaFault(p))
+					case e.AddrXlate != nil:
+						pa, xf := e.AddrXlate(ea, true)
+						if xf != nil {
+							err = xf
+							break
+						}
+						ea = pa
+					}
+					if err != nil {
+						break
+					}
+					e.stores = append(e.stores, pendingStore{addr: ea, size: p.Size, val: r, pc: p.BaseAddr})
+					continue
+				}
+				if !ok {
+					err = e.deferred(p, e.eaFault(p))
+					break
+				}
+				if e.AddrXlate != nil || e.FaultHook != nil || e.OnMem != nil {
+					var f *mem.Fault
+					if ea, f = e.loadHooks(p, ea); f != nil {
+						err = e.deferred(p, f)
+						break
+					}
+				}
+				if r, err = e.readMem(ea, p.Size, p.Signed); err != nil {
+					err = e.loadFault(p, ea, err)
+					break
+				}
+				e.Stats.Loads++
+				if direct {
+					e.saveGPR(p.D.N)
+					e.writeGPR(p.D.N, r)
+				} else {
+					e.put(p.D, r)
+				}
+				if p.SpecLoad && p.D.Kind == RGPR {
+					e.spec[p.D.N] = specRec{valid: true, addr: ea, size: p.Size, signed: p.Signed}
+				}
+				continue
+
+			default:
+				err = unknownPrim(p)
+			}
+			if err != nil {
+				return e.fail(v, n, i, err, step)
 			}
 		}
 		if n.Leaf() {
@@ -577,20 +1008,20 @@ func (e *Executor) fail(v *VLIW, n *Node, idx int, err error, step PathStep) (Ex
 	e.Steps = append(e.Steps, step)
 	e.rollback()
 	e.Stats.Rollbacks++
-	f := &Fault{VLIW: v, Node: n, Parcel: idx, Resume: v.EntryBase, Cause: err}
+	e.fault = Fault{VLIW: v, Node: n, Parcel: idx, Resume: v.EntryBase, Cause: err}
 	if err == errAlias {
 		e.Stats.Aliases++
-		f.Cause, f.Alias = nil, true
+		e.fault.Cause, e.fault.Alias = nil, true
 	}
-	return Exit{}, f
+	return Exit{}, &e.fault
 }
 
+// failCodeMod is fail for a store into a protected unit, which has no
+// cause.
 func (e *Executor) failCodeMod(v *VLIW, n *Node, step PathStep) (Exit, *Fault) {
-	e.Steps = append(e.Steps, step)
-	e.rollback()
-	e.Stats.Rollbacks++
-	return Exit{}, &Fault{VLIW: v, Node: n, Parcel: -1,
-		Resume: v.EntryBase, CodeMod: true}
+	_, f := e.fail(v, n, -1, nil, step)
+	f.CodeMod = true
+	return Exit{}, f
 }
 
 func condFault(f *mem.Fault) error {

@@ -219,6 +219,45 @@ func TestMtcrfOfTaggedSourceFaults(t *testing.T) {
 	}
 }
 
+// TestRollbackAllocatesNothing: the Fault of a rolled-back VLIW is the
+// executor's own, so neither a store into a protected (translated-code)
+// unit nor a committed load whose access faults allocates. The load's
+// fault comes from the fault hook, as the chaos injector's does, so the
+// memory model allocates nothing either.
+func TestRollbackAllocatesNothing(t *testing.T) {
+	injected := &mem.Fault{Addr: 0x104, Kind: mem.FaultInjected}
+	for _, c := range []struct {
+		name  string
+		p     Parcel
+		setup func(*Executor)
+		check func(*Fault) bool
+	}{
+		{"protected store", Parcel{Op: PStore, D: GPR(3), A: GPR(1), Imm: 0xf00, Size: 4, EndsInst: true},
+			func(e *Executor) { e.Mem.SetReadOnly(1<<mem.ProtectShift, true) },
+			func(f *Fault) bool { return f.CodeMod && f.Cause == nil }},
+		{"committed load fault", Parcel{Op: PLoad, D: GPR(4), A: GPR(1), Imm: 4, Size: 4, EndsInst: true},
+			func(e *Executor) {
+				e.FaultHook = func(pc, addr uint32, size int, write bool) *mem.Fault { return injected }
+			},
+			func(f *Fault) bool { return f.Cause == error(injected) && f.Parcel == 1 }},
+	} {
+		e := &Executor{Mem: mem.New(2 << mem.ProtectShift)}
+		e.RF.GPR[1], e.RF.GPR[3] = 0x100, 7
+		c.setup(e)
+		v := NewVLIW(0, 0x40)
+		v.Root = leaf(offpage(0), Parcel{Op: PLI, D: GPR(5), Imm: 9}, c.p)
+		run := func() {
+			e.ResetPath()
+			if _, f := e.Exec(v); f == nil || !c.check(f) || f.Resume != 0x40 || e.RF.GPR[5] != 0 {
+				t.Fatalf("%s: fault %+v, r5 %d: want a rolled-back VLIW", c.name, f, e.RF.GPR[5])
+			}
+		}
+		if a := testing.AllocsPerRun(100, run); a != 0 {
+			t.Errorf("%s: %.0f allocations per rollback, want 0", c.name, a)
+		}
+	}
+}
+
 func TestSpecCompareTagPropagation(t *testing.T) {
 	e := &Executor{Mem: mem.New(1 << 16)}
 	e.Mem.InjectFault(0x500, false)

@@ -139,15 +139,18 @@ func primEntry(e *Executor) {
 // everyPrimitive is a sequence of VLIWs that runs every primitive in the
 // operand shape the translator emits (direct), on a tagged source, and in
 // a general shape (a CTR source, an LR or XER destination, a zero base),
-// then load-verify, a deferred exception, an alias and an unknown
-// primitive.
+// then load-verify, a deferred exception, an alias, the accesses the
+// hooked executor golden translates, faults or protects (hookExec),
+// conditions and an unknown primitive. TestEveryPrimitiveShapes checks
+// that every shape is reached.
 func everyPrimitive() []*VLIW {
 	var vs []*VLIW
-	add := func(ops ...Parcel) {
+	addRoot := func(root *Node) {
 		v := NewVLIW(len(vs), uint32(0x1000+4*len(vs)))
-		v.Root = leaf(offpage(uint32(len(vs))), ops...)
+		v.Root = root
 		vs = append(vs, v)
 	}
+	add := func(ops ...Parcel) { addRoot(leaf(offpage(uint32(len(vs))), ops...)) }
 	// r40 is tagged by a faulting speculative load; r41 holds a
 	// speculated load hoisted above a store.
 	add(Parcel{Op: PLoad, D: GPR(40), A: GPR(5), Size: 4, Spec: true},
@@ -156,7 +159,7 @@ func everyPrimitive() []*VLIW {
 		Parcel{Op: PLoad, D: GPR(43), A: GPR(1), B: GPR(2), Indexed: true, Size: 1, EndsInst: true})
 	// Drop the operands a primitive does not have, as the translator does.
 	shape := func(p Parcel) Parcel {
-		s := handlers[p.Op].sig
+		s := handlers[p.Op]
 		if s.a == RNone {
 			p.A = None
 		}
@@ -167,10 +170,14 @@ func everyPrimitive() []*VLIW {
 	}
 	for op := PLI; op <= PRlwimi; op++ {
 		k := int32(op)
+		general := shape(Parcel{Op: op, D: GPR(52), A: CTR, B: GPR(6), CASrc: GPR(41), Imm: -k, SH: 3, ME: 31})
+		if general.A == None {
+			general.D = LR // li and lis have no source to give a general shape
+		}
 		add(shape(Parcel{Op: op, D: GPR(50), A: GPR(3), B: GPR(4), Imm: 37*k - 400,
 			SH: uint8(k % 32), MB: uint8(k % 9), ME: uint8(17 + k%15), EndsInst: true}),
 			shape(Parcel{Op: op, D: GPR(51), A: GPR(40), B: GPR(4), CASrc: GPR(41), Imm: k, Spec: true}),
-			shape(Parcel{Op: op, D: GPR(52), A: CTR, B: GPR(6), CASrc: GPR(41), Imm: -k, SH: 3, ME: 31}))
+			general)
 	}
 	for op := PCmpI; op <= PCmpL; op++ {
 		add(shape(Parcel{Op: op, D: CRF(9), A: GPR(3), B: GPR(7), Imm: 5, EndsInst: true}),
@@ -184,8 +191,11 @@ func everyPrimitive() []*VLIW {
 	}
 	add(Parcel{Op: PMcrf, D: CRF(5), A: CRF(6)},
 		Parcel{Op: PMcrf, D: CRF(14), A: CRF(10), Spec: true},
+		Parcel{Op: PMcrf, D: CRF(15), A: GPR(3)},
 		Parcel{Op: PMfcr, D: GPR(53)},
+		Parcel{Op: PMfcr, D: LR},
 		Parcel{Op: PMtcrf, A: GPR(3), FXM: 0x5a, EndsInst: true})
+	add(Parcel{Op: PMtcrf, A: CTR, FXM: 0x01, EndsInst: true})
 	add(Parcel{Op: PCopy, D: GPR(54), A: GPR(3)},
 		Parcel{Op: PCopy, D: CRF(7), A: CRF(9)},
 		Parcel{Op: PCopy, D: LR, A: GPR(4)},
@@ -206,6 +216,40 @@ func everyPrimitive() []*VLIW {
 	// Committing a tagged register raises the deferred exception.
 	add(Parcel{Op: PLI, D: GPR(11), Imm: 1, EndsInst: true},
 		Parcel{Op: PCopy, D: GPR(12), A: GPR(40), EndsInst: true})
+	// Tagged sources of memory and CR-transfer primitives, each raising
+	// its exception in a VLIW of its own; the last two tag cr6 and read
+	// it back.
+	add(Parcel{Op: PLoad, D: GPR(47), A: GPR(40), Size: 4, Spec: true, EndsInst: true})
+	add(Parcel{Op: PLoad, D: GPR(47), A: GPR(40), Size: 4, EndsInst: true})
+	add(Parcel{Op: PStore, D: GPR(40), A: GPR(1), Size: 4, EndsInst: true})
+	add(Parcel{Op: PStore, D: GPR(3), A: GPR(40), Size: 4, EndsInst: true})
+	add(Parcel{Op: PMtcrf, A: GPR(40), FXM: 0xff, EndsInst: true})
+	add(Parcel{Op: PCmpI, D: CRF(6), A: GPR(40), Spec: true, EndsInst: true})
+	add(Parcel{Op: PMfcr, D: GPR(57), EndsInst: true})
+	// What the hooked executor golden's hooks act on (see hookExec); on a
+	// bare executor these are plain accesses. A speculative load the
+	// address translation refuses and one the fault hook faults tag their
+	// destinations; committed, they roll their VLIWs back. Then a store
+	// the fault hook faults in the store phase, one the translation
+	// refuses, one into protected code, and a verify the alias hook fails.
+	add(Parcel{Op: PLoad, D: GPR(44), A: GPR(1), Imm: 0x30, Size: 4, Spec: true},
+		Parcel{Op: PLoad, D: GPR(45), A: GPR(1), Imm: 0x34, Size: 4, Spec: true, EndsInst: true})
+	add(Parcel{Op: PLoad, D: GPR(46), A: GPR(1), Imm: 0x30, Size: 4, EndsInst: true})
+	add(Parcel{Op: PLoad, D: GPR(46), A: GPR(1), Imm: 0x34, Size: 4, EndsInst: true})
+	add(Parcel{Op: PStore, D: GPR(3), A: GPR(1), Imm: 0x38, Size: 4, BaseAddr: 0x738, EndsInst: true})
+	add(Parcel{Op: PStore, D: GPR(3), A: GPR(1), Imm: 0x3c, Size: 4, EndsInst: true})
+	add(Parcel{Op: PStore, D: GPR(4), Imm: 0x1000, Size: 4, EndsInst: true})
+	add(Parcel{Op: PLoad, D: GPR(48), A: GPR(1), Imm: 0xc, Size: 4, Spec: true, SpecLoad: true, EndsInst: true})
+	add(Parcel{Op: PCopy, D: GPR(14), A: GPR(48), Verify: true, BaseAddr: 0x77c, EndsInst: true})
+	// A split on an untagged condition field, then on a tagged one.
+	split := func(f uint8) *Node {
+		return &Node{Cond: &Cond{CRF: f, Bit: ppc.CrGT, Sense: true},
+			Ops:   []Parcel{{Op: PAddI, D: GPR(59), A: GPR(3), Imm: 1}},
+			Taken: leaf(offpage(1), Parcel{Op: PLI, D: GPR(58), Imm: 1, EndsInst: true}),
+			Fall:  leaf(offpage(2), Parcel{Op: PLI, D: GPR(58), Imm: 2, EndsInst: true})}
+	}
+	addRoot(split(9))
+	addRoot(split(10))
 	add(Parcel{Op: numPrims + 3, D: GPR(13)})
 	return vs
 }

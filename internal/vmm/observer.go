@@ -53,7 +53,8 @@ type Observer interface {
 
 	// Fault is called for each recovered exception (not alias or SMC
 	// rollbacks) with the precise base address the §3.5 scan found. The
-	// scan runs only when an observer is attached.
+	// scan runs only when an observer is attached. f is the executor's
+	// and stays valid only until its next Exec: copy it to keep it.
 	Fault(f *vliw.Fault, scanPC uint32)
 
 	// Event is called for each rare machine event (telemetry.EventKind):
