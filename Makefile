@@ -17,28 +17,37 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
-# The executor's hot path makes no call: every register-file helper its
-# cases use must be inlined into vliw.Executor.Exec at every call site.
-# Nothing else notices when one grows past the compiler's inlining budget,
-# or when Exec grows into a "big" function, into which only the cheapest
+# The group run makes no call it can avoid: every helper listed for a
+# function must be inlined into it at every call site. That is the
+# executor's parcel and VLIW loop (vliw.Executor.Exec: the register-file
+# helpers its cases use and the node helpers) and the run loop around it
+# (vmm.Machine.runGroupLoop: what it does after each group run). Nothing
+# else notices when a helper grows past the compiler's inlining budget, or
+# when Exec grows into a "big" function, into which only the cheapest
 # callees are inlined: the tests still pass and only a timing moves. The
-# check compares, per helper, the calls in Exec's source with the
+# check compares, per helper, the calls in the function's source with the
 # "inlining call to" lines that `go build -gcflags=-m` reports inside it.
-INLINE_HELPERS = gpr crf get saveGPR writeGPR saveCRF writeCRF entryXER
+INLINE_EXEC = gpr crf get saveGPR writeGPR saveCRF writeCRF entryXER Leaf
+INLINE_RUN = syncCycles drainDirty
 inline-check:
-	@set -e; f=internal/vliw/exec.go; \
-	out=$$($(GO) build -gcflags=-m ./internal/vliw 2>&1); \
-	lo=$$(grep -n '^func (e \*Executor) Exec(' $$f | cut -d: -f1); \
-	hi=$$(awk -v lo=$$lo 'NR > lo && /^}/ { print NR; exit }' $$f); \
-	test -n "$$lo" -a -n "$$hi"; bad=0; \
-	for h in $(INLINE_HELPERS); do \
-		calls=$$(sed -n "$${lo},$${hi}p" $$f | grep -o "e\.$$h(" | wc -l); \
-		inl=$$(echo "$$out" | awk -F: -v lo=$$lo -v hi=$$hi -v s="inlining call to (*Executor).$$h" \
-			'$$1 ~ /exec\.go$$/ && $$2 >= lo && $$2 <= hi && substr($$0, length($$0) - length(s) + 1) == s' | wc -l); \
-		echo "inline-check: $$h: $$inl of $$calls calls in Exec inlined"; \
-		if [ $$calls -eq 0 ] || [ $$inl -ne $$calls ]; then bad=1; fi; \
-	done; \
-	if [ $$bad -ne 0 ]; then echo "inline-check: a hot-path helper is not inlined into Exec" >&2; exit 1; fi
+	@set -e; bad=0; \
+	check() { \
+		f=$$1; fn=$$2; shift 2; \
+		out=$$($(GO) build -gcflags=-m ./$$(dirname $$f) 2>&1); \
+		lo=$$(grep -n "^func ([a-z] \*[A-Za-z]*) $$fn(" $$f | cut -d: -f1); \
+		hi=$$(awk -v lo=$$lo 'NR > lo && /^}/ { print NR; exit }' $$f); \
+		test -n "$$lo" -a -n "$$hi"; \
+		for h in "$$@"; do \
+			calls=$$(sed -n "$${lo},$${hi}p" $$f | grep -o "\.$$h(" | wc -l); \
+			inl=$$(echo "$$out" | awk -F: -v f=$$f -v lo=$$lo -v hi=$$hi -v s=").$$h" \
+				'$$1 == f && $$2 >= lo && $$2 <= hi && index($$0, "inlining call to ") && substr($$0, length($$0) - length(s) + 1) == s' | wc -l); \
+			echo "inline-check: $$fn: $$h: $$inl of $$calls calls inlined"; \
+			if [ $$calls -eq 0 ] || [ $$inl -ne $$calls ]; then bad=1; fi; \
+		done; \
+	}; \
+	check internal/vliw/exec.go Exec $(INLINE_EXEC); \
+	check internal/vmm/machine.go runGroupLoop $(INLINE_RUN); \
+	if [ $$bad -ne 0 ]; then echo "inline-check: a hot-path helper is not inlined" >&2; exit 1; fi
 
 # CI's one race-detector pass: every test of the module under -race. The
 # four targets below (race-hot, race-async, tier2-soak, aot-soak) re-run

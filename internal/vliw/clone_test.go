@@ -76,3 +76,44 @@ func TestCloneGroupDropsChains(t *testing.T) {
 		})
 	}
 }
+
+// TestCloneGroupAllocs: a clone allocates the same few times whatever the
+// group's size: the group, its VLIW pointers and one array each of VLIWs,
+// nodes, conditions and parcels.
+func TestCloneGroupAllocs(t *testing.T) {
+	for _, size := range []int{1, 4, 32} {
+		g := chainGroup(size)
+		c := CloneGroup(g)
+		if len(c.VLIWs) != size || c.VLIWs[size-1].Root.Fall.Exit.Kind != ExitOffpage {
+			t.Fatalf("size %d: clone has %d VLIWs", size, len(c.VLIWs))
+		}
+		for i, v := range c.VLIWs[:size-1] {
+			if v.Root.Fall.Exit.Next != c.VLIWs[i+1] {
+				t.Fatalf("size %d: VLIW %d's ExitNext does not reach the clone's VLIW %d", size, i, i+1)
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { CloneGroup(g) }); a != 6 {
+			t.Errorf("size %d: %.0f allocations per clone, want 6", size, a)
+		}
+	}
+}
+
+// chainGroup builds a group of size VLIWs, each a condition over two
+// leaves, linked through their fall-through leaves by ExitNext.
+func chainGroup(size int) *Group {
+	g := &Group{Entry: 0x1000}
+	for i := 0; i < size; i++ {
+		v := NewVLIW(i, uint32(0x1000+8*i))
+		v.Root = &Node{
+			Ops:   []Parcel{{Op: PAddI, D: GPR(3), A: GPR(3), Imm: 1, EndsInst: true}},
+			Cond:  &Cond{CRF: 0, Bit: 2, Sense: true},
+			Taken: &Node{Exit: Exit{Kind: ExitEntry, Target: 0x1000}},
+			Fall:  &Node{Ops: []Parcel{{Op: PNop, EndsInst: true}}, Exit: Exit{Kind: ExitOffpage, Target: 0x2000}},
+		}
+		if i > 0 {
+			g.VLIWs[i-1].Root.Fall.Exit = Exit{Kind: ExitNext, Next: v}
+		}
+		g.VLIWs = append(g.VLIWs, v)
+	}
+	return g
+}

@@ -85,6 +85,14 @@ type pendingStore struct {
 // shadow of the entry value, validated by a generation counter that a new
 // VLIW bumps for free. Reads consult the shadow, so parcels still observe
 // entry state; rollback restores just the registers the VLIW dirtied.
+//
+// The hooks run inside a group run (Exec), where the VMM does not look at
+// the machine between VLIWs. OnMem, OnFetch, FaultHook and AliasHook may
+// count, but must not change the machine: in particular none of them may
+// mark a page's code modified, because the VMM drains modified pages only
+// when Exec returns. Nothing else inside Exec marks one either, since a
+// store into translated code rolls its VLIW back before any write
+// (Fault.CodeMod). Only OnCommit may, and it then stops the run.
 type Executor struct {
 	Mem   *mem.Memory
 	RF    RegFile
@@ -96,7 +104,19 @@ type Executor struct {
 	// OnFetch observes each VLIW instruction fetch (instruction cache).
 	OnFetch func(v *VLIW)
 
-	// Steps accumulates one PathStep per Exec call since the last
+	// OnCommit, when non-nil, is called after each committed VLIW whose
+	// exit is ExitNext, before the run continues: the precise boundary
+	// between two VLIWs of a group run. When it reports true, Exec stops
+	// there and returns the VLIW's leaf, so the caller can act before the
+	// next VLIW runs. Nil costs one test per VLIW.
+	OnCommit func() (stop bool)
+
+	// Limit, when non-zero, stops a group run before any VLIW after the
+	// first once Stats.BaseInsts has reached it: the VMM's instruction
+	// budget, checked where the budget is checked between VLIWs.
+	Limit uint64
+
+	// Steps accumulates one PathStep per VLIW attempted since the last
 	// ResetPath. The VMM resets it at each group entry and replays it for
 	// the §3.5 exception scan. The log is deliberately pointer-free: a
 	// []*Node log would pay a GC write barrier on every node visited in
@@ -173,10 +193,10 @@ func (e *Executor) ClearSpec() {
 	}
 }
 
-// PathStep is one Exec call's compressed path record: which VLIW ran
-// (by its index in the group) and the direction taken at each conditional
-// split, in visit order (bit k of Dirs is the k-th split, 1 = Taken). A
-// faulted Exec records a partial step ending at the faulting node.
+// PathStep is one VLIW's compressed path record: which VLIW ran (by its
+// index in the group) and the direction taken at each conditional split,
+// in visit order (bit k of Dirs is the k-th split, 1 = Taken). A faulted
+// VLIW records a partial step ending at the faulting node.
 type PathStep struct {
 	VLIWID int32
 	NDirs  uint8
@@ -201,22 +221,6 @@ func StepNodes(buf []*Node, g *Group, s PathStep) []*Node {
 			n = n.Fall
 		}
 	}
-}
-
-// StepLeaf returns the final node step s visited in group g.
-func StepLeaf(g *Group, s PathStep) *Node {
-	if int(s.VLIWID) >= len(g.VLIWs) {
-		return nil
-	}
-	n := g.VLIWs[s.VLIWID].Root
-	for k := uint8(0); !n.Leaf() && k < s.NDirs; k++ {
-		if s.Dirs>>k&1 != 0 {
-			n = n.Taken
-		} else {
-			n = n.Fall
-		}
-	}
-	return n
 }
 
 // ResetPath truncates the step log (a new group entry begins).
@@ -471,14 +475,26 @@ func (e *Executor) rollback() {
 	}
 }
 
-// Exec executes one VLIW with parallel semantics: all conditions and all
-// parcel inputs are read from the state at entry, stores are validated and
-// applied only after the whole taken path succeeds. On any fault the
-// register file is rolled back to the entry state and memory is untouched;
-// the Fault returned is the executor's and stays valid until the next
-// Exec.
+// Exec runs a group run: VLIW v and, through each ExitNext exit, the
+// VLIWs after it, as the hardware runs a group's tree instructions back to
+// back. The run ends when a VLIW leaves through any other exit or faults,
+// or before a VLIW after the first when OnCommit asks it to stop or
+// Stats.BaseInsts has reached Limit. Exec returns the leaf whose exit the
+// last committed VLIW took — an ExitNext leaf when the run was stopped,
+// which Exec(leaf.Exit.Next) continues — or a nil leaf and the fault.
 //
-// Every parcel runs through one switch on its resolved handler byte
+// Each VLIW has parallel semantics: all its conditions and parcel inputs
+// are read from the state at its entry, and its stores are validated and
+// applied only after its whole taken path succeeds. On a fault the
+// register file is rolled back to the faulting VLIW's entry state and its
+// stores are dropped; the VLIWs the run committed before it stay
+// committed. The Fault returned is the executor's and stays valid until
+// the next Exec.
+//
+// A node's first run fills its executor fields (Node.fill): each visit
+// then adds the node's completed instructions at once, and the parcel loop
+// runs only the parcels between the node's leading and trailing nops.
+// Each of those runs through one switch on its resolved handler byte
 // (handler.go); a parcel's first run resolves it. The cases of the
 // primitives the translator emits most run their direct operand shape
 // without a call: they read with gpr or crf, write with the saveGPR and
@@ -486,33 +502,36 @@ func (e *Executor) rollback() {
 // A tagged source or any other shape takes result or field, which defer
 // the exception or write through put. This holds only while the compiler
 // inlines those helpers into Exec, which make inline-check verifies.
-func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
+func (e *Executor) Exec(v *VLIW) (*Node, *Fault) {
+next:
 	if e.OnFetch != nil {
 		e.OnFetch(v)
 	}
 	e.stores = e.stores[:0]
 	e.gen++
-	completed := uint64(0)
+	completed := uint64(0) // dropped with the rest if the VLIW faults
 	step := PathStep{VLIWID: int32(v.ID)}
 
 	n := v.Root
 	for {
-		ops := n.Ops
+		ends := n.ends
+		if ends == 0 {
+			ends = n.fill()
+		}
+		completed += uint64(ends) - 1
+		ops := n.Ops[n.lead : len(n.Ops)-int(n.trail)]
 		for i := range ops {
 			p := &ops[i]
 			h := p.h
 			if h == 0 {
 				h = p.resolve()
 			}
-			if h&hEnds != 0 {
-				completed++ // dropped with the rest if the VLIW faults
-			}
 			direct := h&hDirect != 0
 			var a, b, r uint32
 			var ok, okB bool
 			var err error
 			switch Prim(h & hPrim) {
-			case PNop: // only its EndsInst counts
+			case PNop: // an interior nop; ends has counted it
 				continue
 			case PLI:
 				r = uint32(p.Imm)
@@ -919,7 +938,7 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 				err = unknownPrim(p)
 			}
 			if err != nil {
-				return e.fail(v, n, i, err, step)
+				return e.fail(v, n, int(n.lead)+i, err, step)
 			}
 		}
 		if n.Leaf() {
@@ -945,7 +964,7 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 		s := &e.stores[i]
 		if e.FaultHook != nil {
 			if f := e.FaultHook(s.pc, s.addr, int(s.size), true); f != nil {
-				ex, flt := e.fail(v, n, -1, f, step)
+				_, flt := e.fail(v, n, -1, f, step)
 				if i == 0 {
 					// Only the first pending store is attributable: with
 					// earlier uncommitted stores in the VLIW the boundary
@@ -953,15 +972,15 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 					// instance would make the attribution ambiguous).
 					flt.StorePC = s.pc
 				}
-				return ex, flt
+				return nil, flt
 			}
 		}
 		if err := e.Mem.CheckWrite(s.addr, int(s.size)); err != nil {
-			ex, flt := e.fail(v, n, -1, err, step)
+			_, flt := e.fail(v, n, -1, err, step)
 			if i == 0 {
 				flt.StorePC = s.pc
 			}
-			return ex, flt
+			return nil, flt
 		}
 		if e.Mem.StoreProtected(s.addr, int(s.size)) {
 			// A store into translated code: roll back so the VMM can
@@ -997,14 +1016,19 @@ func (e *Executor) Exec(v *VLIW) (Exit, *Fault) {
 	e.Stats.VLIWs++
 	e.Stats.BaseInsts += completed
 	e.Steps = append(e.Steps, step)
-	return n.Exit, nil
+	if n.Exit.Kind != ExitNext || e.OnCommit != nil && e.OnCommit() ||
+		e.Limit != 0 && e.Stats.BaseInsts >= e.Limit {
+		return n, nil
+	}
+	v = n.Exit.Next
+	goto next
 }
 
 // fail rolls the in-flight VLIW back to its entry state — a precise
 // base-instruction boundary — logs the (partial) step so the fault scan
 // can replay the path, and reports the fault. errAlias reports a
 // load-verify mismatch, which carries no cause.
-func (e *Executor) fail(v *VLIW, n *Node, idx int, err error, step PathStep) (Exit, *Fault) {
+func (e *Executor) fail(v *VLIW, n *Node, idx int, err error, step PathStep) (*Node, *Fault) {
 	e.Steps = append(e.Steps, step)
 	e.rollback()
 	e.Stats.Rollbacks++
@@ -1013,15 +1037,15 @@ func (e *Executor) fail(v *VLIW, n *Node, idx int, err error, step PathStep) (Ex
 		e.Stats.Aliases++
 		e.fault.Cause, e.fault.Alias = nil, true
 	}
-	return Exit{}, &e.fault
+	return nil, &e.fault
 }
 
 // failCodeMod is fail for a store into a protected unit, which has no
 // cause.
-func (e *Executor) failCodeMod(v *VLIW, n *Node, step PathStep) (Exit, *Fault) {
+func (e *Executor) failCodeMod(v *VLIW, n *Node, step PathStep) (*Node, *Fault) {
 	_, f := e.fail(v, n, -1, nil, step)
 	f.CodeMod = true
-	return Exit{}, f
+	return nil, f
 }
 
 func condFault(f *mem.Fault) error {

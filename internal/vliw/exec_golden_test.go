@@ -64,9 +64,9 @@ func execDigests(run string, hooked bool) []string {
 		before := e.Stats
 		calls = calls[:0]
 		e.ResetPath()
-		exit, f := e.Exec(v)
+		lf, f := e.Exec(v)
 		line(fmt.Sprintf("vliw %d", i), fmt.Sprintf("%+v|%+v|%s|%s|%+v|%q",
-			stateOf(e.RF), e.Stats.Sub(before), exitString(exit), faultString(v, f), e.Steps, calls))
+			stateOf(e.RF), e.Stats.Sub(before), exitString(exitOf(lf)), faultString(v, f), e.Steps, calls))
 	}
 	line("memory", string(e.Mem.Bytes(0, e.Mem.Size())))
 	return lines
@@ -104,6 +104,15 @@ func hookExec(e *Executor, calls *[]string) {
 	}
 	e.Journal = &StoreJournal{}
 	e.Mem.SetReadOnly(1<<mem.ProtectShift, true)
+}
+
+// exitOf returns the exit of the leaf Exec returned, the zero Exit for the
+// nil leaf of a fault.
+func exitOf(n *Node) Exit {
+	if n == nil {
+		return Exit{}
+	}
+	return n.Exit
 }
 
 func exitString(x Exit) string {

@@ -326,12 +326,12 @@ func TestDeepTreeAllPaths(t *testing.T) {
 	for mask := 0; mask < 8; mask++ {
 		e := &Executor{Mem: mem.New(1 << 12)}
 		want := deepTreeEntry(e, mask)
-		exit, f := e.Exec(deepTree())
+		lf, f := e.Exec(deepTree())
 		if f != nil {
 			t.Fatal(f)
 		}
-		if exit.Target != want {
-			t.Fatalf("mask %03b: leaf %d, want %d", mask, exit.Target, want)
+		if lf.Exit.Target != want {
+			t.Fatalf("mask %03b: leaf %d, want %d", mask, lf.Exit.Target, want)
 		}
 	}
 }

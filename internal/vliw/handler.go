@@ -32,7 +32,6 @@ var errAlias = errors.New("vliw: load-verify mismatch")
 const (
 	hPrim   = 0x3f  // the primitive whose semantics run
 	hDirect = 0x40  // operands have the kinds the primitive's sig names
-	hEnds   = 0x80  // the parcel's EndsInst flag
 	hBad    = hPrim // the primitive byte of an unknown primitive
 )
 
@@ -93,9 +92,6 @@ func (p *Parcel) resolve() uint8 {
 	h := uint8(op)
 	if fits(s.d, p.D) && fits(s.a, p.A) && fits(s.b, p.B) {
 		h |= hDirect
-	}
-	if p.EndsInst {
-		h |= hEnds
 	}
 	p.h = h
 	return h

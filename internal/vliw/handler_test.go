@@ -41,17 +41,18 @@ func stateOf(rf RegFile) regState {
 	return s
 }
 
-// runSeq executes vs in order on a fresh executor prepared by entry.
+// runSeq executes vs in order, one VLIW per Exec, on a fresh executor
+// prepared by entry.
 func runSeq(vs []*VLIW, entry func(*Executor)) ([]outcome, *Executor) {
-	e := &Executor{Mem: mem.New(1 << 12)}
+	e := &Executor{Mem: mem.New(1 << 12), OnCommit: func() bool { return true }}
 	if entry != nil {
 		entry(e)
 	}
 	out := make([]outcome, len(vs))
 	for i, v := range vs {
 		before := e.Stats
-		exit, f := e.Exec(v)
-		out[i] = outcome{rf: stateOf(e.RF), stats: e.Stats.Sub(before), exit: exit, fault: describeFault(f)}
+		lf, f := e.Exec(v)
+		out[i] = outcome{rf: stateOf(e.RF), stats: e.Stats.Sub(before), exit: exitOf(lf), fault: describeFault(f)}
 	}
 	return out, e
 }
@@ -321,5 +322,17 @@ func TestCopiesOfExecutedGroup(t *testing.T) {
 func TestParcelSize(t *testing.T) {
 	if s := unsafe.Sizeof(Parcel{}); s != 40 {
 		t.Fatalf("Parcel is %d bytes, want 40", s)
+	}
+}
+
+// TestNodeSize: the executor's per-node fields fill the bytes Exit's
+// field order frees, so a Node stays 80 bytes and a translation's node
+// chunks do not grow.
+func TestNodeSize(t *testing.T) {
+	if s := unsafe.Sizeof(Exit{}); s != 24 {
+		t.Errorf("Exit is %d bytes, want 24", s)
+	}
+	if s := unsafe.Sizeof(Node{}); s != 80 {
+		t.Fatalf("Node is %d bytes, want 80", s)
 	}
 }

@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -48,11 +49,12 @@ func (k ExitKind) String() string {
 	return [...]string{"next", "entry", "offpage", "indirect", "syscall", "interp"}[k]
 }
 
-// Exit is the control target at a leaf.
+// Exit is the control target at a leaf. Its fields are ordered so that it
+// packs into 24 bytes, which keeps a Node at 80.
 type Exit struct {
 	Kind   ExitKind
-	Target uint32 // base-architecture address for entry/offpage/syscall/interp
 	Via    RegRef // LR or CTR for ExitIndirect
+	Target uint32 // base-architecture address for entry/offpage/syscall/interp
 	Next   *VLIW  // successor for ExitNext
 
 	// Chain, when non-nil, is a translated group on the same page that the
@@ -92,6 +94,37 @@ type Node struct {
 	Taken *Node
 	Fall  *Node
 	Exit  Exit
+
+	// What the executor keeps of Ops, filled on the node's first run
+	// (fill): ends is one more than the number of EndsInst parcels (zero
+	// until then), and Ops[lead:len(Ops)-trail] holds every parcel but the
+	// leading and trailing nops. A nop only marks the end of a base
+	// instruction, which ends has counted. They fill the 8 bytes the Exit
+	// leaves of the Node's 80, and Ops must not change once the node ran.
+	ends        uint32
+	lead, trail uint16
+}
+
+// fill computes the node's executor fields on its first run and returns
+// ends. A run of nops longer than a uint16 is trimmed only in part, which
+// leaves the rest for the executor to step over one by one.
+func (n *Node) fill() uint32 {
+	ends := uint32(1)
+	for i := range n.Ops {
+		if n.Ops[i].EndsInst {
+			ends++
+		}
+	}
+	lead, trail := 0, 0
+	for lead < len(n.Ops) && n.Ops[lead].Op == PNop {
+		lead++
+	}
+	for trail < len(n.Ops)-lead && n.Ops[len(n.Ops)-1-trail].Op == PNop {
+		trail++
+	}
+	n.ends = ends
+	n.lead, n.trail = uint16(min(lead, math.MaxUint16)), uint16(min(trail, math.MaxUint16))
+	return ends
 }
 
 // Leaf reports whether the node terminates a path.

@@ -60,15 +60,15 @@ func TestParallelSemantics(t *testing.T) {
 		Parcel{Op: PCopy, D: GPR(3), A: GPR(4)},
 		Parcel{Op: PCopy, D: GPR(4), A: GPR(3), EndsInst: true},
 	)
-	exit, f := e.Exec(v)
+	lf, f := e.Exec(v)
 	if f != nil {
 		t.Fatal(f)
 	}
 	if e.RF.GPR[3] != 2 || e.RF.GPR[4] != 1 {
 		t.Fatalf("swap failed: r3=%d r4=%d", e.RF.GPR[3], e.RF.GPR[4])
 	}
-	if exit.Kind != ExitOffpage || exit.Target != 0x200 {
-		t.Fatalf("exit = %v", exit)
+	if lf.Exit.Kind != ExitOffpage || lf.Exit.Target != 0x200 {
+		t.Fatalf("exit = %v", lf.Exit)
 	}
 	if e.Stats.VLIWs != 1 || e.Stats.BaseInsts != 1 {
 		t.Fatalf("stats = %+v", e.Stats)
@@ -89,22 +89,22 @@ func TestTreeConditions(t *testing.T) {
 	}
 	e := newExec(t)
 	e.RF.CRFv[0] = 0x2 // EQ set
-	exit, f := e.Exec(build())
+	lf, f := e.Exec(build())
 	if f != nil {
 		t.Fatal(f)
 	}
-	if exit.Target != 0xaaa || e.RF.GPR[11] != 1 || e.RF.GPR[10] != 7 {
-		t.Fatalf("taken path wrong: exit=%v r11=%d", exit, e.RF.GPR[11])
+	if lf.Exit.Target != 0xaaa || e.RF.GPR[11] != 1 || e.RF.GPR[10] != 7 {
+		t.Fatalf("taken path wrong: exit=%v r11=%d", lf.Exit, e.RF.GPR[11])
 	}
 
 	e2 := newExec(t)
 	e2.RF.CRFv[0] = 0x8 // LT set, EQ clear
-	exit, f = e2.Exec(build())
+	lf, f = e2.Exec(build())
 	if f != nil {
 		t.Fatal(f)
 	}
-	if exit.Target != 0xbbb || e2.RF.GPR[11] != 2 {
-		t.Fatalf("fall path wrong: exit=%v r11=%d", exit, e2.RF.GPR[11])
+	if lf.Exit.Target != 0xbbb || e2.RF.GPR[11] != 2 {
+		t.Fatalf("fall path wrong: exit=%v r11=%d", lf.Exit, e2.RF.GPR[11])
 	}
 }
 
@@ -120,11 +120,11 @@ func TestConditionReadsEntryState(t *testing.T) {
 		Taken: leaf(offpage(1)),
 		Fall:  leaf(offpage(2)),
 	}
-	exit, f := e.Exec(v)
+	lf, f := e.Exec(v)
 	if f != nil {
 		t.Fatal(f)
 	}
-	if exit.Target != 1 {
+	if lf.Exit.Target != 1 {
 		t.Fatal("condition must read entry state")
 	}
 	if e.RF.CRFv[0] != 0x8 {
@@ -474,15 +474,15 @@ func TestLRCTRViaRefs(t *testing.T) {
 		Parcel{Op: PCopy, D: CTR, A: GPR(4)},
 		Parcel{Op: PCopy, D: LR, A: GPR(4)},
 	)
-	exit, f := e.Exec(v)
+	lf, f := e.Exec(v)
 	if f != nil {
 		t.Fatal(f)
 	}
 	if e.RF.CTR != 0x1234 || e.RF.LR != 0x1234 {
 		t.Fatal("special register copies")
 	}
-	if exit.Kind != ExitIndirect || exit.Via != CTR {
-		t.Fatalf("exit %v", exit)
+	if lf.Exit.Kind != ExitIndirect || lf.Exit.Via != CTR {
+		t.Fatalf("exit %v", lf.Exit)
 	}
 }
 

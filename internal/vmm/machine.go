@@ -311,6 +311,17 @@ type Machine struct {
 	// read 6–8% slower on bench/'s fleet workload (0 of 12 pairs won)
 	// with the CPU profile's shape unchanged.
 	t2trans *core.Translator
+
+	// commitHook is commitBoundary as the executor's OnCommit, made once
+	// when the first observer attaches (a method value allocates).
+	// cycleMark is the executor's attempted-VLIW count (VLIWs plus
+	// rollbacks) that Stats.Cycles last took in (syncCycles).
+	commitHook func() bool
+	cycleMark  uint64
+
+	// ip is the interpreter interpret runs, reset on every use.
+	// interpretAhead keeps its own, over a scratch view of memory.
+	ip interp.Interp
 }
 
 // New builds a machine over a loaded memory image.
@@ -391,6 +402,7 @@ func (m *Machine) Run(entry uint32, maxInsts uint64) error {
 func (m *Machine) Start(entry uint32, maxInsts uint64) {
 	m.St.PC = entry
 	m.maxInsts = maxInsts
+	m.Exec.Limit = 0
 	m.Exec.RF.FromState(&m.St)
 	if m.StallFn != nil {
 		m.Exec.OnMem = func(addr uint32, size int, write bool) {
@@ -430,10 +442,20 @@ func (m *Machine) StepGroup() (halted bool, err error) {
 	return halt, err
 }
 
+// checkBudget reports ErrBudget once the instruction budget is spent, and
+// otherwise hands what is left of it to the executor as its Limit, so a
+// group run stops between two VLIWs exactly where this check would fail.
+// Only interpretation, which leaves the run loop, moves the part of the
+// clock (instClock) that the executor does not count. Without a budget the
+// Limit stays the zero Start set.
 func (m *Machine) checkBudget() error {
-	if m.maxInsts > 0 && m.instClock() >= m.maxInsts {
+	if m.maxInsts == 0 {
+		return nil
+	}
+	if m.instClock() >= m.maxInsts {
 		return fmt.Errorf("%w (pc %#x)", ErrBudget, m.St.PC)
 	}
+	m.Exec.Limit = m.maxInsts - m.Stats.InterpInsts
 	return nil
 }
 
@@ -754,6 +776,16 @@ dispatch:
 			m.Exec.Journal = nil
 		}
 	}
+	// A committed VLIW is a precise architected boundary (precise mode
+	// only), which observers see through the executor's commit hook for
+	// the VLIWs a group run continues past. Inside a tier-2 group only
+	// path ends are precise — deferred commits flush there — so it runs
+	// without the hook. The group's tier holds until the next dispatch: a
+	// tier-2 machine neither chains nor hops.
+	m.Exec.OnCommit = nil
+	if len(m.obs) != 0 && m.Trans.Opt.PreciseExceptions && g.TierOf() < 2 {
+		m.Exec.OnCommit = m.commitHook
+	}
 	v := m.enterGroup(g)
 
 	for {
@@ -766,30 +798,31 @@ dispatch:
 			}
 			return false, err
 		}
-		exit, fault := m.Exec.Exec(v)
-		m.Stats.Cycles++ // one cycle per attempted VLIW
+		leaf, fault := m.Exec.Exec(v)
+		m.syncCycles()
 		if fault != nil {
 			return m.recover(fault)
 		}
 
-		// Self-modifying code reaches here only via interpretation (a
-		// translated store into protected code rolls back instead), but
-		// drain defensively at this precise boundary.
-		smcHit := m.drainDirty()
-
-		// A committed VLIW is a precise architected boundary (precise
-		// mode only). Inside a tier-2 group only path ends are precise —
-		// deferred commits flush there — so mid-path ExitNext boundaries
-		// are skipped. Syscall exits defer the boundary until the service
+		// The run's last VLIW is a boundary too, unless the run stopped
+		// between two VLIWs (an ExitNext leaf), where the commit hook has
+		// reported it. Syscall exits defer the boundary until the service
 		// routine has run, so the observed state includes its effects.
+		exit := &leaf.Exit
 		if len(m.obs) != 0 && m.Trans.Opt.PreciseExceptions &&
-			(m.curGroup.TierOf() < 2 || exit.Kind != vliw.ExitNext) &&
-			exit.Kind != vliw.ExitSyscall {
+			exit.Kind != vliw.ExitNext && exit.Kind != vliw.ExitSyscall {
 			m.boundary()
 		}
 
+		// Inside a group run only the commit hook can mark a page modified,
+		// and it then stops the run (vliw.Executor). Drain here, after the
+		// boundary observers, so that a page one of them marked is
+		// invalidated before the next VLIW runs.
+		smcHit := m.drainDirty()
+
 		switch exit.Kind {
 		case vliw.ExitNext:
+			// The commit hook or the budget stopped the run.
 			if smcHit {
 				if m.Exec.Journal != nil {
 					// A deferred-commit group's VLIW boundary is not a
@@ -841,8 +874,8 @@ dispatch:
 			}
 			// Patch the exit edge that got us here so the next trip skips
 			// the dispatch above.
-			if leaf := m.exitLeaf(); leaf.Exit.Chain == nil {
-				leaf.Exit.Chain = ng
+			if exit.Chain == nil {
+				exit.Chain = ng
 				m.Stats.ChainPatches++
 				m.emit(telemetry.EvChainPatch, ng.Entry, 0)
 			}
@@ -877,7 +910,7 @@ dispatch:
 			// switch, and an SMC drain may have destroyed the group being
 			// left.
 			if samePage && !smcHit && !m.Opt.Tier2 {
-				hop = m.exitLeaf()
+				hop = leaf
 				goto dispatch
 			}
 			return false, nil
@@ -893,7 +926,7 @@ dispatch:
 				m.boundary()
 			}
 			if samePage && !smcHit && !m.Opt.Tier2 { // as for ExitIndirect
-				hop = m.exitLeaf()
+				hop = leaf
 				goto dispatch
 			}
 			return false, nil
@@ -903,7 +936,7 @@ dispatch:
 			return false, m.interpret()
 
 		default:
-			return false, fmt.Errorf("vmm: unexpected exit %v", exit)
+			return false, fmt.Errorf("vmm: unexpected exit %v", *exit)
 		}
 	}
 }
@@ -945,13 +978,6 @@ func (m *Machine) syscall() (halt bool, err error) {
 		rf.Write(vliw.GPR(3), st.GPR[3])
 	}
 	return false, nil
-}
-
-// exitLeaf returns the leaf whose exit Exec last returned: the last node
-// the executor visited in the current group, recovered from the last
-// step's recorded directions.
-func (m *Machine) exitLeaf() *vliw.Node {
-	return vliw.StepLeaf(m.curGroup, m.Exec.Steps[len(m.Exec.Steps)-1])
 }
 
 // live reports whether g still belongs to its page's current translation:
@@ -1055,9 +1081,8 @@ func (m *Machine) noteAlias() {
 // rfi-style re-entries avoid flooding pages with entry points (§3.4).
 func (m *Machine) interpret() error {
 	m.Exec.RF.ToState(&m.St)
-	ip := interp.New(m.Mem, m.Env, m.St.PC)
-	ip.St = m.St
-	ip.DeliverDSI = m.Opt.GuestFaultVectors
+	ip := &m.ip
+	*ip = interp.Interp{St: m.St, Mem: m.Mem, Env: m.Env, DeliverDSI: m.Opt.GuestFaultVectors}
 	startPage := m.St.PC &^ (m.Trans.Opt.PageSize - 1)
 	for steps := 0; steps < m.Opt.InterpBudget; steps++ {
 		if m.hasEntry(ip.St.PC) && steps > 0 {
@@ -1115,13 +1140,19 @@ func (m *Machine) rollbackToCheckpoint() {
 }
 
 // drainDirty invalidates the translations of pages whose code was
-// modified, lowest page first, reporting whether any invalidation
-// happened. Go's map order is random, and identical runs must invalidate,
-// trace and quarantine in one order.
+// modified, reporting whether any invalidation happened.
 func (m *Machine) drainDirty() bool {
 	if len(m.dirty) == 0 {
 		return false
 	}
+	m.drainPages()
+	return true
+}
+
+// drainPages invalidates the modified pages lowest first. Go's map order
+// is random, and identical runs must invalidate, trace and quarantine in
+// one order.
+func (m *Machine) drainPages() {
 	for len(m.dirty) != 0 {
 		b := uint32(math.MaxUint32)
 		for d := range m.dirty {
@@ -1133,7 +1164,6 @@ func (m *Machine) drainDirty() bool {
 		m.emit(telemetry.EvSMCInvalidate, b, 0)
 		m.noteTrouble(b)
 	}
-	return true
 }
 
 func (m *Machine) hasEntry(addr uint32) bool {

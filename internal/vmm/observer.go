@@ -41,7 +41,10 @@ type Observer interface {
 	// committed VLIW, except mid-path inside a tier-2 group, and after a
 	// system call once it has been serviced. They do not depend on how
 	// often StepGroup returns, which makes them the points a differential
-	// checker compares at.
+	// checker compares at. Between two VLIWs of a group run the executor
+	// calls Boundary from inside its run (vliw.Executor.OnCommit); a page
+	// the observer marks modified there (InjectSMC) stops the run, so the
+	// page is invalidated before the next VLIW runs.
 	Boundary(completed uint64)
 
 	// Translated is called when a translation is installed, before any of
@@ -96,7 +99,12 @@ func (o boundaryFunc) Boundary(completed uint64) { o.fn(completed) }
 // Observe adds o to the machine's observer slot, after any observer already
 // there; several share the slot and are called in attach order. A machine
 // with no observer pays one length check per observation point.
-func (m *Machine) Observe(o Observer) { m.obs = append(m.obs, o) }
+func (m *Machine) Observe(o Observer) {
+	m.obs = append(m.obs, o)
+	if m.commitHook == nil {
+		m.commitHook = m.commitBoundary
+	}
+}
 
 // enterGroup is the one group-entry sequence (dispatch, chain follow and
 // intra-page jump): observers see the switch first, then the machine
@@ -110,6 +118,25 @@ func (m *Machine) enterGroup(g *vliw.Group) *vliw.VLIW {
 	m.Exec.ResetPath()
 	m.checkpoint(g.Entry)
 	return g.VLIWs[0]
+}
+
+// commitBoundary is the executor's commit hook while observers watch a
+// precise group run: it reports the boundary after a committed VLIW the
+// run would continue past, and stops the run when an observer marked a
+// page modified (InjectSMC), so the drain comes before the next VLIW.
+func (m *Machine) commitBoundary() bool {
+	m.syncCycles()
+	m.boundary()
+	return len(m.dirty) != 0
+}
+
+// syncCycles brings Stats.Cycles, one per attempted VLIW, up to the
+// executor's count: every VLIW it committed or rolled back since the last
+// sync.
+func (m *Machine) syncCycles() {
+	c := m.Exec.Stats.VLIWs + m.Exec.Stats.Rollbacks
+	m.Stats.Cycles += c - m.cycleMark
+	m.cycleMark = c
 }
 
 // boundary reports a precise VLIW boundary; callers check for observers

@@ -48,8 +48,8 @@ func (o *telObserver) charge(pc uint32, cycles, insts uint64) {
 	o.profBuf[i].Insts += insts
 }
 
-// chargePath replays the step log for g. Each step is one Exec call —
-// exactly one Stats.Cycles increment — so at sample=1 the profile's cycle
+// chargePath replays the step log for g. Each step is one attempted VLIW
+// — exactly one cycle of Stats.Cycles — so at sample=1 the profile's cycle
 // total matches the machine's cycle count.
 func (o *telObserver) chargePath(g *vliw.Group) {
 	m := o.m
